@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure (a stability report with
-globalPass false), 2 input or usage error. Output is byte-stable for fixed
-inputs, flags, and seed. The default grid comes from the PERSLINE_GRID
+globalPass false), 2 input or usage error, 3 internal error (an unexpected
+exception, reported in one line on stderr). Output is byte-stable for fixed
+inputs, flags, and seed; JSON output is strict, with infinite distances
+written as null. The default grid comes from the PERSLINE_GRID
 environment variable ("<directions>x<offsets>", default 16x8).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -28,6 +29,7 @@ from .homology import (
     barcode_to_json,
     compute_barcode,
     rank_invariant,
+    strict_dumps,
 )
 from .matching import (
     LineGrid,
@@ -46,6 +48,7 @@ from .stability import (
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class CliError(Exception):
@@ -103,9 +106,12 @@ def _emit(text: str, output: str | None) -> None:
         text += "\n"
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"{output}: {exc.strerror or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +184,7 @@ def run(argv: list[str]) -> int:
                 except (OSError, ValueError, KeyError, TypeError) as exc:
                     raise CliError(f"{path}: {exc}") from None
             d = bottleneck_distance(*barcodes)
-            _emit(json.dumps({"distance": d}), args.output)
+            _emit(strict_dumps({"distance": d}), args.output)
             return EXIT_OK
 
         if args.command == "rank":
@@ -187,7 +193,7 @@ def run(argv: list[str]) -> int:
                 q = RankQuery(_parse_vector(args.u), _parse_vector(args.v), args.degree)
             except ValueError as exc:
                 raise CliError(str(exc)) from None
-            _emit(json.dumps(rank_invariant(M, q)), args.output)
+            _emit(strict_dumps(rank_invariant(M, q)), args.output)
             return EXIT_OK
 
         if args.command == "matchdist":
@@ -229,6 +235,10 @@ def run(argv: list[str]) -> int:
     except (ParseError, ValidationError, InadmissibleLineError, ValueError) as exc:
         print(f"persline: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # the CLI boundary: anything else is a defect, not a verdict
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"persline: internal error: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

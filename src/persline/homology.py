@@ -176,22 +176,40 @@ def rank_invariant(M: MultiFilteredComplex, q: RankQuery) -> int:
     return sum(1 for iv in barcode if iv.birth <= 0.0 and iv.death > 1.0)
 
 
+def strict_dumps(payload) -> str:
+    """Strict JSON text: +inf is written as null; NaN and -inf raise ValueError."""
+    return json.dumps(_inf_to_null(payload), allow_nan=False)
+
+
+def _inf_to_null(value):
+    if isinstance(value, float):
+        return None if value == math.inf else value
+    if isinstance(value, dict):
+        return {k: _inf_to_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_inf_to_null(v) for v in value]
+    return value
+
+
 def barcode_to_json(barcode: Barcode) -> str:
     """JSON array of {degree, birth, death}, death null for infinity.
 
     Sorted by (degree, birth, death) so equal barcodes serialize identically.
     """
     ordered = sorted(barcode, key=lambda iv: (iv.degree, iv.birth, iv.death))
-    items = [
-        {"degree": iv.degree, "birth": iv.birth, "death": None if iv.essential else iv.death}
-        for iv in ordered
-    ]
-    return json.dumps(items)
+    return strict_dumps(
+        [{"degree": iv.degree, "birth": iv.birth, "death": iv.death} for iv in ordered]
+    )
 
 
 def barcode_from_json(text: str) -> Barcode:
+    """Inverse of barcode_to_json; a NaN endpoint or a non-finite birth raises ValueError."""
     items = json.loads(text)
-    return tuple(
+    barcode = tuple(
         Interval(it["birth"], math.inf if it["death"] is None else it["death"], it["degree"])
         for it in items
     )
+    for iv in barcode:
+        if not math.isfinite(iv.birth) or math.isnan(iv.death):
+            raise ValueError(f"bad interval {iv}: birth must be finite, death a number or null")
+    return barcode

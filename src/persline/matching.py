@@ -7,7 +7,6 @@ no discretization error bound is claimed.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .complexes import (
     canonicalize_line,
     restrict,
 )
-from .homology import compute_barcode
+from .homology import compute_barcode, strict_dumps
 
 _DEDUP_DECIMALS = 9
 
@@ -162,7 +161,10 @@ def matching_distance_lb(
 
 
 def match_result_to_json(result: MatchResult) -> str:
-    """JSON {value, argmax: {m, b}, table: [{m, b, mStar, distance}]}."""
+    """JSON {value, argmax: {m, b}, table: [{m, b, mStar, distance}]}.
+
+    An infinite distance (a line where the essential counts differ) is null.
+    """
     payload = {
         "value": result.value,
         "argmax": {
@@ -179,7 +181,7 @@ def match_result_to_json(result: MatchResult) -> str:
             for L, d in result.per_line
         ],
     }
-    return json.dumps(payload)
+    return strict_dumps(payload)
 
 
 def match_result_to_csv(result: MatchResult) -> str:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persline import (
     Interval,
@@ -15,6 +17,16 @@ from generators import random_barcode
 from oracles import brute_force_bottleneck
 
 INF = math.inf
+
+# Endpoints on a quarter grid make pair costs tie with deletion costs (the
+# edge-pruning boundary) and keep every sum exact.
+_quarter = st.integers(0, 8).map(lambda k: k / 4)
+_interval = st.builds(
+    lambda birth, length, essential: Interval(birth, INF if essential else birth + length, 0),
+    _quarter, _quarter, st.integers(0, 3).map(lambda k: k == 0),
+)
+_barcodes = st.lists(_interval, max_size=6).map(tuple)
+_property = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
 
 class TestCosts:
@@ -152,3 +164,59 @@ class TestBottleneckDistance:
                 assert math.isinf(d2)
             else:
                 assert abs(d2 - d) <= eps + 1e-12
+
+
+class TestBottleneckProperties:
+    @_property
+    @given(_barcodes, _barcodes)
+    def test_equals_exhaustive_oracle(self, A, B):
+        assert bottleneck_distance(A, B) == brute_force_bottleneck(A, B)
+
+    @_property
+    @given(_barcodes, _barcodes)
+    def test_symmetry(self, A, B):
+        assert bottleneck_distance(A, B) == bottleneck_distance(B, A)
+
+    @_property
+    @given(_barcodes, _barcodes, _barcodes)
+    def test_triangle_inequality(self, A, B, C):
+        ab, bc = bottleneck_distance(A, B), bottleneck_distance(B, C)
+        if math.isfinite(ab) and math.isfinite(bc):
+            assert bottleneck_distance(A, C) <= ab + bc
+
+    @_property
+    @given(_barcodes, _barcodes, _quarter)
+    def test_feasible_exactly_from_the_distance(self, A, B, delta):
+        assert feasible(MatchingInstance(A, B, delta)) == (delta >= bottleneck_distance(A, B))
+
+
+def _nearby_barcodes(rng, n):
+    """A barcode of n intervals (two essential) and a perturbed copy with a
+    tenth of the finite intervals replaced, as stability comparisons see."""
+    births = np.round(rng.uniform(0, 10, size=n), 6)
+    deaths = np.round(births + rng.exponential(1.0, size=n) + 1e-3, 6)
+    A = tuple(Interval(float(b), INF if k < 2 else float(d), 0)
+              for k, (b, d) in enumerate(zip(births, deaths)))
+    B = []
+    for iv in A:
+        birth = iv.birth + float(rng.normal(0, 0.1))
+        if iv.essential:
+            B.append(Interval(birth, INF, 0))
+        elif rng.random() < 0.9:
+            B.append(Interval(birth, max(iv.death + float(rng.normal(0, 0.1)), birth + 1e-3), 0))
+        else:
+            b = float(rng.uniform(0, 10))
+            B.append(Interval(b, b + float(rng.exponential(1.0)) + 1e-3, 0))
+    return A, tuple(B)
+
+
+def test_800_intervals_per_side_no_recursion_limit():
+    rng = np.random.default_rng(800)
+    A, B = _nearby_barcodes(rng, 800)
+    d = bottleneck_distance(A, B)
+    assert 0 < d < INF
+    assert bottleneck_distance(B, A) == d
+    shuffled_a, shuffled_b = list(A), list(B)
+    rng.shuffle(shuffled_a)
+    rng.shuffle(shuffled_b)
+    assert bottleneck_distance(tuple(shuffled_a), tuple(shuffled_b)) == d

@@ -2,9 +2,18 @@ import json
 
 import pytest
 
+import persline.cli
 from persline.cli import run
 
 TWO_VERTEX_EDGE = "bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 1 1\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def strict_loads(text):
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @pytest.fixture
@@ -53,6 +62,22 @@ class TestBottleneck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["distance"] >= 0
 
+    def test_differing_essential_counts_print_null(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text('[{"degree": 0, "birth": 0.0, "death": null}]')
+        b.write_text('[{"degree": 0, "birth": 0.0, "death": null},'
+                     ' {"degree": 0, "birth": 1.0, "death": null}]')
+        assert run(["bottleneck", "--input", str(a), str(b)]) == 0
+        assert strict_loads(capsys.readouterr().out) == {"distance": None}
+
+    @pytest.mark.parametrize("birth", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_birth_is_usage_error(self, tmp_path, capsys, birth):
+        a = tmp_path / "a.json"
+        a.write_text(f'[{{"degree": 0, "birth": {birth}, "death": 1.0}}]')
+        assert run(["bottleneck", "--input", str(a), str(a)]) == 2
+        assert "a.json" in capsys.readouterr().err
+
 
 class TestRank:
     def test_fixture_rank(self, fixture_complex, capsys):
@@ -75,6 +100,17 @@ class TestMatchdist:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"value", "argmax", "table"}
+
+    def test_infinite_distances_print_null(self, tmp_path, capsys):
+        one = tmp_path / "one.bif"
+        two = tmp_path / "two.bif"
+        one.write_text("bifiltration 2\n0 0 ; 0 0\n")
+        two.write_text("bifiltration 2\n0 0 ; 0 0\n0 1 ; 0.5 0.5\n")
+        code = run(["matchdist", "--input", str(one), str(two), "--grid", "2x2", "--degree", "0"])
+        assert code == 0
+        payload = strict_loads(capsys.readouterr().out)
+        assert payload["value"] is None
+        assert [row["distance"] for row in payload["table"]] == [None] * len(payload["table"])
 
     def test_csv_output(self, fixture_complex, tmp_path, capsys):
         other = tmp_path / "N.bif"
@@ -149,6 +185,24 @@ class TestExitCodes:
         assert run(["matchdist", "--input", fixture_complex, str(other),
                     "--grid", "bogus", "--degree", "0"]) == 2
         capsys.readouterr()
+
+    def test_unwritable_output_is_usage_error(self, fixture_complex, tmp_path, capsys):
+        out = tmp_path / "missing" / "bars.json"
+        assert run(["barcode", "--input", fixture_complex, "--line", "1,1:0,0",
+                    "--degree", "0", "--output", str(out)]) == 2
+        assert "bars.json" in capsys.readouterr().err
+
+    def test_internal_error_exits_three_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def broken(A, B):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(persline.cli, "bottleneck_distance", broken)
+        a = tmp_path / "a.json"
+        a.write_text("[]")
+        assert run(["bottleneck", "--input", str(a), str(a)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "persline: internal error: RuntimeError: boom second line\n"
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
