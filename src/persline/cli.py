@@ -4,12 +4,15 @@ Exit codes: 0 success, 1 verification failure (a stability report with
 globalPass false), 2 input or usage error, 3 internal error (an unexpected
 exception, reported in one line on stderr). Output is byte-stable for fixed
 inputs, flags, and seed; JSON output is strict, with infinite distances
-written as null. The default grid comes from the PERSLINE_GRID
-environment variable ("<directions>x<offsets>", default 16x8).
+written as null. A degree above a complex's dimension has no classes (an
+empty barcode, distance 0); a negative degree is a usage error. The default
+grid comes from the PERSLINE_GRID environment variable
+("<directions>x<offsets>", default 16x8).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -21,13 +24,12 @@ from .complexes import (
     ValidationError,
     canonicalize_line,
     parse_bifiltration,
-    restrict,
 )
 from .homology import (
     RankQuery,
     barcode_from_json,
     barcode_to_json,
-    compute_barcode,
+    line_barcodes,
     rank_invariant,
     strict_dumps,
 )
@@ -114,7 +116,9 @@ def _emit(text: str, output: str | None) -> None:
         raise CliError(f"{output}: {exc.strerror or exc}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="persline",
         description="Multiparameter persistence: barcodes, bottleneck/matching distances, stability checks.",
@@ -171,7 +175,7 @@ def run(argv: list[str]) -> int:
         if args.command == "barcode":
             M = _load_complex(args.input)
             L = _parse_line(args.line)
-            barcode = compute_barcode(restrict(M, L), args.degree)
+            barcode = line_barcodes(M, [L], args.degree)[0]
             _emit(barcode_to_json(barcode), args.output)
             return EXIT_OK
 

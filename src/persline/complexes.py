@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 Grade = tuple[float, ...]
 Simplex = tuple[int, ...]
 
@@ -254,10 +256,34 @@ def serialize_bifiltration(M: MultiFilteredComplex) -> str:
 
 
 def push_to_line(g: Grade, L: Line) -> float:
-    """Least s with g <= s*m + b componentwise: max_i (g_i - b_i) / m_i."""
+    """Least s with g <= s*m + b componentwise: max_i (g_i - b_i) / m_i.
+
+    The push is monotone: g <= g' componentwise implies push(g) <= push(g'),
+    because correctly rounded subtraction and division by m_i > 0 are
+    monotone, and so is the maximum.
+    """
     if len(g) != L.dim:
         raise ValueError(f"grade dimension {len(g)} != line dimension {L.dim}")
     return max((gi - bi) / mi for gi, bi, mi in zip(g, L.offset, L.direction))
+
+
+def push_values(grades: np.ndarray, lines: Sequence[Line]) -> np.ndarray:
+    """Push of every grade onto every line, as a (len(lines), N) array.
+
+    ``grades`` is an (N, n) float64 array. Entry [k, j] equals
+    ``push_to_line(grades[j], lines[k])`` bit for bit: the same float
+    operations, taken one coordinate at a time so that no (lines, N, n)
+    temporary exists. The running maximum keeps the earlier coordinate on a
+    tie, as Python's max does, so a signed zero comes out as it does there
+    (np.maximum may return either zero).
+    """
+    m = np.array([L.direction for L in lines], dtype=np.float64)
+    b = np.array([L.offset for L in lines], dtype=np.float64)
+    P = (grades[:, 0] - b[:, :1]) / m[:, :1]
+    for i in range(1, grades.shape[1]):
+        c = (grades[:, i] - b[:, i : i + 1]) / m[:, i : i + 1]
+        np.copyto(P, c, where=c > P)
+    return P
 
 
 def restrict(M: MultiFilteredComplex, L: Line) -> ScalarFiltration:

@@ -2,6 +2,10 @@
 
 Barcodes come from plain left-to-right column reduction of the boundary
 matrix, with columns stored as integer bitmasks (xor = addition over F2).
+Homology in degree d depends only on the boundary maps of degrees d and
+d + 1, so only simplices of dimension <= d + 1 are reduced; the truncation
+is exact. The persistence pairing depends only on the simplex order, not on
+the entry values, so lines that order a complex alike share one reduction.
 The rank invariant of a transition map H(K_u) -> H(K_v) is read off a
 two-step filtration: K_u enters at 0, K_v \\ K_u at 1, and the rank equals
 the number of classes born at 0 that survive the whole filtration.
@@ -11,15 +15,25 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .complexes import (
     Grade,
+    Line,
     MultiFilteredComplex,
     ScalarFiltration,
     Simplex,
+    ValidationError,
     faces,
     leq,
+    push_values,
 )
+
+# lines whose push values are held at once: bounds the temporaries of
+# line_barcodes to a few (LINE_BLOCK, N) arrays however many lines there are
+LINE_BLOCK = 128
 
 
 @dataclass(frozen=True, order=True)
@@ -50,95 +64,145 @@ def order_simplices(F: ScalarFiltration) -> list[tuple[Simplex, float]]:
     return sorted(F.simplices, key=lambda sv: (sv[1], len(sv[0]), sv[0]))
 
 
-def _reduce(ordered: list[tuple[Simplex, float]]) -> tuple[dict[int, int], list[int], list[int]]:
-    """Reduce the full boundary matrix.
+def _skeleton(simplices, degree: int) -> tuple[list, list[list[int]]]:
+    """The simplices of dimension <= degree + 1, in the given order, and the
+    faces of each as indices into that list."""
+    kept = [sv for sv in simplices if len(sv[0]) <= degree + 2]
+    index = {s: i for i, (s, _) in enumerate(kept)}
+    return kept, [[index[f] for f in faces(s)] for s, _ in kept]
 
-    Returns (pivot row -> column index, reduced columns by index, zero columns).
+
+def _pairs(
+    order: Sequence[int], boundary: list[list[int]], degree: int, essential: int = -1
+) -> list[tuple[int, int]]:
+    """Persistence pairs in one degree of the filtration that adds simplices in ``order``.
+
+    ``boundary[i]`` lists the faces of simplex i; every face comes before its
+    cofaces in ``order``. Returns (creator, destroyer) simplex indices for
+    the classes of degree ``degree``, with -1 for a class that never dies.
+
+    Only columns of dimension ``degree`` and ``degree + 1`` are reduced;
+    lower ones never meet them. A reduced column's pivot is a creator not
+    yet paired, so a (degree + 1)-column is zero, and is skipped, while no
+    creator is unpaired; and, when ``essential`` (the number of classes
+    that never die, which the order does not change) is known, once every
+    degree-simplex is placed and only the essential classes are unpaired.
     """
-    index = {s: i for i, (s, _) in enumerate(ordered)}
-    columns: list[int] = [0] * len(ordered)
-    low_to_col: dict[int, int] = {}
-    zeroed: list[int] = []
-    for j, (simplex, _) in enumerate(ordered):
+    pos = [0] * len(order)
+    for j, i in enumerate(order):
+        pos[i] = j
+    # a k-simplex has k + 1 faces and a vertex none: columns are told apart by that count
+    own, up = (degree + 1 if degree else 0), degree + 2
+    left = list(map(len, boundary)).count(own)  # degree-simplices not yet placed
+    pivots: dict[int, int] = {}
+    killer: dict[int, int] = {}
+    creators: list[int] = []
+    for j, i in enumerate(order):
+        n_faces = len(boundary[i])
+        if n_faces == own:
+            left -= 1
+        elif n_faces != up or len(creators) == len(killer):
+            continue
+        elif not left and len(creators) - len(killer) == essential:
+            break
         col = 0
-        for face in faces(simplex):
-            col ^= 1 << index[face]
+        for f in boundary[i]:
+            col ^= 1 << pos[f]
         while col:
             low = col.bit_length() - 1
-            if low not in low_to_col:
+            prev = pivots.get(low)
+            if prev is None:
+                pivots[low] = col
+                if n_faces == up:
+                    killer[low] = i
                 break
-            col ^= columns[low_to_col[low]]
-        columns[j] = col
-        if col:
-            low_to_col[col.bit_length() - 1] = j
+            col ^= prev
         else:
-            zeroed.append(j)
-    return low_to_col, columns, zeroed
+            if n_faces != up:
+                creators.append(j)
+    return [(order[j], killer.get(j, -1)) for j in creators]
 
 
-def compute_barcode(F: ScalarFiltration, degree: int) -> Barcode:
-    """Barcode of the sublevel persistence module of F in one degree."""
-    max_dim = F.max_dim()
-    if degree < 0 or degree > max_dim:
-        raise ValueError(f"degree {degree} out of range [0, {max_dim}]")
-    ordered = order_simplices(F)
-    low_to_col, _, zeroed = _reduce(ordered)
-    paired = {i: j for i, j in low_to_col.items()}
+def _intervals(pairs: list[tuple[int, int]], values: list[float], degree: int) -> Barcode:
+    """Sorted intervals of the given creator/destroyer pairs; zero-length ones dropped."""
     intervals: list[Interval] = []
-    for i in zeroed:
-        simplex_i, birth = ordered[i]
-        if len(simplex_i) - 1 != degree:
-            continue
-        if i in paired:
-            death = ordered[paired[i]][1]
-            if death > birth:
-                intervals.append(Interval(birth, death, degree))
-        else:
+    for i, j in pairs:
+        birth = values[i]
+        if j < 0:
             intervals.append(Interval(birth, math.inf, degree))
+        elif values[j] > birth:
+            intervals.append(Interval(birth, values[j], degree))
     intervals.sort()
     return tuple(intervals)
 
 
+def _check_degree(degree: int) -> None:
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
+
+
+def compute_barcode(F: ScalarFiltration, degree: int) -> Barcode:
+    """Barcode of the sublevel persistence module of F in one degree.
+
+    A degree above the dimension of F gives the empty barcode.
+    """
+    _check_degree(degree)
+    kept, boundary = _skeleton(order_simplices(F), degree)
+    return _intervals(_pairs(range(len(kept)), boundary, degree), [v for _, v in kept], degree)
+
+
+def line_barcodes(M: MultiFilteredComplex, lines: Sequence[Line], degree: int) -> list[Barcode]:
+    """Barcodes of M restricted to each line, in one batch.
+
+    Equal, line by line, to ``compute_barcode(restrict(M, L), degree)``.
+    The skeleton and its face indices are built once. The push values of a
+    block of lines are one array; one vectorized face <= coface check on it
+    stands in for validating each restriction. Columns are kept in the
+    (dimension, vertex ids) tiebreak order, so a stable argsort of each row
+    is the total order of :func:`order_simplices`. The pairing is cached by
+    that order for the length of this call, so each distinct order is
+    reduced once; births and deaths are then read from each line's own push
+    values.
+    """
+    for L in lines:
+        if L.dim != M.dim:
+            raise ValueError(f"complex dimension {M.dim} != line dimension {L.dim}")
+    _check_degree(degree)
+    kept, boundary = _skeleton(sorted(M.simplices, key=lambda sg: (len(sg[0]), sg[0])), degree)
+    if all(len(s) <= degree for s, _ in kept):
+        return [()] * len(lines)
+    grades = np.array([g for _, g in kept], dtype=np.float64)
+    face = np.array([f for fs in boundary for f in fs], dtype=np.intp)
+    coface = np.array([i for i, fs in enumerate(boundary) for _ in fs], dtype=np.intp)
+    # a key is a whole order; the narrowest index type keeps large caches small
+    key_type = np.min_scalar_type(len(kept) - 1)
+    cache: dict[bytes, list[tuple[int, int]]] = {}
+    essential = -1
+    barcodes: list[Barcode] = []
+    for start in range(0, len(lines), LINE_BLOCK):
+        P = push_values(grades, lines[start : start + LINE_BLOCK])
+        bad = np.argwhere(P[:, face] > P[:, coface])
+        if len(bad):
+            k, e = bad[0]
+            f, c = face[e], coface[e]
+            raise ValidationError(
+                f"non-monotone entries: face {kept[f][0]} at {P[k, f]}"
+                f" vs simplex {kept[c][0]} at {P[k, c]}"
+            )
+        orders = np.argsort(P, axis=1, kind="stable").astype(key_type)
+        for values, order in zip(P, orders):
+            key = order.tobytes()
+            pairs = cache.get(key)
+            if pairs is None:
+                pairs = cache[key] = _pairs(order.tolist(), boundary, degree, essential)
+                essential = sum(1 for _, j in pairs if j < 0)
+            barcodes.append(_intervals(pairs, values.tolist(), degree))
+    return barcodes
+
+
 def betti_at(M: MultiFilteredComplex, u: Grade, degree: int) -> int:
-    """dim over F2 of H_degree of the sublevel complex at u, by elimination."""
-    sub = [s for s, g in M.simplices if leq(g, u)]
-    return _homology_dim(sub, degree)
-
-
-def _f2_rank(columns: list[int]) -> int:
-    """Rank of a set of F2 column vectors given as bitmasks."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            if low not in pivots:
-                pivots[low] = col
-                rank += 1
-                break
-            col ^= pivots[low]
-    return rank
-
-
-def _boundary_columns(simplices: list[Simplex], dim: int) -> list[int]:
-    """Boundary matrix of dim-simplices as bitmask columns over (dim-1)-simplices."""
-    rows = {s: i for i, s in enumerate(simplices) if len(s) == dim}
-    cols = []
-    for s in simplices:
-        if len(s) - 1 != dim:
-            continue
-        col = 0
-        for face in faces(s):
-            col ^= 1 << rows[face]
-        cols.append(col)
-    return cols
-
-
-def _homology_dim(simplices: list[Simplex], degree: int) -> int:
-    n_deg = sum(1 for s in simplices if len(s) - 1 == degree)
-    rank_down = _f2_rank(_boundary_columns(simplices, degree)) if degree > 0 else 0
-    rank_up = _f2_rank(_boundary_columns(simplices, degree + 1))
-    return n_deg - rank_down - rank_up
+    """dim over F2 of H_degree of the sublevel complex at u: the rank of the identity map."""
+    return rank_invariant(M, RankQuery(u, u, degree))
 
 
 @dataclass(frozen=True)
@@ -167,23 +231,27 @@ def rank_invariant(M: MultiFilteredComplex, q: RankQuery) -> int:
             two_step.append((s, 0.0))
         elif leq(g, q.v):
             two_step.append((s, 1.0))
-    if not two_step:
-        return 0
-    F = ScalarFiltration(tuple(two_step))
-    if q.degree > F.max_dim():
-        return 0
-    barcode = compute_barcode(F, q.degree)
+    barcode = compute_barcode(ScalarFiltration(tuple(two_step)), q.degree)
     return sum(1 for iv in barcode if iv.birth <= 0.0 and iv.death > 1.0)
 
 
 def strict_dumps(payload) -> str:
-    """Strict JSON text: +inf is written as null; NaN and -inf raise ValueError."""
-    return json.dumps(_inf_to_null(payload), allow_nan=False)
+    """Strict JSON text: an infinite float is written as null; NaN raises ValueError.
+
+    Payloads without a non-finite float, nearly all of them, are dumped
+    directly; only when that raises is the payload walked for infinities.
+    The sign of an infinity is not kept: only a stability report's margin
+    can be -inf, and its globalPass (false) tells it from +inf.
+    """
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except ValueError:
+        return json.dumps(_inf_to_null(payload), allow_nan=False)
 
 
 def _inf_to_null(value):
     if isinstance(value, float):
-        return None if value == math.inf else value
+        return None if math.isinf(value) else value
     if isinstance(value, dict):
         return {k: _inf_to_null(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

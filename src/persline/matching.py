@@ -16,9 +16,8 @@ from .complexes import (
     Line,
     MultiFilteredComplex,
     canonicalize_line,
-    restrict,
 )
-from .homology import compute_barcode, strict_dumps
+from .homology import line_barcodes, strict_dumps
 
 _DEDUP_DECIMALS = 9
 
@@ -138,13 +137,19 @@ def default_offset_box(
     )
 
 
+def line_distances(
+    M: MultiFilteredComplex, N: MultiFilteredComplex, lines: list[Line], degree: int
+) -> list[float]:
+    """m_star times the bottleneck distance of the two restricted barcodes, per line."""
+    pairs = zip(lines, line_barcodes(M, lines, degree), line_barcodes(N, lines, degree))
+    return [L.m_star * bottleneck_distance(bar_m, bar_n) for L, bar_m, bar_n in pairs]
+
+
 def per_line_distance(
     M: MultiFilteredComplex, N: MultiFilteredComplex, L: Line, degree: int
 ) -> float:
     """m_star times the bottleneck distance of the two restricted barcodes."""
-    bar_m = compute_barcode(restrict(M, L), degree)
-    bar_n = compute_barcode(restrict(N, L), degree)
-    return L.m_star * bottleneck_distance(bar_m, bar_n)
+    return line_distances(M, N, [L], degree)[0]
 
 
 def matching_distance_lb(
@@ -152,7 +157,7 @@ def matching_distance_lb(
 ) -> MatchResult:
     """Max of per-line distances over the sampled grid (a matching-distance lower bound)."""
     lines = sample_lines(grid, default_offset_box(M, N))
-    table = tuple((L, per_line_distance(M, N, L, degree)) for L in lines)
+    table = tuple(zip(lines, line_distances(M, N, lines, degree)))
     best_line, best = table[0]
     for L, d in table[1:]:
         if d > best:

@@ -9,7 +9,6 @@ stay within the explicit eta bound.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,11 +21,10 @@ from .complexes import (
     MultiFilteredComplex,
     diagonal_shift,
     faces,
-    restrict,
     sup_norm,
 )
-from .homology import compute_barcode
-from .matching import LineGrid, default_offset_box, per_line_distance, sample_lines
+from .homology import line_barcodes, strict_dumps
+from .matching import LineGrid, default_offset_box, line_distances, sample_lines
 
 VERIFY_TOL = 1e-9
 
@@ -105,11 +103,11 @@ def perturb_grades(M: MultiFilteredComplex, epsilon: float, seed: int) -> Interl
 def verify_rank_stability(pair: InterleavedPair, grid: LineGrid, degree: int) -> StabilityReport:
     """Check m_star * d_B(restrictions) <= epsilon on every sampled line."""
     lines = sample_lines(grid, default_offset_box(pair.M, pair.N))
-    entries = []
-    for L in lines:
-        lhs = per_line_distance(pair.M, pair.N, L, degree)
-        rhs = pair.epsilon
-        entries.append((L, lhs, rhs, lhs <= rhs + VERIFY_TOL))
+    rhs = pair.epsilon
+    entries = [
+        (L, lhs, rhs, lhs <= rhs + VERIFY_TOL)
+        for L, lhs in zip(lines, line_distances(pair.M, pair.N, lines, degree))
+    ]
     global_pass = all(ok for _, _, _, ok in entries)
     worst = min((rhs - lhs for _, lhs, rhs, _ in entries), default=math.inf)
     return StabilityReport(
@@ -153,17 +151,18 @@ def verify_internal_stability(
     """Check d_B of the two line restrictions of M against the eta bound."""
     c = stabilization_grade(M)
     bound = eta_bound(L, Lp, c)
-    lhs = bottleneck_distance(
-        compute_barcode(restrict(M, L), degree),
-        compute_barcode(restrict(M, Lp), degree),
-    )
+    lhs = bottleneck_distance(*line_barcodes(M, [L, Lp], degree))
     ok = lhs <= bound.eta + VERIFY_TOL
     entries = ((Lp, lhs, bound.eta, ok),)
     return StabilityReport("internal", "eta", bound.eta, entries, ok, bound.eta - lhs)
 
 
 def report_to_json(report: StabilityReport) -> str:
-    """JSON {construction, epsilon|eta, entries, globalPass, worstMargin}."""
+    """JSON {construction, epsilon|eta, entries, globalPass, worstMargin}.
+
+    Strict: an infinite lhs or margin (a line where the essential counts of
+    the two restrictions differ) is written as null.
+    """
     payload = {
         "construction": report.construction,
         report.bound_name: report.bound,
@@ -179,4 +178,4 @@ def report_to_json(report: StabilityReport) -> str:
         "globalPass": report.global_pass,
         "worstMargin": report.worst_margin,
     }
-    return json.dumps(payload)
+    return strict_dumps(payload)

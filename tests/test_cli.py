@@ -1,9 +1,13 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import persline.cli
+from persline import serialize_bifiltration
 from persline.cli import run
+from generators import random_bifiltered_complex
 
 TWO_VERTEX_EDGE = "bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 1 1\n"
 
@@ -209,6 +213,100 @@ class TestExitCodes:
             run(["no-such-command"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestDegreeAboveDimension:
+    """A degree above the complex's dimension has no classes; a negative degree is an error."""
+
+    def test_barcode_prints_empty_list(self, fixture_complex, capsys):
+        code = run(["barcode", "--input", fixture_complex, "--line", "1,1:0,0", "--degree", "2"])
+        assert code == 0
+        assert capsys.readouterr().out == "[]\n"
+
+    def test_matchdist_value_is_zero(self, fixture_complex, tmp_path, capsys):
+        other = tmp_path / "N.bif"
+        other.write_text("bifiltration 2\n0 0 ; 1 1\n")
+        # degree 1 is above N's dimension; M has an edge but no cycle
+        code = run(["matchdist", "--input", fixture_complex, str(other),
+                    "--grid", "2x2", "--degree", "1"])
+        assert code == 0
+        payload = strict_loads(capsys.readouterr().out)
+        assert payload["value"] == 0.0
+        assert {row["distance"] for row in payload["table"]} == {0.0}
+
+    def test_verify_external_passes_with_zero_lhs(self, fixture_complex, capsys):
+        code = run(["verify-external", "--input", fixture_complex, "--construction", "shift",
+                    "--epsilon", "0.25", "--grid", "2x2", "--degree", "2"])
+        assert code == 0
+        payload = strict_loads(capsys.readouterr().out)
+        assert {e["lhs"] for e in payload["entries"]} == {0.0}
+
+    def test_verify_internal_passes_with_zero_lhs(self, fixture_complex, capsys):
+        code = run(["verify-internal", "--input", fixture_complex,
+                    "--line", "1,1:0,0", "--line2", "1,0.5:0,0", "--degree", "1"])
+        assert code == 0
+        assert strict_loads(capsys.readouterr().out)["entries"][0]["lhs"] == 0.0
+
+    @pytest.mark.parametrize("command", ["barcode", "matchdist", "verify-external"])
+    def test_negative_degree_is_usage_error(self, fixture_complex, capsys, command):
+        argv = {
+            "barcode": ["barcode", "--input", fixture_complex, "--line", "1,1:0,0"],
+            "matchdist": ["matchdist", "--input", fixture_complex, fixture_complex,
+                          "--grid", "2x2"],
+            "verify-external": ["verify-external", "--input", fixture_complex,
+                                "--construction", "shift", "--epsilon", "0.1", "--grid", "2x2"],
+        }[command]
+        assert run(argv + ["--degree", "-1"]) == 2
+        assert "degree -1" in capsys.readouterr().err
+
+
+# sha1 of stdout for fixed inputs, taken from the implementation that restricted
+# and reduced each line on its own. Batched line evaluation must print the same
+# bytes. The barcode cases push a -0.0 grade: Python's max keeps the first of two
+# equal zeros, where np.maximum may return either.
+PINNED_OUTPUT_SHA1 = {
+    "matchdist-json-d0": "ed4442be601d66b7820c9286e140987b6ff19310",
+    "matchdist-json-d1": "f122e8b9c3445de383d9a05790c7b6d983daf9f9",
+    "matchdist-csv-d0": "fc2732ffd2f7aa54c14f7d6fb9e082f36380b522",
+    "matchdist-csv-d1": "611457e5d5b63241519e8f78681dfbf3fb73cf58",
+    "verify-shift-d1": "91137256676dd94bfd94e93f7d8dca91b5c231f5",
+    "verify-perturb-d0": "2653adb6cfddae73fdf0bfa235e01c96bbb7c55b",
+    "barcode-signed-zero-d0": "eef1b3f231daffffa708681a7ae61af1cf8b65c5",
+    "barcode-signed-zero-d1": "40bf519bde41bf5c01859e11d54e99405392f5a9",
+}
+SIGNED_ZERO = (
+    "bifiltration 2\n0 0 ; -0.0 0.0\n0 1 ; 0.0 -0.0\n0 2 ; -0.0 -0.0\n"
+    "1 0 1 ; 0.0 0.5\n1 0 2 ; -0.0 0.25\n1 1 2 ; 0.5 -0.0\n"
+)
+
+
+def test_pinned_output_bytes(tmp_path, capsys):
+    rng = np.random.default_rng(13)
+    m_path, n_path, z_path = tmp_path / "M.bif", tmp_path / "N.bif", tmp_path / "Z.bif"
+    m_path.write_text(serialize_bifiltration(random_bifiltered_complex(rng, 6, 16)))
+    n_path.write_text(serialize_bifiltration(random_bifiltered_complex(rng, 6, 16)))
+    z_path.write_text(SIGNED_ZERO)
+    M, N, Z = str(m_path), str(n_path), str(z_path)
+    cases = {
+        "matchdist-json-d0": ["matchdist", "--input", M, N, "--grid", "5x4", "--degree", "0"],
+        "matchdist-json-d1": ["matchdist", "--input", M, N, "--grid", "5x4", "--degree", "1"],
+        "matchdist-csv-d0": ["matchdist", "--input", M, N, "--grid", "5x4", "--degree", "0",
+                             "--format", "csv"],
+        "matchdist-csv-d1": ["matchdist", "--input", M, N, "--grid", "5x4", "--degree", "1",
+                             "--format", "csv"],
+        "verify-shift-d1": ["verify-external", "--input", M, "--construction", "shift",
+                            "--epsilon", "0.25", "--grid", "4x3", "--degree", "1"],
+        "verify-perturb-d0": ["verify-external", "--input", N, "--construction", "perturb",
+                              "--epsilon", "0.1", "--seed", "5", "--grid", "4x3"],
+        "barcode-signed-zero-d0": ["barcode", "--input", Z, "--line", "1,1:0,0", "--degree", "0"],
+        "barcode-signed-zero-d1": ["barcode", "--input", Z, "--line", "1,0.5:0,0",
+                                   "--degree", "1"],
+    }
+    got = {}
+    for name, argv in cases.items():
+        assert run(argv) == 0, name
+        got[name] = hashlib.sha1(capsys.readouterr().out.encode()).hexdigest()
+    assert got == PINNED_OUTPUT_SHA1
 
 
 class TestDeterminism:

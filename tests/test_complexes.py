@@ -16,6 +16,7 @@ from persline import (
     restrict,
     serialize_bifiltration,
 )
+from persline.complexes import push_values
 from generators import random_bifiltered_complex, random_canonical_line
 
 TWO_VERTEX_EDGE = "bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 1 1\n"
@@ -154,6 +155,33 @@ class TestPushToLine:
         L = canonicalize_line((1, 1), (0, 0))
         with pytest.raises(ValueError):
             push_to_line((1, 2, 3), L)
+
+
+class TestPushValues:
+    def test_bit_equal_to_push_to_line(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3):
+            grades = rng.integers(-2, 3, size=(40, n)) * 0.5
+            grades[rng.random(grades.shape) < 0.2] = -0.0
+            lines = [canonicalize_line((1,) * n, (0.0,) * n)] + [
+                canonicalize_line(tuple(rng.uniform(0.1, 1, n)), tuple(rng.integers(-1, 2, n) * 0.5))
+                for _ in range(9)
+            ]
+            P = push_values(grades, lines)
+            for k, L in enumerate(lines):
+                want = [float(push_to_line(tuple(g), L)).hex() for g in grades.tolist()]
+                assert [x.hex() for x in P[k].tolist()] == want
+
+    def test_monotone_in_grade(self):
+        # g <= g' componentwise implies push(g) <= push(g'), with no tolerance
+        rng = np.random.default_rng(11)
+        g = rng.uniform(-2, 2, size=(500, 2))
+        h = g + rng.uniform(0, 1, size=g.shape) * (rng.random(g.shape) < 0.7)
+        lines = [random_canonical_line(rng) for _ in range(20)]
+        assert (push_values(g, lines) <= push_values(h, lines)).all()
+        for L in lines[:5]:
+            for a, b in zip(g.tolist(), h.tolist()):
+                assert push_to_line(a, L) <= push_to_line(b, L)
 
 
 class TestRestrict:

@@ -1,21 +1,32 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import persline.homology
 from persline import (
     Interval,
+    LineGrid,
+    MultiFilteredComplex,
     RankQuery,
     ScalarFiltration,
     barcode_from_json,
     barcode_to_json,
     betti_at,
+    canonicalize_line,
     compute_barcode,
+    default_offset_box,
+    line_barcodes,
     order_simplices,
     parse_bifiltration,
+    perturb_grades,
     rank_invariant,
     restrict,
+    sample_lines,
+    shift_pair,
 )
+from persline.homology import LINE_BLOCK
 from generators import random_bifiltered_complex, random_canonical_line, random_scalar_filtration
 from oracles import homology_dim, induced_rank, scalar_rank
 
@@ -88,7 +99,12 @@ class TestBarcode:
     def test_degree_out_of_range(self):
         F = ScalarFiltration((((0,), 0.0),))
         with pytest.raises(ValueError):
-            compute_barcode(F, 1)
+            compute_barcode(F, -1)
+
+    def test_degree_above_dimension_is_empty(self):
+        F = ScalarFiltration((((0,), 0.0),))
+        assert compute_barcode(F, 1) == ()
+        assert compute_barcode(F, 5) == ()
 
     def test_rank_oracle_equivalence(self):
         rng = np.random.default_rng(31)
@@ -221,3 +237,112 @@ class TestBarcodeJson:
             ' {"degree": 0, "birth": 0.0, "death": 2.0},'
             ' {"degree": 1, "birth": 1.0, "death": null}]'
         )
+
+
+def _max_dim(M):
+    return max(len(s) for s, _ in M.simplices) - 1
+
+
+def _clique_complex(rng, n_vertices, top_dim, levels):
+    """Every simplex up to top_dim on n_vertices, integer grades in [0, levels].
+
+    A simplex enters at the componentwise max of its faces plus 0 or 1 per
+    coordinate, so grades tie often and many cycles open and close.
+    """
+    grade = {}
+    for k in range(1, top_dim + 2):
+        for s in combinations(range(n_vertices), k):
+            if k == 1:
+                g = rng.integers(0, levels + 1, size=2)
+            else:
+                g = np.max([grade[s[:i] + s[i + 1 :]] for i in range(k)], axis=0)
+                g = g + rng.integers(0, 2, size=2)
+            grade[s] = np.minimum(g, levels)
+    order = rng.permutation(len(grade))
+    items = list(grade.items())
+    return MultiFilteredComplex(
+        2, tuple((items[i][0], tuple(float(x) for x in items[i][1])) for i in order)
+    )
+
+
+def _tie_heavy_lines(offsets):
+    directions = ((1, 1), (1, 0.5), (0.5, 1), (1, 0.25))
+    return [canonicalize_line(m, b) for m in directions for b in offsets]
+
+
+class TestLineBarcodes:
+    """line_barcodes equals compute_barcode(restrict(M, L), d) line by line, bit for bit."""
+
+    @staticmethod
+    def _check(M, lines, degrees):
+        for d in degrees:
+            got = line_barcodes(M, lines, d)
+            want = [compute_barcode(restrict(M, L), d) for L in lines]
+            assert got == want
+            # equal floats may still differ in sign (0.0 == -0.0), which JSON shows
+            bits = [[(float(iv.birth).hex(), float(iv.death).hex()) for iv in b] for b in want]
+            assert [[(iv.birth.hex(), iv.death.hex()) for iv in b] for b in got] == bits
+
+    def test_generator_complexes_every_degree(self):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            M = random_bifiltered_complex(rng)
+            lines = [random_canonical_line(rng) for _ in range(10)]
+            lines += sample_lines(LineGrid(4, 3), M.bounding_box())
+            self._check(M, lines, range(_max_dim(M) + 2))
+
+    def test_shift_and_perturb_pairs(self):
+        rng = np.random.default_rng(67)
+        for k in range(20):
+            M = random_bifiltered_complex(rng, max_vertices=6, max_simplices=16)
+            eps = float(rng.uniform(0, 1))
+            pair = shift_pair(M, eps) if k % 2 else perturb_grades(M, eps, seed=k)
+            lines = sample_lines(LineGrid(8, 4), default_offset_box(pair.M, pair.N))
+            for X in (pair.M, pair.N):
+                self._check(X, lines, range(_max_dim(X) + 1))
+
+    def test_tie_heavy_integer_grades(self):
+        rng = np.random.default_rng(71)
+        offsets = [(0, 0), (1, -1), (-1, 1), (2, -2), (0.5, -0.5)]
+        lines = _tie_heavy_lines(offsets)
+        for n_vertices, top_dim in ((4, 3), (5, 2), (6, 2), (7, 1)):
+            for _ in range(3):
+                M = _clique_complex(rng, n_vertices, top_dim, levels=3)
+                self._check(M, lines, range(top_dim + 1))
+
+    def test_signed_zero_grades(self):
+        M = parse_bifiltration(
+            "bifiltration 2\n0 0 ; -0.0 0.0\n0 1 ; 0.0 -0.0\n0 2 ; -0.0 -0.0\n"
+            "1 0 1 ; 0.0 0.5\n1 0 2 ; -0.0 0.25\n1 1 2 ; 0.5 -0.0\n"
+        )
+        self._check(M, _tie_heavy_lines([(0, 0), (-0.0, 0.0)]), (0, 1))
+
+    def test_more_lines_than_one_block(self):
+        rng = np.random.default_rng(73)
+        M = _clique_complex(rng, 5, 2, levels=4)
+        lines = [random_canonical_line(rng) for _ in range(2 * LINE_BLOCK + 7)]
+        self._check(M, lines, (0, 1))
+
+    def test_degree_above_dimension_and_negative(self):
+        M = parse_bifiltration(TWO_VERTEX_EDGE)
+        rng = np.random.default_rng(79)
+        lines = [random_canonical_line(rng) for _ in range(3)]
+        assert line_barcodes(M, lines, 2) == [(), (), ()]
+        with pytest.raises(ValueError):
+            line_barcodes(M, lines, -1)
+
+    def test_line_dimension_mismatch(self):
+        M = parse_bifiltration(TWO_VERTEX_EDGE)
+        L3 = canonicalize_line((1, 1, 1), (0, 0, 0))
+        with pytest.raises(ValueError, match="dimension"):
+            line_barcodes(M, [L3], 0)
+
+    def test_non_monotone_push_rejected(self, monkeypatch):
+        M = parse_bifiltration(TWO_VERTEX_EDGE)
+
+        def reversed_push(grades, lines):
+            return -grades[None, :, 0]
+
+        monkeypatch.setattr(persline.homology, "push_values", reversed_push)
+        with pytest.raises(ValueError, match="non-monotone"):
+            line_barcodes(M, [canonicalize_line((1, 1), (0, 0))], 0)

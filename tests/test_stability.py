@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from persline import (
+    InterleavedPair,
     LineGrid,
     bottleneck_distance,
     canonicalize_line,
@@ -186,6 +187,22 @@ class TestReportJson:
         assert payload["worstMargin"] == min(
             e["rhs"] - e["lhs"] for e in payload["entries"]
         )
+
+    def test_infinite_lhs_and_margin_print_null(self):
+        # essential counts differ on every line, so every lhs is +inf and the margin -inf
+        two_vertices = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n")
+        one_vertex = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n")
+        pair = InterleavedPair(two_vertices, one_vertex, 0.5, "diagonal-shift")
+        report = verify_rank_stability(pair, LineGrid(2, 2), 0)
+        assert report.worst_margin == -math.inf
+        payload = json.loads(report_to_json(report), parse_constant=self._reject)
+        assert [e["lhs"] for e in payload["entries"]] == [None] * len(report.entries)
+        assert payload["worstMargin"] is None
+        assert payload["globalPass"] is False
+
+    @staticmethod
+    def _reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
 
     def test_internal_report_shape(self):
         Lp = canonicalize_line((1, 0.5), (0, 0))
