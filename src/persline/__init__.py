@@ -5,13 +5,7 @@ invariant, exact bottleneck distance, a sampled lower bound for the
 multidimensional matching distance, and a harness that verifies the
 stability inequalities relating them.
 """
-from .bottleneck import (
-    MatchingInstance,
-    bottleneck_distance,
-    diagonal_cost,
-    feasible,
-    interval_cost,
-)
+from .bottleneck import bottleneck_distance, diagonal_cost, interval_cost
 from .complexes import (
     Grade,
     InadmissibleLineError,
@@ -44,10 +38,10 @@ from .matching import (
     LineGrid,
     MatchResult,
     default_offset_box,
+    line_distances,
     match_result_to_csv,
     match_result_to_json,
     matching_distance_lb,
-    per_line_distance,
     sample_lines,
 )
 from .stability import (
@@ -58,7 +52,6 @@ from .stability import (
     perturb_grades,
     report_to_json,
     shift_pair,
-    stabilization_grade,
     verify_internal_stability,
     verify_rank_stability,
 )
@@ -73,7 +66,6 @@ __all__ = [
     "Line",
     "LineGrid",
     "MatchResult",
-    "MatchingInstance",
     "MultiFilteredComplex",
     "ParseError",
     "RankQuery",
@@ -91,15 +83,14 @@ __all__ = [
     "diagonal_cost",
     "diagonal_shift",
     "eta_bound",
-    "feasible",
     "interval_cost",
     "line_barcodes",
+    "line_distances",
     "match_result_to_csv",
     "match_result_to_json",
     "matching_distance_lb",
     "order_simplices",
     "parse_bifiltration",
-    "per_line_distance",
     "perturb_grades",
     "push_to_line",
     "rank_invariant",
@@ -108,7 +99,6 @@ __all__ = [
     "sample_lines",
     "serialize_bifiltration",
     "shift_pair",
-    "stabilization_grade",
     "verify_internal_stability",
     "verify_rank_stability",
 ]

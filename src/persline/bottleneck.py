@@ -31,18 +31,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .homology import Barcode, Interval
-
-
-@dataclass(frozen=True)
-class MatchingInstance:
-    """A threshold-decision instance: can left and right be matched within delta?"""
-
-    left: Barcode
-    right: Barcode
-    delta: float
 
 
 def interval_cost(I: Interval, J: Interval) -> float:
@@ -233,17 +223,17 @@ def _finite_distance(A: _Side, B: _Side) -> float:
     return ordered[lo]
 
 
-def feasible(instance: MatchingInstance) -> bool:
+def feasible(A: Barcode, B: Barcode, delta: float) -> bool:
     """Decide whether a partial matching exists with all costs <= delta:
     matched pairs within interval_cost, every unmatched interval within
     diagonal_cost."""
-    ess_a, fin_a = _split(instance.left)
-    ess_b, fin_b = _split(instance.right)
+    ess_a, fin_a = _split(A)
+    ess_b, fin_b = _split(B)
     if ess_a or ess_b:
-        if _essential_distance(ess_a, ess_b) > instance.delta:
+        if _essential_distance(ess_a, ess_b) > delta:
             return False
     graph = _finite_graph(fin_a, fin_b)
-    return _finite_feasible(graph, instance.delta, [-1] * len(fin_b), [-1] * len(fin_a))
+    return _finite_feasible(graph, delta, [-1] * len(fin_b), [-1] * len(fin_a))
 
 
 def bottleneck_distance(A: Barcode, B: Barcode) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -211,8 +212,8 @@ def run(argv: list[str]) -> int:
 
         if args.command == "verify-external":
             M = _load_complex(args.input)
-            if args.epsilon < 0:
-                raise CliError("--epsilon must be >= 0")
+            if not 0 <= args.epsilon < math.inf:
+                raise CliError(f"--epsilon must be a finite number >= 0, got {args.epsilon}")
             if args.construction == "shift":
                 pair = shift_pair(M, args.epsilon)
             else:
@@ -233,10 +234,7 @@ def run(argv: list[str]) -> int:
             return EXIT_OK if report.global_pass else EXIT_VERIFY_FAIL
 
         raise CliError(f"unknown command {args.command!r}")
-    except CliError as exc:
-        print(f"persline: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ValidationError, InadmissibleLineError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # ParseError and the other input errors are ValueErrors
         print(f"persline: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # the CLI boundary: anything else is a defect, not a verdict

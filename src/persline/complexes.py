@@ -9,6 +9,7 @@ scalar filtration.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -43,11 +44,6 @@ def leq(u: Grade, v: Grade) -> bool:
     return all(a <= b for a, b in zip(u, v))
 
 
-def lt(u: Grade, v: Grade) -> bool:
-    """Componentwise strict u < v."""
-    return all(a < b for a, b in zip(u, v))
-
-
 def sup_norm(u: Sequence[float]) -> float:
     return max(abs(x) for x in u)
 
@@ -57,6 +53,22 @@ def faces(simplex: Simplex) -> list[Simplex]:
     if len(simplex) == 1:
         return []
     return [simplex[:i] + simplex[i + 1 :] for i in range(len(simplex))]
+
+
+def face_indices(simplices: Sequence[Simplex]) -> list[tuple[int, ...]]:
+    """The faces of each simplex, as a tuple of indices into ``simplices``.
+
+    A simplex listed twice is indexed at its last entry. Raises
+    ValidationError for the first simplex with a face that is not listed.
+    """
+    index = {s: i for i, s in enumerate(simplices)}
+    boundary = []
+    for simplex in simplices:
+        try:
+            boundary.append(tuple(index[f] for f in faces(simplex)))
+        except KeyError as exc:
+            raise ValidationError(f"simplex {simplex}: missing face {exc.args[0]}") from None
+    return boundary
 
 
 @dataclass(frozen=True)
@@ -90,9 +102,6 @@ class Line:
     def point_at(self, s: float) -> Grade:
         return tuple(s * m + b for m, b in zip(self.direction, self.offset))
 
-    def sort_key(self) -> tuple:
-        return (self.direction, self.offset)
-
 
 def canonicalize_line(raw_direction: Sequence[float], raw_offset: Sequence[float]) -> Line:
     """Canonical parameterization of the line {s*raw_direction + raw_offset}.
@@ -118,15 +127,25 @@ class MultiFilteredComplex:
     ``simplices`` keeps input order (serialization is order-preserving).
     Validation enforces face closure, monotone grades along faces, and no
     duplicates; missing faces are an error, never auto-completed.
+
+    The constructor also builds the face-index table that the line engine
+    and the rank invariant read: ``table`` holds the simplices in
+    (dimension, vertex ids) order, ``boundary[i]`` the faces of ``table[i]``
+    as indices into it, and ``grade_array[i]`` its grade. In that order
+    every face comes before its cofaces, and the simplices of dimension
+    <= d + 1 are a prefix (:meth:`skeleton`).
     """
 
     dim: int
     simplices: tuple[tuple[Simplex, Grade], ...]
+    table: tuple[Simplex, ...] = field(init=False, repr=False, compare=False)
+    boundary: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    grade_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("ambient dimension must be >= 1")
-        seen: dict[Simplex, Grade] = {}
+        seen: set[Simplex] = set()
         for simplex, grade in self.simplices:
             if len(grade) != self.dim:
                 raise ValidationError(
@@ -140,35 +159,31 @@ class MultiFilteredComplex:
                 raise ValidationError(f"simplex {simplex}: negative vertex id")
             if simplex in seen:
                 raise ValidationError(f"duplicate simplex {simplex}")
-            seen[simplex] = grade
-        for simplex, grade in self.simplices:
-            for face in faces(simplex):
-                if face not in seen:
-                    raise ValidationError(f"simplex {simplex}: missing face {face}")
-                if not leq(seen[face], grade):
-                    raise ValidationError(
-                        f"non-monotone grades: face {face} at {seen[face]} vs simplex {simplex} at {grade}"
-                    )
+            seen.add(simplex)
+        entries = sorted(self.simplices, key=lambda sg: (len(sg[0]), sg[0]))
+        table = tuple(s for s, _ in entries)
+        boundary = face_indices(table)
+        grades = np.array([g for _, g in entries], dtype=np.float64).reshape(len(table), self.dim)
+        face = np.array([f for fs in boundary for f in fs], dtype=np.intp)
+        coface = np.repeat(np.arange(len(table)), [len(fs) for fs in boundary])
+        bad = np.flatnonzero((grades[face] > grades[coface]).any(axis=1))
+        if len(bad):
+            (f, gf), (c, gc) = entries[face[bad[0]]], entries[coface[bad[0]]]
+            raise ValidationError(f"non-monotone grades: face {f} at {gf} vs simplex {c} at {gc}")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "grade_array", grades)
 
-    def grades(self) -> list[Grade]:
-        return [g for _, g in self.simplices]
-
-    def grade_of(self, simplex: Simplex) -> Grade:
-        for s, g in self.simplices:
-            if s == simplex:
-                return g
-        raise KeyError(simplex)
+    def skeleton(self, degree: int) -> int:
+        """Length of the table prefix that holds the simplices of dimension <= degree + 1."""
+        return bisect_right(self.table, degree + 2, key=len)
 
     def bounding_box(self) -> tuple[Grade, Grade]:
         """Componentwise (min, max) over all grades."""
         if not self.simplices:
             raise ValidationError("empty complex has no bounding box")
-        lo = tuple(min(g[i] for g in self.grades()) for i in range(self.dim))
-        hi = tuple(max(g[i] for g in self.grades()) for i in range(self.dim))
-        return lo, hi
-
-    def sublevel(self, u: Grade) -> list[tuple[Simplex, Grade]]:
-        return [(s, g) for s, g in self.simplices if leq(g, u)]
+        columns = list(zip(*(g for _, g in self.simplices)))
+        return tuple(map(min, columns)), tuple(map(max, columns))
 
 
 @dataclass(frozen=True)
@@ -178,14 +193,12 @@ class ScalarFiltration:
     simplices: tuple[tuple[Simplex, float], ...]
 
     def __post_init__(self):
-        entry = {s: v for s, v in self.simplices}
-        for simplex, value in self.simplices:
-            for face in faces(simplex):
-                if face not in entry:
-                    raise ValidationError(f"simplex {simplex}: missing face {face}")
-                if entry[face] > value:
+        boundary = face_indices([s for s, _ in self.simplices])
+        for (simplex, value), fs in zip(self.simplices, boundary):
+            for face, entry in (self.simplices[f] for f in fs):
+                if entry > value:
                     raise ValidationError(
-                        f"non-monotone entries: face {face} at {entry[face]} vs simplex {simplex} at {value}"
+                        f"non-monotone entries: face {face} at {entry} vs simplex {simplex} at {value}"
                     )
 
     def max_dim(self) -> int:

@@ -6,9 +6,10 @@ Homology in degree d depends only on the boundary maps of degrees d and
 d + 1, so only simplices of dimension <= d + 1 are reduced; the truncation
 is exact. The persistence pairing depends only on the simplex order, not on
 the entry values, so lines that order a complex alike share one reduction.
-The rank invariant of a transition map H(K_u) -> H(K_v) is read off a
-two-step filtration: K_u enters at 0, K_v \\ K_u at 1, and the rank equals
-the number of classes born at 0 that survive the whole filtration.
+The rank invariant of a transition map H(K_u) -> H(K_v) is read off one
+filtration of the whole complex: K_u enters at 0, K_v \\ K_u at 1 and the
+rest at 2, and the rank equals the number of classes born at 0 that are
+still alive at 1.
 """
 from __future__ import annotations
 
@@ -25,8 +26,7 @@ from .complexes import (
     MultiFilteredComplex,
     ScalarFiltration,
     Simplex,
-    ValidationError,
-    faces,
+    face_indices,
     leq,
     push_values,
 )
@@ -64,16 +64,8 @@ def order_simplices(F: ScalarFiltration) -> list[tuple[Simplex, float]]:
     return sorted(F.simplices, key=lambda sv: (sv[1], len(sv[0]), sv[0]))
 
 
-def _skeleton(simplices, degree: int) -> tuple[list, list[list[int]]]:
-    """The simplices of dimension <= degree + 1, in the given order, and the
-    faces of each as indices into that list."""
-    kept = [sv for sv in simplices if len(sv[0]) <= degree + 2]
-    index = {s: i for i, (s, _) in enumerate(kept)}
-    return kept, [[index[f] for f in faces(s)] for s, _ in kept]
-
-
 def _pairs(
-    order: Sequence[int], boundary: list[list[int]], degree: int, essential: int = -1
+    order: Sequence[int], boundary: Sequence[tuple[int, ...]], degree: int, essential: int = -1
 ) -> list[tuple[int, int]]:
     """Persistence pairs in one degree of the filtration that adds simplices in ``order``.
 
@@ -147,7 +139,8 @@ def compute_barcode(F: ScalarFiltration, degree: int) -> Barcode:
     A degree above the dimension of F gives the empty barcode.
     """
     _check_degree(degree)
-    kept, boundary = _skeleton(order_simplices(F), degree)
+    kept = [sv for sv in order_simplices(F) if len(sv[0]) <= degree + 2]
+    boundary = face_indices([s for s, _ in kept])
     return _intervals(_pairs(range(len(kept)), boundary, degree), [v for _, v in kept], degree)
 
 
@@ -155,9 +148,10 @@ def line_barcodes(M: MultiFilteredComplex, lines: Sequence[Line], degree: int) -
     """Barcodes of M restricted to each line, in one batch.
 
     Equal, line by line, to ``compute_barcode(restrict(M, L), degree)``.
-    The skeleton and its face indices are built once. The push values of a
-    block of lines are one array; one vectorized face <= coface check on it
-    stands in for validating each restriction. Columns are kept in the
+    It reads the prefix of M's face-index table that holds the simplices of
+    dimension <= degree + 1. The push values of a block of lines are one
+    array; they need no check, as the push is monotone and M's grades were
+    checked face <= coface when M was built. The table is in the
     (dimension, vertex ids) tiebreak order, so a stable argsort of each row
     is the total order of :func:`order_simplices`. The pairing is cached by
     that order for the length of this call, so each distinct order is
@@ -168,27 +162,17 @@ def line_barcodes(M: MultiFilteredComplex, lines: Sequence[Line], degree: int) -
         if L.dim != M.dim:
             raise ValueError(f"complex dimension {M.dim} != line dimension {L.dim}")
     _check_degree(degree)
-    kept, boundary = _skeleton(sorted(M.simplices, key=lambda sg: (len(sg[0]), sg[0])), degree)
-    if all(len(s) <= degree for s, _ in kept):
+    size = M.skeleton(degree)
+    if not size or len(M.table[size - 1]) <= degree:  # no simplex of dimension degree
         return [()] * len(lines)
-    grades = np.array([g for _, g in kept], dtype=np.float64)
-    face = np.array([f for fs in boundary for f in fs], dtype=np.intp)
-    coface = np.array([i for i, fs in enumerate(boundary) for _ in fs], dtype=np.intp)
+    boundary = M.boundary[:size]
     # a key is a whole order; the narrowest index type keeps large caches small
-    key_type = np.min_scalar_type(len(kept) - 1)
+    key_type = np.min_scalar_type(size - 1)
     cache: dict[bytes, list[tuple[int, int]]] = {}
     essential = -1
     barcodes: list[Barcode] = []
     for start in range(0, len(lines), LINE_BLOCK):
-        P = push_values(grades, lines[start : start + LINE_BLOCK])
-        bad = np.argwhere(P[:, face] > P[:, coface])
-        if len(bad):
-            k, e = bad[0]
-            f, c = face[e], coface[e]
-            raise ValidationError(
-                f"non-monotone entries: face {kept[f][0]} at {P[k, f]}"
-                f" vs simplex {kept[c][0]} at {P[k, c]}"
-            )
+        P = push_values(M.grade_array[:size], lines[start : start + LINE_BLOCK])
         orders = np.argsort(P, axis=1, kind="stable").astype(key_type)
         for values, order in zip(P, orders):
             key = order.tobytes()
@@ -221,18 +205,21 @@ class RankQuery:
 def rank_invariant(M: MultiFilteredComplex, q: RankQuery) -> int:
     """Rank over F2 of the inclusion-induced map H(K_u) -> H(K_v).
 
-    Uses a two-step filtration (K_u at 0, K_v \\ K_u at 1); the rank is the
-    number of classes born at 0 that are still alive past 1, i.e. the
-    essential intervals of that filtration born at 0.
+    One value row over M's face-index table, 0 on K_u, 1 on K_v \\ K_u and
+    2 elsewhere, is a filtration of the whole complex; the rank is the
+    number of classes born at 0 that die after 1 or never. Only the
+    simplices of dimension <= degree + 1 are read.
     """
-    two_step = []
-    for s, g in M.simplices:
-        if leq(g, q.u):
-            two_step.append((s, 0.0))
-        elif leq(g, q.v):
-            two_step.append((s, 1.0))
-    barcode = compute_barcode(ScalarFiltration(tuple(two_step)), q.degree)
-    return sum(1 for iv in barcode if iv.birth <= 0.0 and iv.death > 1.0)
+    for name, g in (("u", q.u), ("v", q.v)):
+        if len(g) != M.dim:
+            raise ValueError(f"grade {name} has {len(g)} coordinates, expected {M.dim}")
+    _check_degree(q.degree)
+    size = M.skeleton(q.degree)
+    grades = M.grade_array[:size]
+    row = (2 - (grades <= q.v).all(axis=1) - (grades <= q.u).all(axis=1)).tolist()
+    order = sorted(range(size), key=row.__getitem__)
+    pairs = _pairs(order, M.boundary[:size], q.degree)
+    return sum(1 for i, j in pairs if row[i] == 0 and (j < 0 or row[j] == 2))
 
 
 def strict_dumps(payload) -> str:

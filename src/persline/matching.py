@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .bottleneck import bottleneck_distance
 from .complexes import (
@@ -71,20 +72,8 @@ def _sample_directions(n: int, steps: int) -> list[tuple[float, ...]]:
             top = max(c, s)
             out.append((round(c / top, 12), round(s / top, 12)))
         return out
-    delta = 1.0 / (steps + 1)
-    grids = [_axis_samples(delta, 1.0, steps) for _ in range(n)]
-    out = []
-
-    def rec(prefix: tuple[float, ...]):
-        if len(prefix) == n:
-            top = max(prefix)
-            out.append(tuple(m / top for m in prefix))
-            return
-        for x in grids[len(prefix)]:
-            rec(prefix + (x,))
-
-    rec(())
-    return out
+    axis = _axis_samples(1.0 / (steps + 1), 1.0, steps)
+    return [tuple(m / max(p) for m in p) for p in product(axis, repeat=n)]
 
 
 def _line_key(L: Line) -> tuple:
@@ -104,22 +93,15 @@ def sample_lines(grid: LineGrid, bounding_hint: tuple[Grade, Grade]) -> list[Lin
     for i in range(n):
         axis = _axis_samples(lo[i], hi[i], grid.offset_steps)
         offsets = [o + (x,) for o in offsets for x in axis]
-    lines: list[Line] = []
-    seen = set()
+    # the first line met per key; the extra lines come after the grid's
+    first: dict[tuple, Line] = {}
     for m in _sample_directions(n, grid.direction_steps):
         for o in offsets:
             L = canonicalize_line(m, o)
-            key = _line_key(L)
-            if key not in seen:
-                seen.add(key)
-                lines.append(L)
+            first.setdefault(_line_key(L), L)
     for L in grid.extra_lines:
-        key = _line_key(L)
-        if key not in seen:
-            seen.add(key)
-            lines.append(L)
-    lines.sort(key=_line_key)
-    return lines
+        first.setdefault(_line_key(L), L)
+    return [first[key] for key in sorted(first)]
 
 
 def default_offset_box(
@@ -143,13 +125,6 @@ def line_distances(
     """m_star times the bottleneck distance of the two restricted barcodes, per line."""
     pairs = zip(lines, line_barcodes(M, lines, degree), line_barcodes(N, lines, degree))
     return [L.m_star * bottleneck_distance(bar_m, bar_n) for L, bar_m, bar_n in pairs]
-
-
-def per_line_distance(
-    M: MultiFilteredComplex, N: MultiFilteredComplex, L: Line, degree: int
-) -> float:
-    """m_star times the bottleneck distance of the two restricted barcodes."""
-    return line_distances(M, N, [L], degree)[0]
 
 
 def matching_distance_lb(

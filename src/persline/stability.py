@@ -80,13 +80,15 @@ def perturb_grades(M: MultiFilteredComplex, epsilon: float, seed: int) -> Interl
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
+    if not math.isfinite(2 * epsilon):
+        raise ValueError(f"epsilon {epsilon}: 2 * epsilon must be finite")
     rng = np.random.default_rng(seed)
     jittered: dict = {}
     for simplex, grade in M.simplices:
         delta = rng.uniform(-epsilon, epsilon, size=M.dim)
         jittered[simplex] = tuple(float(g + d) for g, d in zip(grade, delta))
     fixed: dict = {}
-    for simplex, _ in sorted(M.simplices, key=lambda sg: len(sg[0])):
+    for simplex in M.table:  # faces first
         g = jittered[simplex]
         for face in faces(simplex):
             g = tuple(max(a, b) for a, b in zip(g, fixed[face]))
@@ -115,14 +117,6 @@ def verify_rank_stability(pair: InterleavedPair, grid: LineGrid, degree: int) ->
     )
 
 
-def stabilization_grade(M: MultiFilteredComplex) -> Grade:
-    """Componentwise max of all grades; past it every sublevel set is the full complex."""
-    if not M.simplices:
-        raise ValueError("empty complex has no stabilization grade")
-    grades = M.grades()
-    return tuple(max(g[i] for g in grades) for i in range(M.dim))
-
-
 def eta_bound(L: Line, Lp: Line, c: Grade) -> EtaBound:
     """Explicit interleaving bound between the restrictions to L and Lp.
 
@@ -149,8 +143,8 @@ def verify_internal_stability(
     M: MultiFilteredComplex, L: Line, Lp: Line, degree: int
 ) -> StabilityReport:
     """Check d_B of the two line restrictions of M against the eta bound."""
-    c = stabilization_grade(M)
-    bound = eta_bound(L, Lp, c)
+    # the componentwise max grade: past it every sublevel set is the full complex
+    bound = eta_bound(L, Lp, M.bounding_box()[1])
     lhs = bottleneck_distance(*line_barcodes(M, [L, Lp], degree))
     ok = lhs <= bound.eta + VERIFY_TOL
     entries = ((Lp, lhs, bound.eta, ok),)

@@ -14,8 +14,8 @@ from persline import (
     canonicalize_line,
     compute_barcode,
     eta_bound,
+    line_distances,
     matching_distance_lb,
-    per_line_distance,
     perturb_grades,
     rank_invariant,
     restrict,
@@ -188,7 +188,7 @@ def test_criterion_7_metric_and_consistency(tmp_path, capsys):
             tuple(scale * m for m in raw_m),
             tuple(b + slide * m for m, b in zip(raw_m, raw_b)),
         )
-        d1, d2 = per_line_distance(M, N, L, 0), per_line_distance(M, N, L2, 0)
+        d1, d2 = line_distances(M, N, [L, L2], 0)
         if math.isinf(d1) or math.isinf(d2):
             ok = ok and d1 == d2
         else:

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persline import (
-    Interval,
-    MatchingInstance,
-    bottleneck_distance,
-    diagonal_cost,
-    feasible,
-    interval_cost,
-)
+from persline import Interval, bottleneck_distance, diagonal_cost, interval_cost
+from persline.bottleneck import feasible
 from generators import random_barcode
 from oracles import brute_force_bottleneck
 
@@ -52,20 +46,16 @@ class TestCosts:
 
 class TestFeasible:
     def test_delete_single_interval(self):
-        inst = MatchingInstance((Interval(0, 1, 0),), (), 0.5)
-        assert feasible(inst)
+        assert feasible((Interval(0, 1, 0),), (), 0.5)
 
     def test_delete_too_expensive(self):
-        inst = MatchingInstance((Interval(0, 1, 0),), (), 0.4)
-        assert not feasible(inst)
+        assert not feasible((Interval(0, 1, 0),), (), 0.4)
 
     def test_essential_pair(self):
-        inst = MatchingInstance((Interval(0, INF, 0),), (Interval(1, INF, 0),), 1.0)
-        assert feasible(inst)
+        assert feasible((Interval(0, INF, 0),), (Interval(1, INF, 0),), 1.0)
 
     def test_essential_cannot_be_deleted(self):
-        inst = MatchingInstance((Interval(0, INF, 0),), (), 100.0)
-        assert not feasible(inst)
+        assert not feasible((Interval(0, INF, 0),), (), 100.0)
 
 
 class TestBottleneckDistance:
@@ -187,7 +177,7 @@ class TestBottleneckProperties:
     @_property
     @given(_barcodes, _barcodes, _quarter)
     def test_feasible_exactly_from_the_distance(self, A, B, delta):
-        assert feasible(MatchingInstance(A, B, delta)) == (delta >= bottleneck_distance(A, B))
+        assert feasible(A, B, delta) == (delta >= bottleneck_distance(A, B))
 
 
 def _nearby_barcodes(rng, n):

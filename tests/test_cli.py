@@ -94,6 +94,15 @@ class TestRank:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("u, v", [("0", "2,2"), ("0,0,0", "2,2,2"), ("0,0", "2")])
+    def test_grade_of_wrong_length_usage_error(self, fixture_complex, capsys, u, v):
+        code = run(["rank", "--input", fixture_complex, "--u", u, "--v", v, "--degree", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("persline: error: grade ")
+        assert "expected 2" in captured.err
+
 
 class TestMatchdist:
     def test_json_output(self, fixture_complex, tmp_path, capsys):
@@ -149,6 +158,18 @@ class TestVerify:
                     "--epsilon", "0.1", "--grid", "2x2"])
         assert code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("construction", ["shift", "perturb"])
+    @pytest.mark.parametrize("epsilon", ["inf", "nan", "1e308"])
+    def test_huge_or_non_finite_epsilon_usage_error(self, fixture_complex, capsys,
+                                                   construction, epsilon):
+        code = run(["verify-external", "--input", fixture_complex, "--construction", construction,
+                    "--epsilon", epsilon, "--seed", "5", "--grid", "2x2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("persline: error: ")
+        assert captured.err.count("\n") == 1
 
     def test_perturb_with_seed(self, fixture_complex, capsys):
         code = run(["verify-external", "--input", fixture_complex, "--construction", "perturb",

@@ -36,14 +36,16 @@ class TestParsing:
             ((0, 1), (1.0, 1.0)),
         )
 
+    # each input also with the coface listed before its faces
     def test_non_monotone_grade_rejected(self):
-        text = "bifiltration 2\n0 0 ; 2 2\n0 1 ; 0 0\n1 0 1 ; 1 1\n"
-        with pytest.raises(ValidationError, match="non-monotone"):
-            parse_bifiltration(text)
+        for body in ("0 0 ; 2 2\n0 1 ; 0 0\n1 0 1 ; 1 1\n", "1 0 1 ; 1 1\n0 1 ; 0 0\n0 0 ; 2 2\n"):
+            with pytest.raises(ValidationError, match=r"non-monotone grades: face \(0,\) at \(2.0, 2.0\)"):
+                parse_bifiltration("bifiltration 2\n" + body)
 
     def test_missing_face_rejected(self):
-        with pytest.raises(ValidationError, match="missing face"):
-            parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n1 0 1 ; 1 1\n")
+        for body in ("0 0 ; 0 0\n1 0 1 ; 1 1\n", "1 0 1 ; 1 1\n0 0 ; 0 0\n"):
+            with pytest.raises(ValidationError, match=r"simplex \(0, 1\): missing face \(1,\)"):
+                parse_bifiltration("bifiltration 2\n" + body)
 
     def test_duplicate_simplex_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):

@@ -4,7 +4,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-import persline.homology
 from persline import (
     Interval,
     LineGrid,
@@ -183,18 +182,32 @@ class TestRankInvariant:
             for degree in (0, 1):
                 assert rank_invariant(M, RankQuery(u, u, degree)) == betti_at(M, u, degree)
 
+    @staticmethod
+    def _check_image_rank(M, u, v, degrees):
+        sub_u = [s for s, g in M.simplices if all(a <= b for a, b in zip(g, u))]
+        sub_v = [s for s, g in M.simplices if all(a <= b for a, b in zip(g, v))]
+        for degree in degrees:
+            assert rank_invariant(M, RankQuery(u, v, degree)) == induced_rank(
+                sub_u, sub_v, degree
+            )
+
     def test_matches_brute_force_image_rank(self):
         rng = np.random.default_rng(47)
         for _ in range(40):
             M = random_bifiltered_complex(rng)
             u = tuple(rng.uniform(0, 1.5, size=2))
             v = tuple(ui + rng.uniform(0, 1) for ui in u)
-            sub_u = [s for s, g in M.simplices if all(a <= b for a, b in zip(g, u))]
-            sub_v = [s for s, g in M.simplices if all(a <= b for a, b in zip(g, v))]
-            for degree in (0, 1):
-                assert rank_invariant(M, RankQuery(u, v, degree)) == induced_rank(
-                    sub_u, sub_v, degree
-                )
+            self._check_image_rank(M, u, v, (0, 1))
+        # clique complexes with tied integer grades; u is a simplex's grade and v
+        # its join with another's, so simplices enter exactly at u or at v, and
+        # the ranks in degrees 2 and 3 are not all 0
+        for n_vertices, top_dim in ((4, 3), (5, 3), (6, 2), (7, 1)):
+            for _ in range(3):
+                M = _clique_complex(rng, n_vertices, top_dim, levels=3)
+                grades = [g for _, g in M.simplices]
+                for _ in range(6):
+                    u, w = (grades[i] for i in rng.integers(0, len(grades), size=2))
+                    self._check_image_rank(M, u, tuple(map(max, u, w)), range(4))
 
     def test_monotone_in_nesting(self):
         rng = np.random.default_rng(53)
@@ -336,13 +349,3 @@ class TestLineBarcodes:
         L3 = canonicalize_line((1, 1, 1), (0, 0, 0))
         with pytest.raises(ValueError, match="dimension"):
             line_barcodes(M, [L3], 0)
-
-    def test_non_monotone_push_rejected(self, monkeypatch):
-        M = parse_bifiltration(TWO_VERTEX_EDGE)
-
-        def reversed_push(grades, lines):
-            return -grades[None, :, 0]
-
-        monkeypatch.setattr(persline.homology, "push_values", reversed_push)
-        with pytest.raises(ValueError, match="non-monotone"):
-            line_barcodes(M, [canonicalize_line((1, 1), (0, 0))], 0)

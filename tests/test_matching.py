@@ -10,9 +10,9 @@ from persline import (
     diagonal_shift,
     match_result_to_csv,
     match_result_to_json,
+    line_distances,
     matching_distance_lb,
     parse_bifiltration,
-    per_line_distance,
     sample_lines,
 )
 from generators import random_bifiltered_complex
@@ -63,27 +63,27 @@ class TestSampleLines:
 class TestPerLineDistance:
     def test_identical_complexes(self):
         L = canonicalize_line((1, 1), (0, 0))
-        assert per_line_distance(ONE_VERTEX_ORIGIN, ONE_VERTEX_ORIGIN, L, 0) == 0
+        assert line_distances(ONE_VERTEX_ORIGIN, ONE_VERTEX_ORIGIN, [L], 0)[0] == 0
 
     def test_shifted_vertex_on_diagonal(self):
         L = canonicalize_line((1, 1), (0, 0))
-        assert per_line_distance(ONE_VERTEX_ORIGIN, ONE_VERTEX_ONES, L, 0) == 1
+        assert line_distances(ONE_VERTEX_ORIGIN, ONE_VERTEX_ONES, [L], 0)[0] == 1
 
     def test_shifted_vertex_on_weighted_line(self):
         # pushes are 0 and max(1, 1/0.5) = 2; weight m_star = 0.5
         L = canonicalize_line((1, 0.5), (0, 0))
-        assert per_line_distance(ONE_VERTEX_ORIGIN, ONE_VERTEX_ONES, L, 0) == 1
+        assert line_distances(ONE_VERTEX_ORIGIN, ONE_VERTEX_ONES, [L], 0)[0] == 1
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(89)
         L = canonicalize_line((1, 1), (0, 0))
         for _ in range(20):
             M, N, P = (random_bifiltered_complex(rng) for _ in range(3))
-            mn = per_line_distance(M, N, L, 0)
-            nm = per_line_distance(N, M, L, 0)
+            mn = line_distances(M, N, [L], 0)[0]
+            nm = line_distances(N, M, [L], 0)[0]
             assert mn == nm
-            np_d = per_line_distance(N, P, L, 0)
-            mp = per_line_distance(M, P, L, 0)
+            np_d = line_distances(N, P, [L], 0)[0]
+            mp = line_distances(M, P, [L], 0)[0]
             assert mp <= mn + np_d + 1e-12
 
     def test_reparameterization_invariance(self):
@@ -100,8 +100,8 @@ class TestPerLineDistance:
                 tuple(scale * m for m in raw_m),
                 tuple(b + slide * m for m, b in zip(raw_m, raw_b)),
             )
-            d1 = per_line_distance(M, N, L, 0)
-            d2 = per_line_distance(M, N, rescaled, 0)
+            d1 = line_distances(M, N, [L], 0)[0]
+            d2 = line_distances(M, N, [rescaled], 0)[0]
             assert d1 == pytest.approx(d2, abs=1e-9)
 
 

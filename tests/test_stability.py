@@ -16,7 +16,6 @@ from persline import (
     report_to_json,
     restrict,
     shift_pair,
-    stabilization_grade,
     verify_internal_stability,
     verify_rank_stability,
 )
@@ -91,15 +90,15 @@ class TestVerifyRankStability:
 class TestStabilizationGrade:
     def test_single_vertex(self):
         M = parse_bifiltration("bifiltration 2\n0 0 ; 0 0")
-        assert stabilization_grade(M) == (0.0, 0.0)
+        assert M.bounding_box()[1] == (0.0, 0.0)
 
     def test_componentwise_max(self):
         M = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 1 2\n")
-        assert stabilization_grade(M) == (1.0, 2.0)
+        assert M.bounding_box()[1] == (1.0, 2.0)
 
     def test_incomparable_grades(self):
         M = parse_bifiltration("bifiltration 2\n0 0 ; 3 0\n0 1 ; 0 3\n")
-        assert stabilization_grade(M) == (3.0, 3.0)
+        assert M.bounding_box()[1] == (3.0, 3.0)
 
 
 class TestEtaBound:
@@ -168,7 +167,7 @@ class TestVerifyInternalStability:
         for _ in range(20):
             M = random_bifiltered_complex(rng)
             L, Lm, Lr = (random_canonical_line(rng) for _ in range(3))
-            c = stabilization_grade(M)
+            c = M.bounding_box()[1]
             d = bottleneck_distance(
                 compute_barcode(restrict(M, L), 0),
                 compute_barcode(restrict(M, Lr), 0),
