@@ -18,14 +18,7 @@ import os
 import sys
 
 from .bottleneck import bottleneck_distance
-from .complexes import (
-    InadmissibleLineError,
-    Line,
-    ParseError,
-    ValidationError,
-    canonicalize_line,
-    parse_bifiltration,
-)
+from .complexes import Line, ParseError, ValidationError, parse_bifiltration
 from .homology import (
     RankQuery,
     barcode_from_json,
@@ -69,10 +62,7 @@ def _parse_line(text: str) -> Line:
     if ":" not in text:
         raise CliError(f"bad line {text!r}: expected 'm1,...,mn:b1,...,bn'")
     m_text, _, b_text = text.partition(":")
-    try:
-        return canonicalize_line(_parse_vector(m_text), _parse_vector(b_text))
-    except InadmissibleLineError as exc:
-        raise CliError(str(exc)) from None
+    return Line(_parse_vector(m_text), _parse_vector(b_text))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -80,12 +70,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise CliError(f"bad grid {text!r}: expected '<directions>x<offsets>'")
     try:
-        d, o = int(parts[0]), int(parts[1])
+        return int(parts[0]), int(parts[1])
     except ValueError:
         raise CliError(f"bad grid {text!r}: expected integers") from None
-    if d < 1 or o < 1:
-        raise CliError("grid steps must be >= 1")
-    return d, o
 
 
 def _default_grid() -> str:
@@ -194,10 +181,7 @@ def run(argv: list[str]) -> int:
 
         if args.command == "rank":
             M = _load_complex(args.input)
-            try:
-                q = RankQuery(_parse_vector(args.u), _parse_vector(args.v), args.degree)
-            except ValueError as exc:
-                raise CliError(str(exc)) from None
+            q = RankQuery(_parse_vector(args.u), _parse_vector(args.v), args.degree)
             _emit(strict_dumps(rank_invariant(M, q)), args.output)
             return EXIT_OK
 

@@ -18,9 +18,6 @@ import numpy as np
 Grade = tuple[float, ...]
 Simplex = tuple[int, ...]
 
-CANONICAL_TOL = 1e-12
-
-
 class ParseError(ValueError):
     """Malformed input text; carries the offending line number."""
 
@@ -58,10 +55,13 @@ def faces(simplex: Simplex) -> list[Simplex]:
 def face_indices(simplices: Sequence[Simplex]) -> list[tuple[int, ...]]:
     """The faces of each simplex, as a tuple of indices into ``simplices``.
 
-    A simplex listed twice is indexed at its last entry. Raises
-    ValidationError for the first simplex with a face that is not listed.
+    Raises ValidationError for the first simplex listed twice, and else for
+    the first simplex with a face that is not listed.
     """
     index = {s: i for i, s in enumerate(simplices)}
+    if len(index) < len(simplices):
+        duplicate = next(s for i, s in enumerate(simplices) if index[s] != i)
+        raise ValidationError(f"duplicate simplex {duplicate}")
     boundary = []
     for simplex in simplices:
         try:
@@ -73,27 +73,36 @@ def face_indices(simplices: Sequence[Simplex]) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Line:
-    """Admissible line u = s*m + b in canonical form.
+    """Admissible line u = s*m + b, stored in canonical form.
 
-    Canonical means max_i m_i = 1 and sum_i b_i = 0; m_star caches min_i m_i,
-    the weight used by the matching distance. Construct through
-    :func:`canonicalize_line` rather than directly.
+    The constructor accepts any parameterization with all m_i > 0 and stores
+    the canonical one of the same point set: the direction rescaled to
+    max_i m_i = 1 and the offset slid along the line so that its coordinates
+    sum to zero. m_star = min_i m_i is the weight used by the matching
+    distance. A parameterization whose canonical form is not finite is
+    rejected.
     """
 
     direction: Grade
     offset: Grade
-    m_star: float = field(default=0.0)
+    m_star: float = field(init=False)
 
     def __post_init__(self):
         if len(self.direction) != len(self.offset):
             raise InadmissibleLineError("direction and offset dimensions differ")
         if any(m <= 0 for m in self.direction):
-            raise InadmissibleLineError(f"direction {self.direction} has a non-positive component")
-        if abs(max(self.direction) - 1.0) > CANONICAL_TOL:
-            raise InadmissibleLineError(f"direction {self.direction} not normalized to max = 1")
-        if abs(sum(self.offset)) > CANONICAL_TOL:
-            raise InadmissibleLineError(f"offset {self.offset} does not sum to 0")
-        object.__setattr__(self, "m_star", min(self.direction))
+            raise InadmissibleLineError(f"direction {tuple(self.direction)} has a non-positive component")
+        top = max(self.direction)
+        m = tuple(x / top for x in self.direction)
+        s0 = -sum(self.offset) / sum(m)
+        b = tuple(o + s0 * mi for o, mi in zip(self.offset, m))
+        if not all(map(math.isfinite, m + b)):  # a NaN input, or a sum that overflows
+            raise InadmissibleLineError(
+                f"direction {tuple(self.direction)} and offset {tuple(self.offset)} have no finite canonical form"
+            )
+        object.__setattr__(self, "direction", m)
+        object.__setattr__(self, "offset", b)
+        object.__setattr__(self, "m_star", min(m))
 
     @property
     def dim(self) -> int:
@@ -104,20 +113,8 @@ class Line:
 
 
 def canonicalize_line(raw_direction: Sequence[float], raw_offset: Sequence[float]) -> Line:
-    """Canonical parameterization of the line {s*raw_direction + raw_offset}.
-
-    Rescales the direction to max_i m_i = 1 and slides the offset along the
-    line so its coordinates sum to zero. The point set is unchanged.
-    """
-    if len(raw_direction) != len(raw_offset):
-        raise InadmissibleLineError("direction and offset dimensions differ")
-    if any(m <= 0 for m in raw_direction):
-        raise InadmissibleLineError(f"direction {tuple(raw_direction)} has a non-positive component")
-    top = max(raw_direction)
-    m = tuple(x / top for x in raw_direction)
-    s0 = -sum(raw_offset) / sum(m)
-    b = tuple(o + s0 * mi for o, mi in zip(raw_offset, m))
-    return Line(m, b)
+    """The line {s*raw_direction + raw_offset} in canonical form: ``Line(raw_direction, raw_offset)``."""
+    return Line(raw_direction, raw_offset)
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,6 @@ class MultiFilteredComplex:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("ambient dimension must be >= 1")
-        seen: set[Simplex] = set()
         for simplex, grade in self.simplices:
             if len(grade) != self.dim:
                 raise ValidationError(
@@ -157,9 +153,6 @@ class MultiFilteredComplex:
                 raise ValidationError(f"simplex {simplex}: vertex ids must be distinct and sorted")
             if any(v < 0 for v in simplex):
                 raise ValidationError(f"simplex {simplex}: negative vertex id")
-            if simplex in seen:
-                raise ValidationError(f"duplicate simplex {simplex}")
-            seen.add(simplex)
         entries = sorted(self.simplices, key=lambda sg: (len(sg[0]), sg[0]))
         table = tuple(s for s, _ in entries)
         boundary = face_indices(table)
@@ -188,13 +181,15 @@ class MultiFilteredComplex:
 
 @dataclass(frozen=True)
 class ScalarFiltration:
-    """One-parameter filtration: each simplex with a real entry value."""
+    """One-parameter filtration: each simplex, listed once, with a finite entry value."""
 
     simplices: tuple[tuple[Simplex, float], ...]
 
     def __post_init__(self):
         boundary = face_indices([s for s, _ in self.simplices])
         for (simplex, value), fs in zip(self.simplices, boundary):
+            if not math.isfinite(value):
+                raise ValidationError(f"simplex {simplex}: non-finite entry {value}")
             for face, entry in (self.simplices[f] for f in fs):
                 if entry > value:
                     raise ValidationError(

@@ -21,28 +21,20 @@ from .complexes import (
 from .homology import line_barcodes, strict_dumps
 
 _DEDUP_DECIMALS = 9
+_BOX_PAD = 0.1
 
 
 @dataclass(frozen=True)
 class LineGrid:
-    """Sampling grid over admissible lines.
-
-    ``offset_box`` bounds the raw offsets before projection to the canonical
-    sum-zero hyperplane; when None the caller derives it from the data.
-    """
+    """Sampling grid over admissible lines: steps per direction and per offset axis."""
 
     direction_steps: int = 16
     offset_steps: int = 8
-    offset_box: tuple[Grade, Grade] | None = None
     extra_lines: tuple[Line, ...] = ()
 
     def __post_init__(self):
         if self.direction_steps < 1 or self.offset_steps < 1:
             raise ValueError("direction_steps and offset_steps must be >= 1")
-        if self.offset_box is not None:
-            lo, hi = self.offset_box
-            if any(a > b for a, b in zip(lo, hi)):
-                raise ValueError(f"degenerate offset box: min {lo} exceeds max {hi}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +75,13 @@ def _line_key(L: Line) -> tuple:
     )
 
 
-def sample_lines(grid: LineGrid, bounding_hint: tuple[Grade, Grade]) -> list[Line]:
-    """Grid of canonical admissible lines; deduplicated, extra lines appended."""
-    lo, hi = grid.offset_box if grid.offset_box is not None else bounding_hint
+def sample_lines(grid: LineGrid, box: tuple[Grade, Grade]) -> list[Line]:
+    """Grid of canonical admissible lines; deduplicated, extra lines appended.
+
+    ``box`` = (lo, hi) bounds the raw offsets before each line is put in
+    canonical form.
+    """
+    lo, hi = box
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"degenerate offset box: min {lo} exceeds max {hi}")
     n = len(lo)
@@ -104,15 +100,13 @@ def sample_lines(grid: LineGrid, bounding_hint: tuple[Grade, Grade]) -> list[Lin
     return [first[key] for key in sorted(first)]
 
 
-def default_offset_box(
-    M: MultiFilteredComplex, N: MultiFilteredComplex, pad_fraction: float = 0.1
-) -> tuple[Grade, Grade]:
+def default_offset_box(M: MultiFilteredComplex, N: MultiFilteredComplex) -> tuple[Grade, Grade]:
     """Union of both grade bounding boxes, expanded by a fraction per side."""
     lo_m, hi_m = M.bounding_box()
     lo_n, hi_n = N.bounding_box()
     lo = tuple(min(a, b) for a, b in zip(lo_m, lo_n))
     hi = tuple(max(a, b) for a, b in zip(hi_m, hi_n))
-    pad = tuple(max((h - l) * pad_fraction, pad_fraction) for l, h in zip(lo, hi))
+    pad = tuple(max((h - l) * _BOX_PAD, _BOX_PAD) for l, h in zip(lo, hi))
     return (
         tuple(l - p for l, p in zip(lo, pad)),
         tuple(h + p for h, p in zip(hi, pad)),

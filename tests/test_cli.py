@@ -20,6 +20,12 @@ def strict_loads(text):
     return json.loads(text, parse_constant=_reject_constant)
 
 
+def assert_one_error_line(captured):
+    assert captured.out == ""
+    assert captured.err.startswith("persline: error: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.fixture
 def fixture_complex(tmp_path):
     path = tmp_path / "M.bif"
@@ -90,9 +96,10 @@ class TestRank:
         assert json.loads(capsys.readouterr().out) == 1
 
     def test_incomparable_corners_usage_error(self, fixture_complex, capsys):
-        code = run(["rank", "--input", fixture_complex, "--u", "1,0", "--v", "0,1", "--degree", "0"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        for u, v in [("1,0", "0,1"), ("2,2", "0,0")]:
+            code = run(["rank", "--input", fixture_complex, "--u", u, "--v", v, "--degree", "0"])
+            assert code == 2
+            assert_one_error_line(capsys.readouterr())
 
     @pytest.mark.parametrize("u, v", [("0", "2,2"), ("0,0,0", "2,2,2"), ("0,0", "2")])
     def test_grade_of_wrong_length_usage_error(self, fixture_complex, capsys, u, v):
@@ -166,10 +173,7 @@ class TestVerify:
         code = run(["verify-external", "--input", fixture_complex, "--construction", construction,
                     "--epsilon", epsilon, "--seed", "5", "--grid", "2x2"])
         assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("persline: error: ")
-        assert captured.err.count("\n") == 1
+        assert_one_error_line(capsys.readouterr())
 
     def test_perturb_with_seed(self, fixture_complex, capsys):
         code = run(["verify-external", "--input", fixture_complex, "--construction", "perturb",
@@ -186,6 +190,28 @@ class TestVerify:
         assert "eta" in payload
 
 
+class TestLargeCoordinates:
+    """Grades and offsets near 1e5 and 1e8 put lines in canonical form without error."""
+
+    @pytest.mark.parametrize("big", ["1e5", "1e8"])
+    def test_matchdist(self, tmp_path, capsys, big):
+        m, n = tmp_path / "M.bif", tmp_path / "N.bif"
+        m.write_text(f"bifiltration 2\n0 0 ; {big} 0.3\n0 1 ; {big} 7.1\n1 0 1 ; {big} 7.1\n")
+        n.write_text(f"bifiltration 2\n0 0 ; {big} 0.5\n0 1 ; {big} 7.0\n1 0 1 ; {big} 7.5\n")
+        assert run(["matchdist", "--input", str(m), str(n), "--grid", "4x3", "--degree", "0"]) == 0
+        payload = strict_loads(capsys.readouterr().out)
+        assert payload["value"] > 0
+
+    @pytest.mark.parametrize("big", ["1e5", "1e8"])
+    def test_verify_internal(self, tmp_path, capsys, big):
+        m = tmp_path / "M.bif"
+        m.write_text(f"bifiltration 2\n0 0 ; {big} 0.3\n0 1 ; {big} 7.1\n1 0 1 ; {big} 7.1\n")
+        assert run(["verify-internal", "--input", str(m), "--line", f"1,0.3:{big},7.1",
+                    "--line2", f"0.6,1:{big},0.3", "--degree", "0"]) == 0
+        payload = strict_loads(capsys.readouterr().out)
+        assert payload["globalPass"] is True
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         assert run(["barcode", "--input", "/nonexistent.bif", "--line", "1,1:0,0",
@@ -200,16 +226,18 @@ class TestExitCodes:
         assert "bad.bif" in err and "line 2" in err
 
     def test_inadmissible_line(self, fixture_complex, capsys):
-        assert run(["barcode", "--input", fixture_complex, "--line", "1,0:0,0",
-                    "--degree", "0"]) == 2
-        capsys.readouterr()
+        for line in ["1,0:0,0", "0,1:0,0"]:
+            assert run(["barcode", "--input", fixture_complex, "--line", line,
+                        "--degree", "0"]) == 2
+            assert_one_error_line(capsys.readouterr())
 
     def test_bad_grid(self, fixture_complex, tmp_path, capsys):
         other = tmp_path / "N.bif"
         other.write_text("bifiltration 2\n0 0 ; 1 1\n")
-        assert run(["matchdist", "--input", fixture_complex, str(other),
-                    "--grid", "bogus", "--degree", "0"]) == 2
-        capsys.readouterr()
+        for grid in ["bogus", "0x3"]:
+            assert run(["matchdist", "--input", fixture_complex, str(other),
+                        "--grid", grid, "--degree", "0"]) == 2
+            assert_one_error_line(capsys.readouterr())
 
     def test_unwritable_output_is_usage_error(self, fixture_complex, tmp_path, capsys):
         out = tmp_path / "missing" / "bars.json"
@@ -294,10 +322,21 @@ PINNED_OUTPUT_SHA1 = {
     "verify-perturb-d0": "2653adb6cfddae73fdf0bfa235e01c96bbb7c55b",
     "barcode-signed-zero-d0": "eef1b3f231daffffa708681a7ae61af1cf8b65c5",
     "barcode-signed-zero-d1": "40bf519bde41bf5c01859e11d54e99405392f5a9",
+    "barcode-raw-line-d0": "12bffd89cdffc2d0312463bb72b420be91b024e4",
+    "verify-internal-raw-lines-d0": "12e5802f09438a64ffcedf948dfb0ca5703204f0",
+    "matchdist-three-parameter-d0": "648a3c2a428a439ba7ba92fbe7d5bb5a3bd1a028",
 }
 SIGNED_ZERO = (
     "bifiltration 2\n0 0 ; -0.0 0.0\n0 1 ; 0.0 -0.0\n0 2 ; -0.0 -0.0\n"
     "1 0 1 ; 0.0 0.5\n1 0 2 ; -0.0 0.25\n1 1 2 ; 0.5 -0.0\n"
+)
+THREE_PARAMETER_M = (
+    "bifiltration 3\n0 0 ; 0 0 0\n0 1 ; 0.5 0 1\n0 2 ; 0 1.5 0.25\n"
+    "1 0 1 ; 1 0.5 1\n1 0 2 ; 0.5 1.5 0.25\n1 1 2 ; 1 2 1\n"
+)
+THREE_PARAMETER_N = (
+    "bifiltration 3\n0 0 ; 0.25 0 0\n0 1 ; 0.5 0.5 1\n0 2 ; 0 1 0.5\n"
+    "1 0 1 ; 0.75 0.5 1.5\n1 1 2 ; 1 1 1\n"
 )
 
 
@@ -307,7 +346,10 @@ def test_pinned_output_bytes(tmp_path, capsys):
     m_path.write_text(serialize_bifiltration(random_bifiltered_complex(rng, 6, 16)))
     n_path.write_text(serialize_bifiltration(random_bifiltered_complex(rng, 6, 16)))
     z_path.write_text(SIGNED_ZERO)
-    M, N, Z = str(m_path), str(n_path), str(z_path)
+    m3_path, n3_path = tmp_path / "M3.bif", tmp_path / "N3.bif"
+    m3_path.write_text(THREE_PARAMETER_M)
+    n3_path.write_text(THREE_PARAMETER_N)
+    M, N, Z, M3, N3 = str(m_path), str(n_path), str(z_path), str(m3_path), str(n3_path)
     cases = {
         "matchdist-json-d0": ["matchdist", "--input", M, N, "--grid", "5x4", "--degree", "0"],
         "matchdist-json-d1": ["matchdist", "--input", M, N, "--grid", "5x4", "--degree", "1"],
@@ -322,6 +364,12 @@ def test_pinned_output_bytes(tmp_path, capsys):
         "barcode-signed-zero-d0": ["barcode", "--input", Z, "--line", "1,1:0,0", "--degree", "0"],
         "barcode-signed-zero-d1": ["barcode", "--input", Z, "--line", "1,0.5:0,0",
                                    "--degree", "1"],
+        # raw lines: the CLI rescales the direction and slides the offset
+        "barcode-raw-line-d0": ["barcode", "--input", M, "--line", "2,1:1,-1", "--degree", "0"],
+        "verify-internal-raw-lines-d0": ["verify-internal", "--input", M, "--line", "2,1:1,1",
+                                         "--line2", "1,3:0.5,-2", "--degree", "0"],
+        "matchdist-three-parameter-d0": ["matchdist", "--input", M3, N3, "--grid", "3x2",
+                                         "--degree", "0"],
     }
     got = {}
     for name, argv in cases.items():

@@ -8,6 +8,7 @@ from persline import (
     Line,
     MultiFilteredComplex,
     ParseError,
+    ScalarFiltration,
     ValidationError,
     canonicalize_line,
     diagonal_shift,
@@ -115,11 +116,21 @@ class TestCanonicalizeLine:
                 q = L.point_at(t)
                 assert max(abs(a - b) for a, b in zip(p, q)) < 1e-9
 
-    def test_non_canonical_direct_construction_rejected(self):
-        with pytest.raises(InadmissibleLineError):
-            Line((2.0, 1.0), (0.0, 0.0))
-        with pytest.raises(InadmissibleLineError):
-            Line((1.0, 1.0), (1.0, 1.0))
+    def test_direct_construction_is_canonical(self):
+        L = Line((2.0, 1.0), (1.0, 1.0))
+        assert repr(L) == repr(canonicalize_line((2.0, 1.0), (1.0, 1.0)))  # bit for bit
+        assert L.direction == (1.0, 0.5) and L.m_star == 0.5
+        assert sum(L.offset) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("raw_m, raw_b", [
+        ((float("nan"), 1.0), (0.0, 0.0)),
+        ((float("inf"), 1.0), (0.0, 0.0)),
+        ((1.0, 1.0), (float("nan"), 0.0)),
+        ((1.0, 1.0), (1e308, 1e308)),  # the offset sum overflows
+    ], ids=["nan-direction", "inf-direction", "nan-offset", "overflowing-offset"])
+    def test_no_finite_canonical_form_rejected(self, raw_m, raw_b):
+        with pytest.raises(InadmissibleLineError, match="no finite canonical form"):
+            Line(raw_m, raw_b)
 
 
 class TestPushToLine:
@@ -254,3 +265,14 @@ class TestDiagonalShift:
 def test_validation_rejects_nan_grade():
     with pytest.raises(ValidationError):
         MultiFilteredComplex(2, (((0,), (math.nan, 0.0)),))
+
+
+class TestScalarFiltration:
+    def test_duplicate_simplex_rejected(self):
+        with pytest.raises(ValidationError, match=r"duplicate simplex \(0,\)"):
+            ScalarFiltration((((0,), 0.0), ((0,), 1.0)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, value):
+        with pytest.raises(ValidationError, match=r"simplex \(1,\): non-finite entry"):
+            ScalarFiltration((((0,), 0.0), ((1,), value)))

@@ -24,8 +24,7 @@ UNIT_BOX = ((0.0, 0.0), (1.0, 1.0))
 
 class TestSampleLines:
     def test_single_sample_is_diagonal(self):
-        grid = LineGrid(1, 1, offset_box=((0.0, 0.0), (0.0, 0.0)))
-        lines = sample_lines(grid, UNIT_BOX)
+        lines = sample_lines(LineGrid(1, 1), ((0.0, 0.0), (0.0, 0.0)))
         assert len(lines) == 1
         assert lines[0].direction == (1.0, 1.0)
         assert lines[0].offset == (0.0, 0.0)
@@ -44,7 +43,7 @@ class TestSampleLines:
 
     def test_degenerate_offset_box_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            LineGrid(2, 2, offset_box=((1.0, 0.0), (0.0, 1.0)))
+            sample_lines(LineGrid(2, 2), ((1.0, 0.0), (0.0, 1.0)))
 
     def test_extra_lines_appended(self):
         extra = canonicalize_line((1, 0.25), (3, -3))
@@ -53,7 +52,7 @@ class TestSampleLines:
 
     def test_general_dimension_grid(self):
         box = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        lines = sample_lines(LineGrid(2, 2, offset_box=box), box)
+        lines = sample_lines(LineGrid(2, 2), box)
         for L in lines:
             assert L.dim == 3
             assert max(L.direction) == pytest.approx(1.0, abs=1e-12)
