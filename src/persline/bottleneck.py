@@ -14,8 +14,10 @@ deletion costs. Three exact reductions keep the search small:
 2. Edge pruning. A finite pair (a, b) whose cost is at least
    max(diag(a), diag(b)) never helps: deleting both ends instead costs no
    more. Such pairs are dropped. Every interval is then deleted or matched
-   along a kept pair, so the search starts at the lower bound
-   max over intervals of min(deletion cost, cheapest kept pair).
+   along a kept pair, so the lower bound max over intervals of min(deletion
+   cost, cheapest kept pair) is tested first, before any candidate is listed.
+   If it fails, the search over larger candidates starts from the matchings
+   that test grew: their pairs cost at most the bound, so stay valid above it.
 3. One-sided coverage. At delta, a matching is feasible iff it covers every
    interval whose deletion cost exceeds delta along kept pairs of cost <= delta
    (the rest are deleted). By the Mendelsohn-Dulmage theorem one matching
@@ -67,6 +69,20 @@ def _split(barcode: Barcode) -> tuple[list[float], _Side]:
         if math.isinf(death):
             essential.append(birth)
         else:
+            finite.append((birth, death, (death - birth) / 2.0))
+    essential.sort()
+    finite.sort()
+    return essential, finite
+
+
+def _split_pairs(pairs: list[tuple[int, int]], values: list[float]) -> tuple[list[float], _Side]:
+    """_split of the barcode of creator/destroyer ``pairs`` under ``values``, zero-length dropped."""
+    essential, finite = [], []
+    for i, j in pairs:
+        birth = values[i]
+        if j < 0:
+            essential.append(birth)
+        elif (death := values[j]) > birth:
             finite.append((birth, death, (death - birth) / 2.0))
     essential.sort()
     finite.sort()
@@ -200,26 +216,23 @@ def _finite_distance(A: _Side, B: _Side) -> float:
     lower = max(min(d, costs[0]) if costs else d
                 for diag, rows in ((diag_a, rows_a), (diag_b, rows_b))
                 for d, (costs, _) in zip(diag, rows))
-    candidates = {d for d in diag_a if d >= lower}
-    candidates.update(d for d in diag_b if d >= lower)
-    for costs, _ in rows_a:
-        candidates.update(costs[bisect_left(costs, lower):])
-    ordered = sorted(candidates)
-    # Feasibility is monotone in delta and holds at the largest deletion
-    # cost, which every kept pair undercuts. The lower bound is often the
-    # optimum on nearby barcodes, so it is tested first. A matching grown at
-    # an infeasible delta stays valid at every larger one and seeds the next
-    # test.
     match_a, match_b = [-1] * len(diag_b), [-1] * len(diag_a)
-    lo, hi, mid = 0, len(ordered) - 1, 0
+    if _finite_feasible(graph, lower, match_a, match_b):
+        return lower
+    candidates = {d for diag in (diag_a, diag_b) for d in diag if d > lower}
+    for costs, _ in rows_a:
+        candidates.update(costs[bisect_right(costs, lower):])
+    # feasible at the largest deletion cost, which every kept pair undercuts
+    ordered = sorted(candidates)
+    lo, hi = 0, len(ordered) - 1
     while lo < hi:
+        mid = (lo + hi) // 2
         trial_a, trial_b = match_a[:], match_b[:]
         if _finite_feasible(graph, ordered[mid], trial_a, trial_b):
             hi = mid
         else:
             lo = mid + 1
             match_a, match_b = trial_a, trial_b
-        mid = (lo + hi) // 2
     return ordered[lo]
 
 
@@ -242,8 +255,10 @@ def bottleneck_distance(A: Barcode, B: Barcode) -> float:
     Returns +inf exactly when the essential-interval counts differ (no
     matching can ever pair an essential with a finite interval or delete it).
     """
-    ess_a, fin_a = _split(A)
-    ess_b, fin_b = _split(B)
+    return _split_distance(*_split(A), *_split(B))
+
+
+def _split_distance(ess_a: list[float], fin_a: _Side, ess_b: list[float], fin_b: _Side) -> float:
     parts = []
     if ess_a or ess_b:
         parts.append(_essential_distance(ess_a, ess_b))

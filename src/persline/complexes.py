@@ -283,14 +283,15 @@ def push_values(grades: np.ndarray, lines: Sequence[Line]) -> np.ndarray:
     operations, taken one coordinate at a time so that no (lines, N, n)
     temporary exists. The running maximum keeps the earlier coordinate on a
     tie, as Python's max does, so a signed zero comes out as it does there
-    (np.maximum may return either zero).
+    (np.maximum may return either zero). An overflow gives inf, unwarned.
     """
     m = np.array([L.direction for L in lines], dtype=np.float64)
     b = np.array([L.offset for L in lines], dtype=np.float64)
-    P = (grades[:, 0] - b[:, :1]) / m[:, :1]
-    for i in range(1, grades.shape[1]):
-        c = (grades[:, i] - b[:, i : i + 1]) / m[:, i : i + 1]
-        np.copyto(P, c, where=c > P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = (grades[:, 0] - b[:, :1]) / m[:, :1]
+        for i in range(1, grades.shape[1]):
+            c = (grades[:, i] - b[:, i : i + 1]) / m[:, i : i + 1]
+            np.copyto(P, c, where=c > P)
     return P
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -150,29 +150,37 @@ def line_barcodes(M: MultiFilteredComplex, lines: Sequence[Line], degree: int) -
     Equal, line by line, to ``compute_barcode(restrict(M, L), degree)``.
     It reads the prefix of M's face-index table that holds the simplices of
     dimension <= degree + 1. The push values of a block of lines are one
-    array; they need no check, as the push is monotone and M's grades were
-    checked face <= coface when M was built. The table is in the
-    (dimension, vertex ids) tiebreak order, so a stable argsort of each row
-    is the total order of :func:`order_simplices`. The pairing is cached by
-    that order for the length of this call, so each distinct order is
-    reduced once; births and deaths are then read from each line's own push
-    values.
+    array, checked for overflow only (ValueError): the push is monotone, and
+    M was checked face <= coface when built. The table is in the (dimension,
+    vertex ids) tiebreak order, so a stable argsort of each row is the total
+    order of :func:`order_simplices`. The pairing is cached by that order for
+    the length of this call, so each distinct order is reduced once; births
+    and deaths are then read from each line's own push values.
     """
+    return [_intervals(pairs, values, degree) for pairs, values in _line_pairs(M, lines, degree)]
+
+
+def _line_pairs(M: MultiFilteredComplex, lines: Sequence[Line], degree: int
+                ) -> Iterator[tuple[list[tuple[int, int]], list[float]]]:
+    """Per line, the creator/destroyer pairs (-1: never destroyed) and the push values."""
     for L in lines:
         if L.dim != M.dim:
             raise ValueError(f"complex dimension {M.dim} != line dimension {L.dim}")
     _check_degree(degree)
     size = M.skeleton(degree)
     if not size or len(M.table[size - 1]) <= degree:  # no simplex of dimension degree
-        return [()] * len(lines)
+        yield from [([], [])] * len(lines)
+        return
     boundary = M.boundary[:size]
     # a key is a whole order; the narrowest index type keeps large caches small
     key_type = np.min_scalar_type(size - 1)
     cache: dict[bytes, list[tuple[int, int]]] = {}
     essential = -1
-    barcodes: list[Barcode] = []
     for start in range(0, len(lines), LINE_BLOCK):
         P = push_values(M.grade_array[:size], lines[start : start + LINE_BLOCK])
+        if not np.isfinite(P).all():
+            k, i = np.argwhere(~np.isfinite(P))[0]
+            raise ValueError(f"simplex {M.table[i]}: push onto {lines[start + k]} overflows")
         orders = np.argsort(P, axis=1, kind="stable").astype(key_type)
         for values, order in zip(P, orders):
             key = order.tobytes()
@@ -180,8 +188,7 @@ def line_barcodes(M: MultiFilteredComplex, lines: Sequence[Line], degree: int) -
             if pairs is None:
                 pairs = cache[key] = _pairs(order.tolist(), boundary, degree, essential)
                 essential = sum(1 for _, j in pairs if j < 0)
-            barcodes.append(_intervals(pairs, values.tolist(), degree))
-    return barcodes
+            yield pairs, values.tolist()
 
 
 def betti_at(M: MultiFilteredComplex, u: Grade, degree: int) -> int:

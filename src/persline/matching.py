@@ -11,14 +11,14 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .bottleneck import bottleneck_distance
+from .bottleneck import _split_distance, _split_pairs
 from .complexes import (
     Grade,
     Line,
     MultiFilteredComplex,
     canonicalize_line,
 )
-from .homology import line_barcodes, strict_dumps
+from .homology import _line_pairs, strict_dumps
 
 _DEDUP_DECIMALS = 9
 _BOX_PAD = 0.1
@@ -107,18 +107,20 @@ def default_offset_box(M: MultiFilteredComplex, N: MultiFilteredComplex) -> tupl
     lo = tuple(min(a, b) for a, b in zip(lo_m, lo_n))
     hi = tuple(max(a, b) for a, b in zip(hi_m, hi_n))
     pad = tuple(max((h - l) * _BOX_PAD, _BOX_PAD) for l, h in zip(lo, hi))
-    return (
-        tuple(l - p for l, p in zip(lo, pad)),
-        tuple(h + p for h, p in zip(hi, pad)),
-    )
+    box = tuple(l - p for l, p in zip(lo, pad)), tuple(h + p for h, p in zip(hi, pad))
+    if not all(math.isfinite(h - l) for l, h in zip(*box)):
+        raise ValueError(f"grades from {lo} to {hi}: the padded offset box overflows")
+    return box
 
 
 def line_distances(
     M: MultiFilteredComplex, N: MultiFilteredComplex, lines: list[Line], degree: int
 ) -> list[float]:
-    """m_star times the bottleneck distance of the two restricted barcodes, per line."""
-    pairs = zip(lines, line_barcodes(M, lines, degree), line_barcodes(N, lines, degree))
-    return [L.m_star * bottleneck_distance(bar_m, bar_n) for L, bar_m, bar_n in pairs]
+    """m_star times the bottleneck distance of the two restricted barcodes, per line.
+    In split form, no Interval built; M's lines run first: one pairing cache at a time."""
+    split_m = [_split_pairs(*pv) for pv in _line_pairs(M, lines, degree)]
+    split_n = [_split_pairs(*pv) for pv in _line_pairs(N, lines, degree)]
+    return [L.m_star * _split_distance(*a, *b) for L, a, b in zip(lines, split_m, split_n)]
 
 
 def matching_distance_lb(

@@ -80,6 +80,24 @@ class TestBottleneckDistance:
     def test_empty_barcodes(self):
         assert bottleneck_distance((), ()) == 0
 
+    def test_optimum_above_the_lower_bound(self):
+        # Every interval's cheapest option costs at most 0.75 (a1-b1), so that
+        # is the lower bound, but a1 and a2 both need b1 there. The optimum
+        # is the pair cost a2-b2 = 1.0, inside the candidates 0.875 to 1.5.
+        A = (Interval(1.0, 4.0, 0), Interval(1.25, 3.75, 0))
+        B = (Interval(1.75, 3.5, 0), Interval(2.25, 3.75, 0))
+        assert not feasible(A, B, 0.75)
+        assert bottleneck_distance(A, B) == bottleneck_distance(B, A) == 1.0
+
+    def test_lower_bound_infeasible_on_b_side_only(self):
+        # At the lower bound 1.0 the one interval of A longer than 2.0 can be
+        # covered, but all three of B's are longer and all need A's first one.
+        A = (Interval(2.25, 5.0, 0), Interval(2.75, 3.5, 0))
+        B = (Interval(2.0, 4.75, 0), Interval(3.0, 5.25, 0), Interval(3.0, 6.0, 0))
+        assert not feasible(A, B, 1.0)
+        assert bottleneck_distance(A, B) == 1.25
+        assert brute_force_bottleneck(A, B) == 1.25
+
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(61)
         for _ in range(100):

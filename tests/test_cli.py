@@ -212,6 +212,28 @@ class TestLargeCoordinates:
         assert payload["globalPass"] is True
 
 
+class TestOverflowAtTheFloatRange:
+    """Finite grades and lines whose push or offset box leaves the float range are usage errors."""
+
+    def test_barcode_push_overflow(self, tmp_path, capsys):
+        m = tmp_path / "M.bif"
+        m.write_text("bifiltration 2\n0 0 ; 1e308 0\n")
+        assert run(["barcode", "--input", str(m), "--line", "1,1:-1e308,1e308",
+                    "--degree", "0"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "simplex (0,)" in captured.err and "overflows" in captured.err
+
+    def test_matchdist_offset_box_overflow(self, tmp_path, capsys):
+        m, n = tmp_path / "M.bif", tmp_path / "N.bif"
+        m.write_text("bifiltration 2\n0 0 ; -1e308 -1e308\n")
+        n.write_text("bifiltration 2\n0 0 ; 1e308 1e308\n")
+        assert run(["matchdist", "--input", str(m), str(n), "--grid", "2x2", "--degree", "0"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "offset box" in captured.err and "nan" not in captured.err
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         assert run(["barcode", "--input", "/nonexistent.bif", "--line", "1,1:0,0",
@@ -325,6 +347,8 @@ PINNED_OUTPUT_SHA1 = {
     "barcode-raw-line-d0": "12bffd89cdffc2d0312463bb72b420be91b024e4",
     "verify-internal-raw-lines-d0": "12e5802f09438a64ffcedf948dfb0ca5703204f0",
     "matchdist-three-parameter-d0": "648a3c2a428a439ba7ba92fbe7d5bb5a3bd1a028",
+    "matchdist-three-parameter-d1": "1a1504076f1d92f789553e554dbda08d904febbd",
+    "verify-perturb-d1": "3ce867af95b49441cb4c8d02c6610a515aab02d8",
 }
 SIGNED_ZERO = (
     "bifiltration 2\n0 0 ; -0.0 0.0\n0 1 ; 0.0 -0.0\n0 2 ; -0.0 -0.0\n"
@@ -370,6 +394,12 @@ def test_pinned_output_bytes(tmp_path, capsys):
                                          "--line2", "1,3:0.5,-2", "--degree", "0"],
         "matchdist-three-parameter-d0": ["matchdist", "--input", M3, N3, "--grid", "3x2",
                                          "--degree", "0"],
+        # M3 has an H1 class and N3 none: every distance is infinite, printed as null
+        "matchdist-three-parameter-d1": ["matchdist", "--input", M3, N3, "--grid", "3x2",
+                                         "--degree", "1"],
+        "verify-perturb-d1": ["verify-external", "--input", M, "--construction", "perturb",
+                              "--epsilon", "0.1", "--seed", "5", "--grid", "4x3",
+                              "--degree", "1"],
     }
     got = {}
     for name, argv in cases.items():

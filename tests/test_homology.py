@@ -13,10 +13,12 @@ from persline import (
     barcode_from_json,
     barcode_to_json,
     betti_at,
+    bottleneck_distance,
     canonicalize_line,
     compute_barcode,
     default_offset_box,
     line_barcodes,
+    line_distances,
     order_simplices,
     parse_bifiltration,
     perturb_grades,
@@ -25,11 +27,17 @@ from persline import (
     sample_lines,
     shift_pair,
 )
-from persline.homology import LINE_BLOCK
+import persline.homology
+from persline.bottleneck import _split, _split_pairs
+from persline.homology import LINE_BLOCK, _line_pairs
 from generators import random_bifiltered_complex, random_canonical_line, random_scalar_filtration
 from oracles import homology_dim, induced_rank, scalar_rank
 
 TWO_VERTEX_EDGE = "bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 1 1\n"
+SIGNED_ZERO = (
+    "bifiltration 2\n0 0 ; -0.0 0.0\n0 1 ; 0.0 -0.0\n0 2 ; -0.0 -0.0\n"
+    "1 0 1 ; 0.0 0.5\n1 0 2 ; -0.0 0.25\n1 1 2 ; 0.5 -0.0\n"
+)
 
 
 class TestOrdering:
@@ -324,10 +332,7 @@ class TestLineBarcodes:
                 self._check(M, lines, range(top_dim + 1))
 
     def test_signed_zero_grades(self):
-        M = parse_bifiltration(
-            "bifiltration 2\n0 0 ; -0.0 0.0\n0 1 ; 0.0 -0.0\n0 2 ; -0.0 -0.0\n"
-            "1 0 1 ; 0.0 0.5\n1 0 2 ; -0.0 0.25\n1 1 2 ; 0.5 -0.0\n"
-        )
+        M = parse_bifiltration(SIGNED_ZERO)
         self._check(M, _tie_heavy_lines([(0, 0), (-0.0, 0.0)]), (0, 1))
 
     def test_more_lines_than_one_block(self):
@@ -349,3 +354,87 @@ class TestLineBarcodes:
         L3 = canonicalize_line((1, 1, 1), (0, 0, 0))
         with pytest.raises(ValueError, match="dimension"):
             line_barcodes(M, [L3], 0)
+
+
+def _bits(x):
+    """Floats as hex, so that 0.0 and -0.0 differ, inside nested lists and tuples."""
+    return x.hex() if isinstance(x, float) else [_bits(y) for y in x]
+
+
+class TestLineDistancesHandOff:
+    """line_distances hands the bottleneck the split form of line_barcodes'
+    barcodes, and gives m_star * bottleneck_distance of them, bit for bit."""
+
+    @staticmethod
+    def _check(M, N, lines, degrees):
+        for d in degrees:
+            bars_m, bars_n = line_barcodes(M, lines, d), line_barcodes(N, lines, d)
+            for X, bars in ((M, bars_m), (N, bars_n)):
+                split = [_split_pairs(pairs, values) for pairs, values in _line_pairs(X, lines, d)]
+                assert _bits(split) == _bits([_split(b) for b in bars])
+            got = line_distances(M, N, lines, d)
+            want = [L.m_star * bottleneck_distance(a, b) for L, a, b in zip(lines, bars_m, bars_n)]
+            assert got == want
+            assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+
+    def test_generator_complexes_every_degree(self):
+        rng = np.random.default_rng(83)
+        for _ in range(30):
+            M, N = random_bifiltered_complex(rng), random_bifiltered_complex(rng)
+            lines = [random_canonical_line(rng) for _ in range(10)]
+            lines += sample_lines(LineGrid(4, 3), default_offset_box(M, N))
+            self._check(M, N, lines, range(max(_max_dim(M), _max_dim(N)) + 2))
+
+    def test_shift_and_perturb_pairs(self):
+        rng = np.random.default_rng(89)
+        for k in range(12):
+            M = random_bifiltered_complex(rng, max_vertices=6, max_simplices=16)
+            eps = float(rng.uniform(0, 1))
+            pair = shift_pair(M, eps) if k % 2 else perturb_grades(M, eps, seed=k)
+            lines = sample_lines(LineGrid(8, 4), default_offset_box(pair.M, pair.N))
+            self._check(pair.M, pair.N, lines, range(_max_dim(M) + 1))
+
+    def test_tie_heavy_integer_grades(self):
+        rng = np.random.default_rng(97)
+        lines = _tie_heavy_lines([(0, 0), (1, -1), (-1, 1), (0.5, -0.5)])
+        for n_vertices, top_dim in ((4, 3), (5, 2), (7, 1)):
+            for _ in range(2):
+                M = _clique_complex(rng, n_vertices, top_dim, levels=3)
+                N = _clique_complex(rng, n_vertices, top_dim, levels=3)
+                self._check(M, N, lines, range(top_dim + 1))
+
+    def test_signed_zero_grades(self):
+        M = parse_bifiltration(SIGNED_ZERO)
+        N = parse_bifiltration(SIGNED_ZERO.replace("-0.0", "X").replace("0.0", "-0.0").replace("X", "0.0"))
+        self._check(M, N, _tie_heavy_lines([(0, 0), (-0.0, 0.0)]), (0, 1))
+        self._check(M, M, _tie_heavy_lines([(0, 0), (-0.0, 0.0)]), (0, 1))
+
+    def test_zero_length_intervals_dropped(self):
+        # the edge enters with both vertices: the class it kills has length 0
+        M = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 0 0\n")
+        N = parse_bifiltration(TWO_VERTEX_EDGE)
+        L = canonicalize_line((1, 1), (0, 0))
+        (pairs, values), = _line_pairs(M, [L], 0)
+        assert any(j >= 0 and values[j] == values[i] for i, j in pairs)
+        assert _split_pairs(pairs, values) == ([0.0], [])
+        self._check(M, N, [L], (0,))
+
+    def test_differing_essential_counts_are_infinite(self):
+        M = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n")
+        N = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n0 1 ; 0.5 0.5\n")
+        lines = _tie_heavy_lines([(0, 0), (1, -1)])
+        assert line_distances(M, N, lines, 0) == [math.inf] * len(lines)
+        self._check(M, N, lines, (0,))
+
+    def test_builds_no_interval(self, monkeypatch):
+        def no_interval(*args):
+            raise AssertionError("an Interval was built")
+
+        rng = np.random.default_rng(101)
+        M, N = random_bifiltered_complex(rng), random_bifiltered_complex(rng)
+        lines = sample_lines(LineGrid(4, 3), default_offset_box(M, N))
+        want = line_distances(M, N, lines, 0)
+        monkeypatch.setattr(persline.homology, "Interval", no_interval)
+        assert line_distances(M, N, lines, 0) == want
+        with pytest.raises(AssertionError, match="Interval"):
+            line_barcodes(M, lines, 0)
