@@ -11,28 +11,34 @@ deletion costs. Three exact reductions keep the search small:
    the distance is the larger of their optima. For the essential part,
    matching sorted births in order is optimal: uncrossing two crossed pairs
    never raises their larger birth gap. It is +inf when the counts differ.
-2. Edge pruning. A finite pair (a, b) whose cost is at least
-   max(diag(a), diag(b)) never helps: deleting both ends instead costs no
-   more. Such pairs are dropped. Every interval is then deleted or matched
-   along a kept pair, so the lower bound max over intervals of min(deletion
-   cost, cheapest kept pair) is tested first, before any candidate is listed.
-   If it fails, the search over larger candidates starts from the matchings
-   that test grew: their pairs cost at most the bound, so stay valid above it.
+2. Edge pruning and the lower bound. A finite pair (a, b) whose cost is at
+   least max(diag(a), diag(b)) never helps: deleting both ends costs no more.
+   So every interval p is deleted or matched along a kept pair, and the max
+   over p of min(diag(p), cheapest kept pair) is a lower bound, tested first.
+   It equals min(diag(p), distance to p's nearest interval on the other side),
+   as that pair is kept when cheaper than diag(p); a birth-sorted scan outward
+   from p finds it, stopping once the birth gap reaches the best cost so far.
 3. One-sided coverage. At delta, a matching is feasible iff it covers every
-   interval whose deletion cost exceeds delta along kept pairs of cost <= delta
-   (the rest are deleted). By the Mendelsohn-Dulmage theorem one matching
+   interval whose deletion cost exceeds delta along pairs of cost <= delta
+   (the rest are deleted); no pruning test is needed, since such an interval
+   keeps all those pairs. By the Mendelsohn-Dulmage theorem one matching
    covers those intervals of both sides iff one matching covers those of A
-   and another those of B, so each test is two one-sided bipartite matchings,
-   with no diagonal copies of the intervals.
+   and another those of B, so each test is two one-sided bipartite matchings.
 
-Kept pairs sit in per-interval rows sorted by cost, so the pairs usable at
-delta are a prefix of each row. Augmenting paths are searched with an
-explicit stack, so barcode size is not limited by the recursion depth.
+If the bound fails, a binary search of the deletion costs above it gives a
+bracket (lo, hi]. A kept pair costing c in (lo, hi) has an end with diag > c,
+so >= hi; only such ends list partners, and only costs in the bracket are
+searched: the answer is the first feasible one, or hi. No step lists all kept
+pairs. A test walks each interval's birth window for partners within delta at
+most once, lazily, and starts from the matchings the last failed test grew
+(valid at larger delta). Augmenting paths use an explicit stack.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from itertools import tee
+from typing import Callable, Iterator
 
 from .homology import Barcode, Interval
 
@@ -55,10 +61,6 @@ def diagonal_cost(I: Interval) -> float:
 
 # A finite side: (birth, death, deletion cost) triples sorted by birth.
 _Side = list[tuple[float, float, float]]
-# The kept pairs of one interval: their costs ascending, and the partners.
-_Row = tuple[list[float], list[int]]
-# Deletion costs of both sides, then the rows of both sides.
-_Graph = tuple[list[float], list[float], list[_Row], list[_Row]]
 
 
 def _split(barcode: Barcode) -> tuple[list[float], _Side]:
@@ -96,94 +98,103 @@ def _essential_distance(births_a: list[float], births_b: list[float]) -> float:
     return max((abs(x - y) for x, y in zip(births_a, births_b)), default=0.0)
 
 
-def _finite_graph(A: _Side, B: _Side) -> _Graph:
-    """Kept pairs of two finite sides, as cost-sorted rows of both sides."""
-    rows_a: list[list[tuple[float, int]]] = [[] for _ in A]
-    rows_b: list[list[tuple[float, int]]] = [[] for _ in B]
-    _scan(A, B, rows_a, rows_b, False)
-    _scan(B, A, rows_b, rows_a, True)
-    return ([a[2] for a in A], [b[2] for b in B], _sorted_rows(rows_a), _sorted_rows(rows_b))
+def _outward(Q: _Side, x: float) -> tuple[range, range]:
+    """Indices of Q from ``x``'s place in the sorted births, rightward and
+    leftward: along each the birth gap to ``x`` grows, rounding included."""
+    start = bisect_left(Q, (x,))
+    return range(start, len(Q)), range(start - 1, -1, -1)
 
 
-def _scan(P: _Side, Q: _Side, rows_p: list[list[tuple[float, int]]],
-          rows_q: list[list[tuple[float, int]]], rescan: bool) -> None:
-    """Record the kept pairs (p, q) whose birth gap is below diag(p).
-
-    A kept pair has birth gap <= cost < the diag of one of its ends, so the
-    scans from both sides find it. Each p scans Q outward from its own birth
-    and stops where the gap reaches diag(p); the gap grows monotonically
-    along sorted births, rounding included. With ``rescan``, pairs whose gap
-    is below diag(q) were recorded from Q's side and are skipped.
-    """
-    births = [q[0] for q in Q]
-    for i, (x, y, r) in enumerate(P):
-        start = bisect_left(births, x)
-        for j, step, stop in ((start, 1, len(Q)), (start - 1, -1, -1)):
-            while j != stop:
-                xq, yq, rq = Q[j]
+def _nearest_bound(P: _Side, Q: _Side, bound: float) -> float:
+    """The larger of ``bound`` and each p's min(diag(p), distance to its nearest q)."""
+    for x, y, best in P:
+        if best <= bound:
+            continue
+        for run in _outward(Q, x):
+            for j in run:
+                xq, yq, _ = Q[j]
                 gap = abs(x - xq)
-                if gap >= r:
+                if gap >= best or best <= bound:
                     break
-                if not (rescan and gap < rq):
-                    # interval_cost's sup-norm gap, inlined; same float either way round
-                    dy = abs(y - yq)
-                    cost = gap if gap >= dy else dy
-                    if cost < r or cost < rq:
-                        rows_p[i].append((cost, j))
-                        rows_q[j].append((cost, i))
-                j += step
+                dy = abs(y - yq)
+                if dy < best:
+                    best = gap if gap >= dy else dy
+        bound = max(bound, best)
+    return bound
 
 
-def _sorted_rows(rows: list[list[tuple[float, int]]]) -> list[_Row]:
-    out = []
-    for row in rows:
-        row.sort()
-        out.append(([c for c, _ in row], [v for _, v in row]))
-    return out
+def _bracket_costs(P: _Side, Q: _Side, lo: float, hi: float) -> set[float]:
+    """Costs strictly between ``lo`` and ``hi`` of the pairs (p, q) with diag(p) >= hi."""
+    costs = set()
+    for x, y, r in P:
+        if r < hi:
+            continue
+        for run in _outward(Q, x):
+            for j in run:
+                xq, yq, _ = Q[j]
+                gap = abs(x - xq)
+                if gap >= hi:
+                    break
+                cost = max(gap, abs(y - yq))
+                if lo < cost < hi:
+                    costs.add(cost)
+    return costs
 
 
-def _covers(rows: list[_Row], diag: list[float], delta: float, match: list[int]) -> bool:
-    """Whether one matching along pairs of cost <= delta covers every vertex
-    whose deletion cost exceeds delta.
+def _covers(P: _Side, Q: _Side, delta: float, match: list[int]) -> bool:
+    """Whether one matching along pairs of cost <= delta covers every p whose
+    deletion cost exceeds delta.
 
-    ``match`` maps each right vertex to its left partner or -1. On entry it is
-    a matching valid at delta (pairs of cost <= delta); partners that need no
-    cover are released, and it is grown in place by augmenting paths.
+    ``match`` maps each q to its partner in P or -1. On entry it is a matching
+    valid at delta (pairs of cost <= delta); partners that need no cover are
+    released, and it is grown in place by augmenting paths.
     """
-    adj = {}
-    for u, d in enumerate(diag):
-        if d > delta:
-            costs, nbrs = rows[u]
-            k = bisect_right(costs, delta)
-            if not k:
-                return False
-            adj[u] = nbrs[:k]
-    if len(adj) > len(match):
+    roots = [u for u, (_, _, r) in enumerate(P) if r > delta]
+    if len(roots) > len(match):
         return False
-    covered = set()
     for v, u in enumerate(match):
-        if u >= 0:
-            if u in adj:
-                covered.add(u)
+        if u >= 0 and P[u][2] <= delta:
+            match[v] = -1
+    covered, below, walks = set(match), -delta, {}
+
+    def walk(u: int) -> Iterator[int]:
+        x, y, _ = P[u]
+        for run in _outward(Q, x):
+            for j in run:
+                xq, yq, _ = Q[j]
+                if not below <= x - xq <= delta:
+                    break
+                if below <= y - yq <= delta:
+                    yield j
+
+    def partners(u: int) -> Iterator[int]:
+        walks[u], fresh = tee(walks.get(u) or walk(u))
+        return fresh
+
+    # Every root is tried, so a failed test leaves the next one a larger start.
+    # The stamp moves only on success: what a failed search saw stays dead.
+    seen, stamp, ok = [-1] * len(match), 0, True
+    for u in roots:
+        if u not in covered:
+            if _augment(u, partners, match, seen, stamp):
+                stamp += 1
             else:
-                match[v] = -1
-    seen = [-1] * len(match)
-    return all(root in covered or _augment(root, adj, match, seen) for root in adj)
+                ok = False
+    return ok
 
 
-def _augment(root: int, adj: dict[int, list[int]], match: list[int], seen: list[int]) -> bool:
+def _augment(root: int, partners: Callable[[int], Iterator[int]], match: list[int],
+             seen: list[int], stamp: int) -> bool:
     """Depth-first search for an augmenting path from ``root``; flips it if found.
 
     ``us[k]`` reached ``us[k + 1]`` through the right vertex ``vs[k]``, which
-    ``us[k + 1]`` is matched to. ``seen`` marks right vertices with the root
-    that last visited them.
-    """
-    us, vs, todo = [root], [], [iter(adj[root])]
+    ``us[k + 1]`` is matched to. Right vertices marked ``stamp`` are skipped."""
+    us, vs, todo = [root], [], [partners(root)]
     while todo:
         for v in todo[-1]:
-            if seen[v] == root:
+            if seen[v] == stamp:
                 continue
-            seen[v] = root
+            seen[v] = stamp
             w = match[v]
             if w < 0:
                 match[v] = us[-1]
@@ -192,7 +203,7 @@ def _augment(root: int, adj: dict[int, list[int]], match: list[int], seen: list[
                 return True
             us.append(w)
             vs.append(v)
-            todo.append(iter(adj[w]))
+            todo.append(partners(w))
             break
         else:
             todo.pop()
@@ -202,51 +213,50 @@ def _augment(root: int, adj: dict[int, list[int]], match: list[int], seen: list[
     return False
 
 
-def _finite_feasible(graph: _Graph, delta: float, match_a: list[int],
+def _finite_feasible(A: _Side, B: _Side, delta: float, match_a: list[int],
                      match_b: list[int]) -> bool:
-    """The two one-sided coverage tests, growing the given matchings in place."""
-    diag_a, diag_b, rows_a, rows_b = graph
-    return _covers(rows_a, diag_a, delta, match_a) and _covers(rows_b, diag_b, delta, match_b)
+    """The two one-sided coverage tests; both run, growing the given matchings in place."""
+    return all([_covers(A, B, delta, match_a), _covers(B, A, delta, match_b)])
 
 
-def _finite_distance(A: _Side, B: _Side) -> float:
-    """Least candidate cost at which the finite parts can be matched."""
-    graph = _finite_graph(A, B)
-    diag_a, diag_b, rows_a, rows_b = graph
-    lower = max(min(d, costs[0]) if costs else d
-                for diag, rows in ((diag_a, rows_a), (diag_b, rows_b))
-                for d, (costs, _) in zip(diag, rows))
-    match_a, match_b = [-1] * len(diag_b), [-1] * len(diag_a)
-    if _finite_feasible(graph, lower, match_a, match_b):
-        return lower
-    candidates = {d for diag in (diag_a, diag_b) for d in diag if d > lower}
-    for costs, _ in rows_a:
-        candidates.update(costs[bisect_right(costs, lower):])
-    # feasible at the largest deletion cost, which every kept pair undercuts
-    ordered = sorted(candidates)
-    lo, hi = 0, len(ordered) - 1
+def _first_feasible(A: _Side, B: _Side, costs: list[float], match_a: list[int],
+                    match_b: list[int]) -> tuple[int, list[int], list[int]]:
+    """Binary search: first feasible index of ``costs`` (or their count), last failed matchings."""
+    lo, hi = 0, len(costs)
     while lo < hi:
         mid = (lo + hi) // 2
         trial_a, trial_b = match_a[:], match_b[:]
-        if _finite_feasible(graph, ordered[mid], trial_a, trial_b):
+        if _finite_feasible(A, B, costs[mid], trial_a, trial_b):
             hi = mid
         else:
             lo = mid + 1
             match_a, match_b = trial_a, trial_b
-    return ordered[lo]
+    return lo, match_a, match_b
+
+
+def _finite_distance(A: _Side, B: _Side) -> float:
+    """Least candidate cost at which the finite parts can be matched."""
+    lower = _nearest_bound(B, A, _nearest_bound(A, B, -math.inf))
+    match_a, match_b = [-1] * len(B), [-1] * len(A)
+    if _finite_feasible(A, B, lower, match_a, match_b):
+        return lower
+    # feasible at the largest deletion cost, where no interval needs cover
+    deletions = sorted({r for side in (A, B) for _, _, r in side if r > lower})
+    k, match_a, match_b = _first_feasible(A, B, deletions, match_a, match_b)
+    lo, hi = deletions[k - 1] if k else lower, deletions[k]
+    pairs = sorted(_bracket_costs(A, B, lo, hi) | _bracket_costs(B, A, lo, hi))
+    k, _, _ = _first_feasible(A, B, pairs, match_a, match_b)
+    return pairs[k] if k < len(pairs) else hi
 
 
 def feasible(A: Barcode, B: Barcode, delta: float) -> bool:
     """Decide whether a partial matching exists with all costs <= delta:
     matched pairs within interval_cost, every unmatched interval within
     diagonal_cost."""
-    ess_a, fin_a = _split(A)
-    ess_b, fin_b = _split(B)
-    if ess_a or ess_b:
-        if _essential_distance(ess_a, ess_b) > delta:
-            return False
-    graph = _finite_graph(fin_a, fin_b)
-    return _finite_feasible(graph, delta, [-1] * len(fin_b), [-1] * len(fin_a))
+    (ess_a, fin_a), (ess_b, fin_b) = _split(A), _split(B)
+    if (ess_a or ess_b) and _essential_distance(ess_a, ess_b) > delta:
+        return False
+    return _finite_feasible(fin_a, fin_b, delta, [-1] * len(fin_b), [-1] * len(fin_a))
 
 
 def bottleneck_distance(A: Barcode, B: Barcode) -> float:

@@ -265,13 +265,13 @@ def barcode_to_json(barcode: Barcode) -> str:
 
 
 def barcode_from_json(text: str) -> Barcode:
-    """Inverse of barcode_to_json; a NaN endpoint or a non-finite birth raises ValueError."""
+    """Inverse of barcode_to_json; NaN, a non-finite birth or death < birth raise ValueError."""
     items = json.loads(text)
     barcode = tuple(
         Interval(it["birth"], math.inf if it["death"] is None else it["death"], it["degree"])
         for it in items
     )
     for iv in barcode:
-        if not math.isfinite(iv.birth) or math.isnan(iv.death):
-            raise ValueError(f"bad interval {iv}: birth must be finite, death a number or null")
+        if not math.isfinite(iv.birth) or not iv.death >= iv.birth:
+            raise ValueError(f"bad interval {iv}: birth must be finite, death >= birth or null")
     return barcode

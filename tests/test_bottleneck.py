@@ -98,6 +98,28 @@ class TestBottleneckDistance:
         assert bottleneck_distance(A, B) == 1.25
         assert brute_force_bottleneck(A, B) == 1.25
 
+    # Search-phase cases: the lower bound (each interval's cheaper of deletion
+    # and nearest partner) fails, so the deletion costs above it are searched
+    # for a bracket (lo, hi], then the pair costs strictly inside it.
+    @pytest.mark.parametrize("A, B, lower, expected", [
+        # a1 and a2 both need b1 at 0.75; at the deletion cost 0.875 a2 is
+        # deleted, so the optimum is hi itself
+        ([(2.5, 5.25), (2.75, 4.5)], [(2.75, 4.5)], 0.75, 0.875),
+        # bracket (0.875, 1.375]: the pair a1-b1 costs 1.25, listed from a1
+        # (diag 1.375); b1's diag is 0.625
+        ([(0.75, 3.5), (1.0, 3.75)], [(1.0, 2.25), (1.5, 3.25)], 0.75, 1.25),
+        # bracket (0.875, 1.125]: the pair a2-b2 costs 1.0, listed only from b2
+        # (diag 1.375), since a2's diag is 0.375
+        ([(1.75, 3.5), (2.5, 3.25)], [(1.25, 3.5), (1.5, 4.25)], 0.75, 1.0),
+    ], ids=["deletion-cost", "pair-from-a", "pair-from-b-only"])
+    def test_search_above_an_infeasible_lower_bound(self, A, B, lower, expected):
+        A = tuple(Interval(b, d, 0) for b, d in A)
+        B = tuple(Interval(b, d, 0) for b, d in B)
+        assert not feasible(A, B, lower)
+        assert feasible(A, B, expected)
+        assert bottleneck_distance(A, B) == bottleneck_distance(B, A) == expected
+        assert brute_force_bottleneck(A, B) == expected
+
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(61)
         for _ in range(100):
@@ -228,3 +250,21 @@ def test_800_intervals_per_side_no_recursion_limit():
     rng.shuffle(shuffled_a)
     rng.shuffle(shuffled_b)
     assert bottleneck_distance(tuple(shuffled_a), tuple(shuffled_b)) == d
+
+
+# float.hex of the distance, computed by the pair-listing implementation this
+# one replaced. At seed 1 the lower bound is infeasible and the bracket search
+# runs; at seed 2 the lower bound is the answer.
+@pytest.mark.parametrize("seed, expected", [
+    (1, "0x1.cf2d4bbef1f10p-1"),
+    (2, "0x1.213571172f458p+0"),
+])
+def test_5000_intervals_per_side(seed, expected):
+    rng = np.random.default_rng(seed)
+    A, B = _nearby_barcodes(rng, 5000)
+    assert bottleneck_distance(A, B).hex() == expected
+    assert bottleneck_distance(B, A).hex() == expected
+    shuffled_a, shuffled_b = list(A), list(B)
+    rng.shuffle(shuffled_a)
+    rng.shuffle(shuffled_b)
+    assert bottleneck_distance(tuple(shuffled_b), tuple(shuffled_a)).hex() == expected

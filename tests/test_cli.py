@@ -88,6 +88,22 @@ class TestBottleneck:
         assert run(["bottleneck", "--input", str(a), str(a)]) == 2
         assert "a.json" in capsys.readouterr().err
 
+    def test_death_below_birth_is_usage_error(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text('[{"degree": 0, "birth": 1.0, "death": 0.0}]')
+        b.write_text("[]")
+        assert run(["bottleneck", "--input", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "a.json" in captured.err
+
+    def test_zero_length_interval_allowed(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text('[{"degree": 0, "birth": 1.0, "death": 1.0}]')
+        b.write_text("[]")
+        assert run(["bottleneck", "--input", str(a), str(b)]) == 0
+        assert strict_loads(capsys.readouterr().out) == {"distance": 0.0}
+
 
 class TestRank:
     def test_fixture_rank(self, fixture_complex, capsys):
