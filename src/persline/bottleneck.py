@@ -2,9 +2,12 @@
 
 Matched intervals pay the sup-norm gap of their endpoints; unmatched finite
 intervals may be deleted to the diagonal at half their length; essential
-intervals can only match essential intervals. The distance is the least
-threshold delta at which a matching exists, so it is one of the pair or
-deletion costs. Three exact reductions keep the search small:
+intervals can only match essential intervals, and intervals match only within
+their degree. Per degree the distance is the least threshold delta at which a
+matching exists, so it is one of the pair or deletion costs, all >= +0.0; a
+degree one side lacks is matched against nothing, and the distance of two
+barcodes is the largest over their degrees. Three exact reductions keep the
+search small:
 
 1. Essential split. An essential interval can be neither deleted nor matched
    to a finite one, so the essential and finite parts are matched apart and
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import tee
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .homology import Barcode, Interval
 
@@ -63,18 +66,21 @@ def diagonal_cost(I: Interval) -> float:
 _Side = list[tuple[float, float, float]]
 
 
-def _split(barcode: Barcode) -> tuple[list[float], _Side]:
-    """Essential births and finite (birth, death, diag) triples, both sorted."""
-    essential, finite = [], []
-    for iv in barcode:
-        birth, death = iv.birth, iv.death
-        if math.isinf(death):
-            essential.append(birth)
-        else:
-            finite.append((birth, death, (death - birth) / 2.0))
-    essential.sort()
-    finite.sort()
-    return essential, finite
+def _split(A: Iterable, B: Iterable) -> list[tuple[list[float], _Side, list[float], _Side]]:
+    """Per degree of A or B: A's and B's essential births and finite (birth, death,
+    diag) triples, each sorted. An Interval unpacks as a (birth, death, degree) row."""
+    split: dict[int, tuple[list, list, list, list]] = {}
+    for at, rows in ((0, A), (2, B)):
+        for birth, death, degree in rows:
+            parts = split.get(degree) or split.setdefault(degree, ([], [], [], []))
+            if math.isinf(death):
+                parts[at].append(birth)
+            else:
+                parts[at + 1].append((birth, death, (death - birth) / 2.0))
+    for parts in split.values():
+        for part in parts:
+            part.sort()
+    return list(split.values())
 
 
 def _split_pairs(pairs: list[tuple[int, int]], values: list[float]) -> tuple[list[float], _Side]:
@@ -236,7 +242,7 @@ def _first_feasible(A: _Side, B: _Side, costs: list[float], match_a: list[int],
 
 def _finite_distance(A: _Side, B: _Side) -> float:
     """Least candidate cost at which the finite parts can be matched."""
-    lower = _nearest_bound(B, A, _nearest_bound(A, B, -math.inf))
+    lower = _nearest_bound(B, A, _nearest_bound(A, B, 0.0))
     match_a, match_b = [-1] * len(B), [-1] * len(A)
     if _finite_feasible(A, B, lower, match_a, match_b):
         return lower
@@ -251,21 +257,24 @@ def _finite_distance(A: _Side, B: _Side) -> float:
 
 def feasible(A: Barcode, B: Barcode, delta: float) -> bool:
     """Decide whether a partial matching exists with all costs <= delta:
-    matched pairs within interval_cost, every unmatched interval within
-    diagonal_cost."""
-    (ess_a, fin_a), (ess_b, fin_b) = _split(A), _split(B)
-    if (ess_a or ess_b) and _essential_distance(ess_a, ess_b) > delta:
-        return False
-    return _finite_feasible(fin_a, fin_b, delta, [-1] * len(fin_b), [-1] * len(fin_a))
+    matched pairs (of one degree) within interval_cost, every unmatched
+    interval within diagonal_cost."""
+    for ess_a, fin_a, ess_b, fin_b in _split(A, B):
+        if (ess_a or ess_b) and _essential_distance(ess_a, ess_b) > delta:
+            return False
+        if not _finite_feasible(fin_a, fin_b, delta, [-1] * len(fin_b), [-1] * len(fin_a)):
+            return False
+    return True
 
 
 def bottleneck_distance(A: Barcode, B: Barcode) -> float:
-    """Minimum delta for which a feasible matching exists.
+    """Minimum delta for which a feasible matching exists: the largest per-degree distance.
 
-    Returns +inf exactly when the essential-interval counts differ (no
-    matching can ever pair an essential with a finite interval or delete it).
+    Returns +inf exactly when the essential-interval counts of a degree differ
+    (no matching can ever pair an essential with a finite interval or delete
+    it). A and B may also be lists of (birth, death, degree) rows.
     """
-    return _split_distance(*_split(A), *_split(B))
+    return max((_split_distance(*parts) for parts in _split(A, B)), default=0.0)
 
 
 def _split_distance(ess_a: list[float], fin_a: _Side, ess_b: list[float], fin_b: _Side) -> float:

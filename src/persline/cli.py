@@ -21,7 +21,7 @@ from .bottleneck import bottleneck_distance
 from .complexes import Line, ParseError, ValidationError, parse_bifiltration
 from .homology import (
     RankQuery,
-    barcode_from_json,
+    _barcode_rows,
     barcode_to_json,
     line_barcodes,
     rank_invariant,
@@ -168,14 +168,14 @@ def run(argv: list[str]) -> int:
             return EXIT_OK
 
         if args.command == "bottleneck":
-            barcodes = []
+            rows = []  # (birth, death, degree) per interval: no Interval is built
             for path in args.input:
                 try:
                     with open(path, encoding="utf-8") as fh:
-                        barcodes.append(barcode_from_json(fh.read()))
+                        rows.append(_barcode_rows(fh.read()))
                 except (OSError, ValueError, KeyError, TypeError) as exc:
                     raise CliError(f"{path}: {exc}") from None
-            d = bottleneck_distance(*barcodes)
+            d = bottleneck_distance(*rows)
             _emit(strict_dumps({"distance": d}), args.output)
             return EXIT_OK
 

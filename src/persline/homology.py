@@ -52,6 +52,10 @@ class Interval:
     def essential(self) -> bool:
         return math.isinf(self.death)
 
+    def __iter__(self) -> Iterator[float]:
+        """Unpacks as the (birth, death, degree) row that barcode JSON is read into."""
+        return iter((self.birth, self.death, self.degree))
+
 
 Barcode = tuple[Interval, ...]
 
@@ -264,14 +268,24 @@ def barcode_to_json(barcode: Barcode) -> str:
     )
 
 
-def barcode_from_json(text: str) -> Barcode:
-    """Inverse of barcode_to_json; NaN, a non-finite birth or death < birth raise ValueError."""
+def _barcode_rows(text: str) -> list[tuple[float, float, int]]:
+    """Barcode JSON as (birth, death, degree) rows, death inf for null. Every
+    item's keys are read (KeyError, TypeError) before any value is checked."""
     items = json.loads(text)
-    barcode = tuple(
-        Interval(it["birth"], math.inf if it["death"] is None else it["death"], it["degree"])
-        for it in items
-    )
-    for iv in barcode:
-        if not math.isfinite(iv.birth) or not iv.death >= iv.birth:
-            raise ValueError(f"bad interval {iv}: birth must be finite, death >= birth or null")
-    return barcode
+    if not isinstance(items, list):
+        raise ValueError("expected a JSON array of intervals")
+    rows = [(it["birth"], math.inf if it["death"] is None else it["death"], it["degree"])
+            for it in items]
+    for birth, death, degree in rows:
+        if not math.isfinite(birth) or not death >= birth:
+            raise ValueError(f"bad interval {Interval(birth, death, degree)}: "
+                             "birth must be finite, death >= birth or null")
+        if type(degree) is not int or degree < 0 or type(birth) is bool or type(death) is bool:
+            raise ValueError(f"bad interval {Interval(birth, death, degree)}: "
+                             "degree must be an int >= 0; birth and death numbers, not booleans")
+    return rows
+
+
+def barcode_from_json(text: str) -> Barcode:
+    """Inverse of barcode_to_json; a bad interval or a non-array raises ValueError."""
+    return tuple(Interval(*row) for row in _barcode_rows(text))

@@ -20,6 +20,10 @@ _interval = st.builds(
     _quarter, _quarter, st.integers(0, 3).map(lambda k: k == 0),
 )
 _barcodes = st.lists(_interval, max_size=6).map(tuple)
+_graded_barcodes = st.lists(
+    st.builds(lambda iv, degree: Interval(iv.birth, iv.death, degree), _interval, st.integers(0, 2)),
+    max_size=6,
+).map(tuple)
 _property = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
 
@@ -57,6 +61,12 @@ class TestFeasible:
     def test_essential_cannot_be_deleted(self):
         assert not feasible((Interval(0, INF, 0),), (), 100.0)
 
+    def test_intervals_of_different_degrees_do_not_match(self):
+        A, B = (Interval(0, 4, 0),), (Interval(0, 4, 1),)
+        assert feasible(A, A, 0.0)
+        assert not feasible(A, B, 1.9)
+        assert feasible(A, B, 2.0)
+
 
 class TestBottleneckDistance:
     def test_identity(self):
@@ -79,6 +89,30 @@ class TestBottleneckDistance:
 
     def test_empty_barcodes(self):
         assert bottleneck_distance((), ()) == 0
+
+    def test_intervals_match_only_within_a_degree(self):
+        # the same interval in degrees 0 and 1: both are deleted
+        assert bottleneck_distance((Interval(0, 4, 0),), (Interval(0, 4, 1),)) == 2.0
+        # per degree 0.25 (degree 0) and 1.5 (degree 2, against nothing)
+        A = (Interval(0, 1, 0), Interval(1, 4, 2), Interval(0, INF, 1))
+        B = (Interval(0.25, 1.25, 0), Interval(0.5, INF, 1))
+        assert bottleneck_distance(A, B) == bottleneck_distance(B, A) == 1.5
+        # an essential class of degree 1 cannot match one of degree 0
+        assert bottleneck_distance((Interval(0, INF, 0),), (Interval(0, INF, 1),)) == INF
+
+    def test_rows_give_the_distance_of_their_intervals(self):
+        A = (Interval(0, 1, 0), Interval(1, 4, 2), Interval(0, INF, 1))
+        B = (Interval(0.25, 1.25, 0), Interval(0.5, INF, 1))
+        rows_a, rows_b = [tuple(iv) for iv in A], [tuple(iv) for iv in B]
+        assert rows_a[0] == (0, 1, 0)
+        assert bottleneck_distance(rows_a, rows_b) == bottleneck_distance(A, B)
+
+    def test_negative_zero_length_gives_positive_zero(self):
+        # (-0.0 - 0.0) / 2 is -0.0; the distance is +0.0 all the same
+        d = bottleneck_distance((Interval(0.0, -0.0, 0),), ())
+        assert d == 0.0 and math.copysign(1.0, d) == 1.0
+        d = bottleneck_distance((Interval(0.0, -0.0, 0),), (Interval(0.0, -0.0, 0),))
+        assert math.copysign(1.0, d) == 1.0
 
     def test_optimum_above_the_lower_bound(self):
         # Every interval's cheapest option costs at most 0.75 (a1-b1), so that
@@ -217,6 +251,15 @@ class TestBottleneckProperties:
     @_property
     @given(_barcodes, _barcodes, _quarter)
     def test_feasible_exactly_from_the_distance(self, A, B, delta):
+        assert feasible(A, B, delta) == (delta >= bottleneck_distance(A, B))
+
+    @_property
+    @given(_graded_barcodes, _graded_barcodes, _quarter)
+    def test_degrees_apart_equal_exhaustive_oracle(self, A, B, delta):
+        per_degree = [brute_force_bottleneck([iv for iv in A if iv.degree == g],
+                                             [iv for iv in B if iv.degree == g])
+                      for g in {iv.degree for iv in A + B}]
+        assert bottleneck_distance(A, B) == max(per_degree, default=0.0)
         assert feasible(A, B, delta) == (delta >= bottleneck_distance(A, B))
 
 

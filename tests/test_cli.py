@@ -1,12 +1,16 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import persline.cli
-from persline import serialize_bifiltration
+from persline import Interval, barcode_to_json, bottleneck_distance, serialize_bifiltration
 from persline.cli import run
+from persline.homology import strict_dumps
 from generators import random_bifiltered_complex
 
 TWO_VERTEX_EDGE = "bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 1 1\n"
@@ -103,6 +107,79 @@ class TestBottleneck:
         b.write_text("[]")
         assert run(["bottleneck", "--input", str(a), str(b)]) == 0
         assert strict_loads(capsys.readouterr().out) == {"distance": 0.0}
+
+    def test_negative_zero_death_prints_positive_zero(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text('[{"degree": 0, "birth": 0.0, "death": -0.0}]')
+        b.write_text("[]")
+        assert run(["bottleneck", "--input", str(a), str(b)]) == 0
+        assert capsys.readouterr().out == '{"distance": 0.0}\n'
+
+    def test_intervals_match_only_within_a_degree(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text('[{"degree": 0, "birth": 0.0, "death": 4.0}]')
+        b.write_text('[{"degree": 1, "birth": 0.0, "death": 4.0}]')
+        assert run(["bottleneck", "--input", str(a), str(b)]) == 0
+        assert capsys.readouterr().out == '{"distance": 2.0}\n'
+
+    def test_builds_no_interval(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an Interval was built")
+
+        monkeypatch.setattr(persline.homology, "Interval", refuse)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text('[{"degree": 0, "birth": 0.0, "death": 1.0},'
+                     ' {"degree": 0, "birth": 0.5, "death": null}]')
+        b.write_text('[{"degree": 0, "birth": 0.25, "death": null}]')
+        assert run(["bottleneck", "--input", str(a), str(b)]) == 0
+        assert capsys.readouterr().out == '{"distance": 0.5}\n'
+
+    @pytest.mark.parametrize("text", [
+        "{}",
+        '{"degree": 0, "birth": 0.0, "death": 1.0}',
+        "5",
+        '[{"degree": "x", "birth": 0.0, "death": 1.0}]',
+        '[{"degree": -1, "birth": 0.0, "death": 1.0}]',
+        '[{"degree": 1.0, "birth": 0.0, "death": 1.0}]',
+        '[{"degree": true, "birth": 0.0, "death": 1.0}]',
+        '[{"degree": 0, "birth": true, "death": 1.0}]',
+        '[{"degree": 0, "birth": 0, "death": false}]',
+    ])
+    def test_mistyped_barcode_json_is_usage_error(self, tmp_path, capsys, text):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(text)
+        b.write_text("[]")
+        assert run(["bottleneck", "--input", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "a.json" in captured.err
+
+
+_quarter = st.integers(0, 8).map(lambda k: k / 4)
+_graded_barcodes = st.lists(
+    st.builds(lambda birth, length, essential, degree:
+              Interval(birth, math.inf if essential else birth + length, degree),
+              _quarter, _quarter, st.integers(0, 3).map(lambda k: k == 0), st.integers(0, 2)),
+    max_size=6,
+).map(tuple)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_graded_barcodes, _graded_barcodes)
+def test_bottleneck_command_agrees_with_the_library(tmp_path, A, B):
+    """The CLI reads barcode JSON into rows, the library gets Intervals: same bytes,
+    and the largest of the distances of the degrees taken apart."""
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "out.json"
+    a.write_text(barcode_to_json(A))
+    b.write_text(barcode_to_json(B))
+    assert run(["bottleneck", "--input", str(a), str(b), "--output", str(out)]) == 0
+    d = bottleneck_distance(A, B)
+    assert out.read_text() == strict_dumps({"distance": d}) + "\n"
+    per_degree = [bottleneck_distance([iv for iv in A if iv.degree == g],
+                                      [iv for iv in B if iv.degree == g])
+                  for g in {iv.degree for iv in A + B}]
+    assert d == max(per_degree, default=0.0)
 
 
 class TestRank:
