@@ -5,7 +5,7 @@ invariant, exact bottleneck distance, a sampled lower bound for the
 multidimensional matching distance, and a harness that verifies the
 stability inequalities relating them.
 """
-from .bottleneck import bottleneck_distance, diagonal_cost, interval_cost
+from .bottleneck import bottleneck_distance
 from .complexes import (
     Grade,
     InadmissibleLineError,
@@ -18,7 +18,6 @@ from .complexes import (
     canonicalize_line,
     diagonal_shift,
     parse_bifiltration,
-    push_to_line,
     restrict,
     serialize_bifiltration,
 )
@@ -28,10 +27,8 @@ from .homology import (
     RankQuery,
     barcode_from_json,
     barcode_to_json,
-    betti_at,
     compute_barcode,
     line_barcodes,
-    order_simplices,
     rank_invariant,
 )
 from .matching import (
@@ -75,24 +72,19 @@ __all__ = [
     "ValidationError",
     "barcode_from_json",
     "barcode_to_json",
-    "betti_at",
     "bottleneck_distance",
     "canonicalize_line",
     "compute_barcode",
     "default_offset_box",
-    "diagonal_cost",
     "diagonal_shift",
     "eta_bound",
-    "interval_cost",
     "line_barcodes",
     "line_distances",
     "match_result_to_csv",
     "match_result_to_json",
     "matching_distance_lb",
-    "order_simplices",
     "parse_bifiltration",
     "perturb_grades",
-    "push_to_line",
     "rank_invariant",
     "report_to_json",
     "restrict",

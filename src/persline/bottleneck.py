@@ -43,23 +43,7 @@ from bisect import bisect_left
 from itertools import tee
 from typing import Callable, Iterable, Iterator
 
-from .homology import Barcode, Interval
-
-
-def interval_cost(I: Interval, J: Interval) -> float:
-    """Sup-norm matching cost; infinite when exactly one death is infinite."""
-    if I.essential and J.essential:
-        return abs(I.birth - J.birth)
-    if I.essential or J.essential:
-        return math.inf
-    return max(abs(I.birth - J.birth), abs(I.death - J.death))
-
-
-def diagonal_cost(I: Interval) -> float:
-    """Cost of deleting an interval to the diagonal: half its length."""
-    if I.essential:
-        return math.inf
-    return (I.death - I.birth) / 2.0
+from .homology import Barcode
 
 
 # A finite side: (birth, death, deletion cost) triples sorted by birth.
@@ -257,8 +241,8 @@ def _finite_distance(A: _Side, B: _Side) -> float:
 
 def feasible(A: Barcode, B: Barcode, delta: float) -> bool:
     """Decide whether a partial matching exists with all costs <= delta:
-    matched pairs (of one degree) within interval_cost, every unmatched
-    interval within diagonal_cost."""
+    matched pairs (of one degree) within delta in sup norm (essential ones by
+    birth alone), every unmatched interval finite with half its length <= delta."""
     for ess_a, fin_a, ess_b, fin_b in _split(A, B):
         if (ess_a or ess_b) and _essential_distance(ess_a, ess_b) > delta:
             return False

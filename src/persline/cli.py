@@ -5,16 +5,13 @@ globalPass false), 2 input or usage error, 3 internal error (an unexpected
 exception, reported in one line on stderr). Output is byte-stable for fixed
 inputs, flags, and seed; JSON output is strict, with infinite distances
 written as null. A degree above a complex's dimension has no classes (an
-empty barcode, distance 0); a negative degree is a usage error. The default
-grid comes from the PERSLINE_GRID environment variable
-("<directions>x<offsets>", default 16x8).
+empty barcode, distance 0); a negative degree is a usage error.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import math
-import os
 import sys
 
 from .bottleneck import bottleneck_distance
@@ -75,10 +72,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise CliError(f"bad grid {text!r}: expected integers") from None
 
 
-def _default_grid() -> str:
-    return os.environ.get("PERSLINE_GRID", "16x8")
-
-
 def _load_complex(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -132,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matchdist", help="sampled matching-distance lower bound")
     p.add_argument("--input", nargs=2, required=True, metavar=("M", "N"))
-    p.add_argument("--grid", default=None)
+    p.add_argument("--grid", default="16x8", help="<directions>x<offsets>")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--output")
@@ -142,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", choices=["shift", "perturb"], required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--seed", type=int, default=None, help="required for --construction perturb")
-    p.add_argument("--grid", default=None)
+    p.add_argument("--grid", default="16x8", help="<directions>x<offsets>")
     p.add_argument("--degree", type=int, default=0)
     p.add_argument("--output")
 
@@ -188,7 +181,7 @@ def run(argv: list[str]) -> int:
         if args.command == "matchdist":
             M = _load_complex(args.input[0])
             N = _load_complex(args.input[1])
-            d, o = _parse_grid(args.grid or _default_grid())
+            d, o = _parse_grid(args.grid)
             result = matching_distance_lb(M, N, LineGrid(d, o), args.degree)
             text = match_result_to_csv(result) if args.format == "csv" else match_result_to_json(result)
             _emit(text, args.output)
@@ -204,7 +197,7 @@ def run(argv: list[str]) -> int:
                 if args.seed is None:
                     raise CliError("--seed is required for --construction perturb")
                 pair = perturb_grades(M, args.epsilon, args.seed)
-            d, o = _parse_grid(args.grid or _default_grid())
+            d, o = _parse_grid(args.grid)
             report = verify_rank_stability(pair, LineGrid(d, o), args.degree)
             _emit(report_to_json(report), args.output)
             return EXIT_OK if report.global_pass else EXIT_VERIFY_FAIL

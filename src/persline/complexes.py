@@ -181,23 +181,16 @@ class MultiFilteredComplex:
 
 @dataclass(frozen=True)
 class ScalarFiltration:
-    """One-parameter filtration: each simplex, listed once, with a finite entry value."""
+    """One-parameter filtration: each simplex, listed once, with a finite entry value.
+
+    Its one check is building ``complex``, the complex of grades (value,)."""
 
     simplices: tuple[tuple[Simplex, float], ...]
+    complex: MultiFilteredComplex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        boundary = face_indices([s for s, _ in self.simplices])
-        for (simplex, value), fs in zip(self.simplices, boundary):
-            if not math.isfinite(value):
-                raise ValidationError(f"simplex {simplex}: non-finite entry {value}")
-            for face, entry in (self.simplices[f] for f in fs):
-                if entry > value:
-                    raise ValidationError(
-                        f"non-monotone entries: face {face} at {entry} vs simplex {simplex} at {value}"
-                    )
-
-    def max_dim(self) -> int:
-        return max((len(s) - 1 for s, _ in self.simplices), default=-1)
+        grades = tuple((s, (v,)) for s, v in self.simplices)
+        object.__setattr__(self, "complex", MultiFilteredComplex(1, grades))
 
 
 def parse_bifiltration(text: str) -> MultiFilteredComplex:
@@ -263,27 +256,18 @@ def serialize_bifiltration(M: MultiFilteredComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def push_to_line(g: Grade, L: Line) -> float:
-    """Least s with g <= s*m + b componentwise: max_i (g_i - b_i) / m_i.
-
-    The push is monotone: g <= g' componentwise implies push(g) <= push(g'),
-    because correctly rounded subtraction and division by m_i > 0 are
-    monotone, and so is the maximum.
-    """
-    if len(g) != L.dim:
-        raise ValueError(f"grade dimension {len(g)} != line dimension {L.dim}")
-    return max((gi - bi) / mi for gi, bi, mi in zip(g, L.offset, L.direction))
-
-
 def push_values(grades: np.ndarray, lines: Sequence[Line]) -> np.ndarray:
     """Push of every grade onto every line, as a (len(lines), N) array.
 
-    ``grades`` is an (N, n) float64 array. Entry [k, j] equals
-    ``push_to_line(grades[j], lines[k])`` bit for bit: the same float
-    operations, taken one coordinate at a time so that no (lines, N, n)
-    temporary exists. The running maximum keeps the earlier coordinate on a
-    tie, as Python's max does, so a signed zero comes out as it does there
-    (np.maximum may return either zero). An overflow gives inf, unwarned.
+    ``grades`` is an (N, n) float64 array. Entry [k, j] is the least s with
+    grades[j] <= s*m + b componentwise for lines[k] = (m, b), that is
+    max_i (g_i - b_i) / m_i, computed one coordinate at a time so that no
+    (lines, N, n) temporary exists. The push is monotone: g <= g'
+    componentwise implies push(g) <= push(g'), because correctly rounded
+    subtraction and division by m_i > 0 are monotone, and so is the maximum.
+    The running maximum keeps the earlier coordinate on a tie, as Python's
+    max does, so a signed zero comes out as it does there (np.maximum may
+    return either zero). An overflow gives inf, unwarned.
     """
     m = np.array([L.direction for L in lines], dtype=np.float64)
     b = np.array([L.offset for L in lines], dtype=np.float64)
@@ -296,10 +280,12 @@ def push_values(grades: np.ndarray, lines: Sequence[Line]) -> np.ndarray:
 
 
 def restrict(M: MultiFilteredComplex, L: Line) -> ScalarFiltration:
-    """Scalar filtration of M along L: each simplex enters at its push value."""
+    """Scalar filtration of M along L: each simplex enters at its push value.
+
+    The simplices are listed in M's table order, (dimension, vertex ids)."""
     if M.dim != L.dim:
         raise ValueError(f"complex dimension {M.dim} != line dimension {L.dim}")
-    return ScalarFiltration(tuple((s, push_to_line(g, L)) for s, g in M.simplices))
+    return ScalarFiltration(tuple(zip(M.table, push_values(M.grade_array, [L])[0].tolist())))
 
 
 def diagonal_shift(M: MultiFilteredComplex, epsilon: float) -> MultiFilteredComplex:

@@ -6,6 +6,8 @@ Homology in degree d depends only on the boundary maps of degrees d and
 d + 1, so only simplices of dimension <= d + 1 are reduced; the truncation
 is exact. The persistence pairing depends only on the simplex order, not on
 the entry values, so lines that order a complex alike share one reduction.
+Every barcode comes from the line engine, :func:`line_barcodes`; a scalar
+filtration is its one-parameter case (:func:`compute_barcode`).
 The rank invariant of a transition map H(K_u) -> H(K_v) is read off one
 filtration of the whole complex: K_u enters at 0, K_v \\ K_u at 1 and the
 rest at 2, and the rank equals the number of classes born at 0 that are
@@ -25,8 +27,6 @@ from .complexes import (
     Line,
     MultiFilteredComplex,
     ScalarFiltration,
-    Simplex,
-    face_indices,
     leq,
     push_values,
 )
@@ -58,14 +58,6 @@ class Interval:
 
 
 Barcode = tuple[Interval, ...]
-
-
-def order_simplices(F: ScalarFiltration) -> list[tuple[Simplex, float]]:
-    """Total order by (entry value, dimension, lexicographic vertex ids).
-
-    Monotonicity of F guarantees every face precedes its cofaces.
-    """
-    return sorted(F.simplices, key=lambda sv: (sv[1], len(sv[0]), sv[0]))
 
 
 def _pairs(
@@ -140,26 +132,25 @@ def _check_degree(degree: int) -> None:
 def compute_barcode(F: ScalarFiltration, degree: int) -> Barcode:
     """Barcode of the sublevel persistence module of F in one degree.
 
-    A degree above the dimension of F gives the empty barcode.
+    The one-parameter view of the line engine: F's complex along the line
+    s*(1,) + (0,), whose push (g - 0.0) / 1.0 is g bit for bit, signed zeros
+    included. A degree above the dimension of F gives the empty barcode.
     """
-    _check_degree(degree)
-    kept = [sv for sv in order_simplices(F) if len(sv[0]) <= degree + 2]
-    boundary = face_indices([s for s, _ in kept])
-    return _intervals(_pairs(range(len(kept)), boundary, degree), [v for _, v in kept], degree)
+    return line_barcodes(F.complex, [Line((1.0,), (0.0,))], degree)[0]
 
 
 def line_barcodes(M: MultiFilteredComplex, lines: Sequence[Line], degree: int) -> list[Barcode]:
     """Barcodes of M restricted to each line, in one batch.
 
-    Equal, line by line, to ``compute_barcode(restrict(M, L), degree)``.
     It reads the prefix of M's face-index table that holds the simplices of
     dimension <= degree + 1. The push values of a block of lines are one
     array, checked for overflow only (ValueError): the push is monotone, and
-    M was checked face <= coface when built. The table is in the (dimension,
-    vertex ids) tiebreak order, so a stable argsort of each row is the total
-    order of :func:`order_simplices`. The pairing is cached by that order for
-    the length of this call, so each distinct order is reduced once; births
-    and deaths are then read from each line's own push values.
+    M was checked face <= coface when built. The table is in (dimension,
+    vertex ids) order, so a stable argsort of each row orders the simplices
+    by (push value, dimension, vertex ids), faces before cofaces. The pairing
+    is cached by that order for the length of this call, so each distinct
+    order is reduced once; births and deaths are then read from each line's
+    own push values.
     """
     return [_intervals(pairs, values, degree) for pairs, values in _line_pairs(M, lines, degree)]
 
@@ -193,11 +184,6 @@ def _line_pairs(M: MultiFilteredComplex, lines: Sequence[Line], degree: int
                 pairs = cache[key] = _pairs(order.tolist(), boundary, degree, essential)
                 essential = sum(1 for _, j in pairs if j < 0)
             yield pairs, values.tolist()
-
-
-def betti_at(M: MultiFilteredComplex, u: Grade, degree: int) -> int:
-    """dim over F2 of H_degree of the sublevel complex at u: the rank of the identity map."""
-    return rank_invariant(M, RankQuery(u, u, degree))
 
 
 @dataclass(frozen=True)
@@ -276,10 +262,15 @@ def _barcode_rows(text: str) -> list[tuple[float, float, int]]:
         raise ValueError("expected a JSON array of intervals")
     rows = [(it["birth"], math.inf if it["death"] is None else it["death"], it["degree"])
             for it in items]
+    inf = math.inf
     for birth, death, degree in rows:
-        if not math.isfinite(birth) or not death >= birth:
-            raise ValueError(f"bad interval {Interval(birth, death, degree)}: "
-                             "birth must be finite, death >= birth or null")
+        try:  # float() of an integer too large for a float raises OverflowError
+            fits = math.isfinite(birth) and (death == inf or 0.0 <= float(death - birth) < inf)
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ValueError(f"bad interval {Interval(birth, death, degree)}: birth must be "
+                             "finite, death >= birth or null, death - birth a finite float")
         if type(degree) is not int or degree < 0 or type(birth) is bool or type(death) is bool:
             raise ValueError(f"bad interval {Interval(birth, death, degree)}: "
                              "degree must be an int >= 0; birth and death numbers, not booleans")

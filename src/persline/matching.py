@@ -102,6 +102,8 @@ def sample_lines(grid: LineGrid, box: tuple[Grade, Grade]) -> list[Line]:
 
 def default_offset_box(M: MultiFilteredComplex, N: MultiFilteredComplex) -> tuple[Grade, Grade]:
     """Union of both grade bounding boxes, expanded by a fraction per side."""
+    if M.dim != N.dim:
+        raise ValueError(f"complexes of dimension {M.dim} and {N.dim}: no line restricts both")
     lo_m, hi_m = M.bounding_box()
     lo_n, hi_n = N.bounding_box()
     lo = tuple(min(a, b) for a, b in zip(lo_m, lo_n))

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to check the library.
 
 Everything here is deliberately naive: dense numpy Gaussian elimination
-mod 2 for homology ranks, and exhaustive enumeration of partial matchings
+mod 2 for homology ranks, a scalar push and a set-column reduction for
+one-parameter barcodes, and exhaustive enumeration of partial matchings
 for the bottleneck distance. None of it shares code with the package.
 """
 from __future__ import annotations
@@ -123,7 +124,48 @@ def scalar_rank(
     return induced_rank(sub_s, sub_t, degree)
 
 
-def _pair_cost(a, b) -> float:
+def push_to_line(g, L) -> float:
+    """Least s with g <= s*m + b componentwise, for L = (m, b): max_i (g_i - b_i) / m_i."""
+    if len(g) != len(L.direction):
+        raise ValueError(f"grade dimension {len(g)} != line dimension {len(L.direction)}")
+    return max((gi - bi) / mi for gi, bi, mi in zip(g, L.offset, L.direction))
+
+
+def scalar_barcode(
+    filtration: list[tuple[tuple[int, ...], float]], degree: int
+) -> list[tuple[float, float]]:
+    """Sorted (birth, death) pairs of a scalar filtration in one degree.
+
+    Simplices enter in (value, dimension, vertex ids) order. Every column of
+    the boundary matrix is reduced left to right, as a set of row positions
+    (symmetric difference is addition over F2). death is math.inf for a class
+    that never dies; zero-length pairs are dropped.
+    """
+    order = sorted(filtration, key=lambda sv: (sv[1], len(sv[0]), sv[0]))
+    position = {s: k for k, (s, _) in enumerate(order)}
+    reduced: dict[int, set[int]] = {}  # lowest row -> the reduced column that has it
+    death_of: dict[int, int] = {}
+    creators = []
+    for k, (s, _) in enumerate(order):
+        col = {position[f] for f in combinations(s, len(s) - 1)} if len(s) > 1 else set()
+        while col and max(col) in reduced:
+            col ^= reduced[max(col)]
+        if col:
+            reduced[max(col)] = col
+            death_of[max(col)] = k
+        elif len(s) - 1 == degree:
+            creators.append(k)
+    pairs = []
+    for k in creators:
+        birth = order[k][1]
+        death = order[death_of[k]][1] if k in death_of else math.inf
+        if death != birth:
+            pairs.append((birth, death))
+    return sorted(pairs)
+
+
+def pair_cost(a, b) -> float:
+    """Sup-norm cost of matching (birth, death) pairs; infinite when exactly one death is."""
     a_inf, b_inf = math.isinf(a[1]), math.isinf(b[1])
     if a_inf and b_inf:
         return abs(a[0] - b[0])
@@ -132,7 +174,8 @@ def _pair_cost(a, b) -> float:
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
-def _delete_cost(a) -> float:
+def delete_cost(a) -> float:
+    """Cost of deleting a (birth, death) pair to the diagonal: half its length."""
     return math.inf if math.isinf(a[1]) else (a[1] - a[0]) / 2.0
 
 
@@ -147,15 +190,15 @@ def brute_force_bottleneck(A, B) -> float:
     def search(i: int, used: set, current: float) -> float:
         if i == len(A):
             rest = max(
-                (_delete_cost(B[j]) for j in range(len(B)) if j not in used),
+                (delete_cost(B[j]) for j in range(len(B)) if j not in used),
                 default=0.0,
             )
             return max(current, rest)
-        best = search(i + 1, used, max(current, _delete_cost(A[i])))
+        best = search(i + 1, used, max(current, delete_cost(A[i])))
         for j in range(len(B)):
             if j in used:
                 continue
-            c = _pair_cost(A[i], B[j])
+            c = pair_cost(A[i], B[j])
             if c >= best:
                 continue
             used.add(j)

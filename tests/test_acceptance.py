@@ -18,7 +18,6 @@ from persline import (
     matching_distance_lb,
     perturb_grades,
     rank_invariant,
-    restrict,
     shift_pair,
     verify_internal_stability,
     verify_rank_stability,
@@ -30,7 +29,7 @@ from generators import (
     random_canonical_line,
     random_scalar_filtration,
 )
-from oracles import brute_force_bottleneck, induced_rank, scalar_rank
+from oracles import brute_force_bottleneck, induced_rank, push_to_line, scalar_barcode, scalar_rank
 
 GRID_16x8 = LineGrid(16, 8)
 
@@ -64,7 +63,7 @@ def test_criterion_1_barcode_oracle():
         F = random_scalar_filtration(rng, max_simplices=8)
         values = sorted({v for _, v in F.simplices})
         for degree in (0, 1):
-            if degree > F.max_dim():
+            if degree > max(len(s) for s, _ in F.simplices) - 1:
                 continue
             bars = compute_barcode(F, degree)
             for si, s in enumerate(values):
@@ -99,8 +98,8 @@ def test_criterion_3_rank_invariant_consistency():
         t = s + float(rng.uniform(0.05, 1.5))
         u, v = L.point_at(s), L.point_at(t)
         got = rank_invariant(M, RankQuery(u, v, 0))
-        bars = compute_barcode(restrict(M, L), 0)
-        line_count = sum(1 for iv in bars if iv.birth <= s and iv.death > t)
+        bars = scalar_barcode([(sx, push_to_line(g, L)) for sx, g in M.simplices], 0)
+        line_count = sum(1 for birth, death in bars if birth <= s and death > t)
         sub_u = [sx for sx, g in M.simplices if all(a <= b for a, b in zip(g, u))]
         sub_v = [sx for sx, g in M.simplices if all(a <= b for a, b in zip(g, v))]
         ok = ok and got == line_count == induced_rank(sub_u, sub_v, 0)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persline import Interval, bottleneck_distance, diagonal_cost, interval_cost
+from persline import Interval, bottleneck_distance
 from persline.bottleneck import feasible
 from generators import random_barcode
-from oracles import brute_force_bottleneck
+from oracles import brute_force_bottleneck, delete_cost, pair_cost
 
 INF = math.inf
 
@@ -28,24 +28,26 @@ _property = settings(max_examples=200, deadline=None, database=None, derandomize
 
 
 class TestCosts:
+    """The oracle's costs, which the matcher's distances are checked against."""
+
     def test_identical_intervals(self):
-        assert interval_cost(Interval(0, 1, 0), Interval(0, 1, 0)) == 0
+        assert pair_cost((0, 1), (0, 1)) == 0
 
     def test_sup_norm_gap(self):
-        assert interval_cost(Interval(0, 1, 0), Interval(0.5, 1.5, 0)) == 0.5
+        assert pair_cost((0, 1), (0.5, 1.5)) == 0.5
 
     def test_essential_pair_matches_at_birth_gap(self):
-        assert interval_cost(Interval(0, INF, 0), Interval(1, INF, 0)) == 1
+        assert pair_cost((0, INF), (1, INF)) == 1
 
     def test_mixed_essential_finite_is_infinite(self):
-        assert interval_cost(Interval(0, INF, 0), Interval(0, 1, 0)) == INF
+        assert pair_cost((0, INF), (0, 1)) == INF
 
     def test_diagonal_half_length(self):
-        assert diagonal_cost(Interval(0, 1, 0)) == 0.5
-        assert diagonal_cost(Interval(2, 2.2, 0)) == pytest.approx(0.1)
+        assert delete_cost((0, 1)) == 0.5
+        assert delete_cost((2, 2.2)) == pytest.approx(0.1)
 
     def test_diagonal_essential_infinite(self):
-        assert diagonal_cost(Interval(0, INF, 0)) == INF
+        assert delete_cost((0, INF)) == INF
 
 
 class TestFeasible:
@@ -197,16 +199,13 @@ class TestBottleneckDistance:
             if math.isinf(d):
                 continue
             candidates = {0.0}
+            A, B = [(a.birth, a.death) for a in A], [(b.birth, b.death) for b in B]
             for a in A:
-                if not a.essential:
-                    candidates.add(diagonal_cost(a))
+                candidates.add(delete_cost(a))
                 for b in B:
-                    c = interval_cost(a, b)
-                    if math.isfinite(c):
-                        candidates.add(c)
+                    candidates.add(pair_cost(a, b))
             for b in B:
-                if not b.essential:
-                    candidates.add(diagonal_cost(b))
+                candidates.add(delete_cost(b))
             assert any(abs(d - c) < 1e-15 for c in candidates)
 
     def test_perturbation_stability(self):

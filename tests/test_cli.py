@@ -144,6 +144,10 @@ class TestBottleneck:
         '[{"degree": true, "birth": 0.0, "death": 1.0}]',
         '[{"degree": 0, "birth": true, "death": 1.0}]',
         '[{"degree": 0, "birth": 0, "death": false}]',
+        # endpoints too large for a float, and a finite interval whose length overflows
+        pytest.param('[{"degree": 0, "birth": 0, "death": 1' + "0" * 400 + "}]", id="int-death-overflow"),
+        pytest.param('[{"degree": 0, "birth": 1' + "0" * 400 + ', "death": null}]', id="int-birth-overflow"),
+        pytest.param('[{"degree": 0, "birth": -1e308, "death": 1e308}]', id="length-overflow"),
     ])
     def test_mistyped_barcode_json_is_usage_error(self, tmp_path, capsys, text):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -234,16 +238,21 @@ class TestMatchdist:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "m,b,mStar,distance"
 
-    def test_grid_env_var_default(self, fixture_complex, tmp_path, capsys, monkeypatch):
+    def test_grid_defaults_to_16x8(self, fixture_complex, tmp_path, capsys):
         other = tmp_path / "N.bif"
         other.write_text("bifiltration 2\n0 0 ; 1 1\n")
-        monkeypatch.setenv("PERSLINE_GRID", "2x2")
-        code = run(["matchdist", "--input", fixture_complex, str(other), "--degree", "0"])
-        assert code == 0
-        with_env = capsys.readouterr().out
-        code = run(["matchdist", "--input", fixture_complex, str(other),
-                    "--grid", "2x2", "--degree", "0"])
-        assert with_env == capsys.readouterr().out
+        assert run(["matchdist", "--input", fixture_complex, str(other), "--degree", "0"]) == 0
+        default = capsys.readouterr().out
+        run(["matchdist", "--input", fixture_complex, str(other), "--grid", "16x8", "--degree", "0"])
+        assert default == capsys.readouterr().out
+
+    def test_complexes_of_different_dimension(self, fixture_complex, tmp_path, capsys):
+        other = tmp_path / "N3.bif"
+        other.write_text("bifiltration 3\n0 0 ; 1 1 1\n")
+        assert run(["matchdist", "--input", fixture_complex, str(other), "--degree", "0"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "complexes of dimension 2 and 3" in captured.err and "line" in captured.err
 
 
 class TestVerify:

@@ -12,14 +12,12 @@ from persline import (
     ScalarFiltration,
     barcode_from_json,
     barcode_to_json,
-    betti_at,
     bottleneck_distance,
     canonicalize_line,
     compute_barcode,
     default_offset_box,
     line_barcodes,
     line_distances,
-    order_simplices,
     parse_bifiltration,
     perturb_grades,
     rank_invariant,
@@ -31,7 +29,7 @@ import persline.homology
 from persline.bottleneck import _split, _split_pairs
 from persline.homology import LINE_BLOCK, _line_pairs
 from generators import random_bifiltered_complex, random_canonical_line, random_scalar_filtration
-from oracles import homology_dim, induced_rank, scalar_rank
+from oracles import homology_dim, induced_rank, push_to_line, scalar_barcode, scalar_rank
 
 TWO_VERTEX_EDGE = "bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 1 1\n"
 SIGNED_ZERO = (
@@ -41,26 +39,28 @@ SIGNED_ZERO = (
 
 
 class TestOrdering:
-    def test_vertices_before_edge(self):
-        F = ScalarFiltration((((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)))
-        assert [s for s, _ in order_simplices(F)] == [(0,), (1,), (0, 1)]
+    """restrict lists M's table order, (dimension, vertex ids): the order the
+    engine breaks push-value ties by, with every face before its cofaces."""
 
-    def test_entry_value_order(self):
-        F = ScalarFiltration((((1,), 1.0), ((0,), 0.0)))
-        assert [s for s, _ in order_simplices(F)] == [(0,), (1,)]
+    def test_vertices_before_edge(self):
+        M = MultiFilteredComplex(2, (((0, 1), (1.0, 1.0)), ((1,), (0.0, 0.0)), ((0,), (0.0, 0.0))))
+        F = restrict(M, canonicalize_line((1, 1), (0, 0)))
+        assert [s for s, _ in F.simplices] == [(0,), (1,), (0, 1)]
 
     def test_ties_broken_by_dim_then_lex(self):
-        F = ScalarFiltration(
-            (((2,), 0.0), ((0,), 0.0), ((1,), 0.0), ((0, 2), 1.0), ((0, 1), 1.0))
-        )
-        assert [s for s, _ in order_simplices(F)] == [(0,), (1,), (2,), (0, 1), (0, 2)]
+        grades = {(2,): 0.0, (0,): 0.0, (1,): 0.0, (0, 2): 1.0, (0, 1): 1.0}
+        M = MultiFilteredComplex(1, tuple((s, (v,)) for s, v in grades.items()))
+        F = restrict(M, canonicalize_line((1,), (0,)))
+        assert [s for s, _ in F.simplices] == [(0,), (1,), (2,), (0, 1), (0, 2)]
 
     def test_faces_precede_cofaces(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            F = random_scalar_filtration(rng)
+            M = random_bifiltered_complex(rng)
+            order = rng.permutation(len(M.simplices))
+            shuffled = MultiFilteredComplex(2, tuple(M.simplices[i] for i in order))
             seen = set()
-            for s, _ in order_simplices(F):
+            for s, _ in restrict(shuffled, random_canonical_line(rng)).simplices:
                 for i in range(len(s)):
                     face = s[:i] + s[i + 1 :]
                     if face:
@@ -119,7 +119,7 @@ class TestBarcode:
             F = random_scalar_filtration(rng)
             values = sorted({v for _, v in F.simplices})
             for degree in (0, 1):
-                if degree > F.max_dim():
+                if degree > _max_dim(F):
                     continue
                 bars = compute_barcode(F, degree)
                 for s in values:
@@ -137,7 +137,7 @@ class TestBarcode:
             rng.shuffle(simplices)
             permuted = ScalarFiltration(tuple(simplices))
             for degree in (0, 1):
-                if degree > F.max_dim():
+                if degree > _max_dim(F):
                     continue
                 assert compute_barcode(F, degree) == compute_barcode(permuted, degree)
 
@@ -145,15 +145,15 @@ class TestBarcode:
 class TestBettiAt:
     def test_single_vertex(self):
         M = parse_bifiltration("bifiltration 2\n0 0 ; 0 0")
-        assert betti_at(M, (0.0, 0.0), 0) == 1
+        assert rank_invariant(M, RankQuery((0.0, 0.0), (0.0, 0.0), 0)) == 1
 
     def test_before_edge_two_components(self):
         M = parse_bifiltration(TWO_VERTEX_EDGE)
-        assert betti_at(M, (0.0, 0.0), 0) == 2
+        assert rank_invariant(M, RankQuery((0.0, 0.0), (0.0, 0.0), 0)) == 2
 
     def test_after_edge_one_component(self):
         M = parse_bifiltration(TWO_VERTEX_EDGE)
-        assert betti_at(M, (1.0, 1.0), 0) == 1
+        assert rank_invariant(M, RankQuery((1.0, 1.0), (1.0, 1.0), 0)) == 1
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(41)
@@ -162,7 +162,7 @@ class TestBettiAt:
             u = tuple(rng.uniform(0, 2, size=2))
             for degree in (0, 1):
                 sub = [s for s, g in M.simplices if all(a <= b for a, b in zip(g, u))]
-                assert betti_at(M, u, degree) == homology_dim(sub, degree)
+                assert rank_invariant(M, RankQuery(u, u, degree)) == homology_dim(sub, degree)
 
 
 class TestRankInvariant:
@@ -187,8 +187,9 @@ class TestRankInvariant:
         for _ in range(30):
             M = random_bifiltered_complex(rng)
             u = tuple(rng.uniform(0, 2, size=2))
+            sub = [s for s, g in M.simplices if all(a <= b for a, b in zip(g, u))]
             for degree in (0, 1):
-                assert rank_invariant(M, RankQuery(u, u, degree)) == betti_at(M, u, degree)
+                assert rank_invariant(M, RankQuery(u, u, degree)) == homology_dim(sub, degree)
 
     @staticmethod
     def _check_image_rank(M, u, v, degrees):
@@ -240,8 +241,8 @@ class TestRankInvariant:
             s = float(rng.uniform(-1, 2))
             t = s + float(rng.uniform(0.01, 2))
             u, v = L.point_at(s), L.point_at(t)
-            bars = compute_barcode(restrict(M, L), 0)
-            count = sum(1 for iv in bars if iv.birth <= s and iv.death > t)
+            bars = scalar_barcode([(sx, push_to_line(g, L)) for sx, g in M.simplices], 0)
+            count = sum(1 for birth, death in bars if birth <= s and death > t)
             assert rank_invariant(M, RankQuery(u, v, 0)) == count
 
 
@@ -300,16 +301,17 @@ def _tie_heavy_lines(offsets):
 
 
 class TestLineBarcodes:
-    """line_barcodes equals compute_barcode(restrict(M, L), d) line by line, bit for bit."""
+    """line_barcodes equals the oracle's scalar barcode of each line's pushes, bit for bit."""
 
     @staticmethod
     def _check(M, lines, degrees):
         for d in degrees:
             got = line_barcodes(M, lines, d)
-            want = [compute_barcode(restrict(M, L), d) for L in lines]
-            assert got == want
+            assert all(iv.degree == d for b in got for iv in b)
+            want = [scalar_barcode([(s, push_to_line(g, L)) for s, g in M.simplices], d) for L in lines]
+            assert [[(iv.birth, iv.death) for iv in b] for b in got] == want
             # equal floats may still differ in sign (0.0 == -0.0), which JSON shows
-            bits = [[(float(iv.birth).hex(), float(iv.death).hex()) for iv in b] for b in want]
+            bits = [[(float(x).hex(), float(y).hex()) for x, y in b] for b in want]
             assert [[(iv.birth.hex(), iv.death.hex()) for iv in b] for b in got] == bits
 
     def test_generator_complexes_every_degree(self):
