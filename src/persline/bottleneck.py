@@ -43,11 +43,7 @@ from bisect import bisect_left
 from itertools import tee
 from typing import Callable, Iterable, Iterator
 
-from .homology import Barcode
-
-
-# A finite side: (birth, death, deletion cost) triples sorted by birth.
-_Side = list[tuple[float, float, float]]
+from .homology import Barcode, _Side
 
 
 def _split(A: Iterable, B: Iterable) -> list[tuple[list[float], _Side, list[float], _Side]]:
@@ -67,25 +63,17 @@ def _split(A: Iterable, B: Iterable) -> list[tuple[list[float], _Side, list[floa
     return list(split.values())
 
 
-def _split_pairs(pairs: list[tuple[int, int]], values: list[float]) -> tuple[list[float], _Side]:
-    """_split of the barcode of creator/destroyer ``pairs`` under ``values``, zero-length dropped."""
-    essential, finite = [], []
-    for i, j in pairs:
-        birth = values[i]
-        if j < 0:
-            essential.append(birth)
-        elif (death := values[j]) > birth:
-            finite.append((birth, death, (death - birth) / 2.0))
-    essential.sort()
-    finite.sort()
-    return essential, finite
-
-
 def _essential_distance(births_a: list[float], births_b: list[float]) -> float:
-    """Bottleneck optimum of the essential parts: births matched in sorted order."""
+    """Bottleneck optimum of the essential parts: births matched in sorted order; +inf if counts differ."""
     if len(births_a) != len(births_b):
         return math.inf
-    return max((abs(x - y) for x, y in zip(births_a, births_b)), default=0.0)
+    gap = max((abs(x - y) for x, y in zip(births_a, births_b)), default=0.0)
+    try:  # float() of an integer too large for a float raises OverflowError
+        if float(gap) < math.inf:
+            return gap
+    except OverflowError:
+        pass
+    raise ValueError("two matched essential births differ by more than the largest float")
 
 
 def _outward(Q: _Side, x: float) -> tuple[range, range]:

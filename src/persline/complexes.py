@@ -4,7 +4,8 @@ Grades are points of R^n ordered componentwise. A multifiltered complex
 assigns one grade per simplex (one-critical); the sublevel complex at u
 contains every simplex whose grade is <= u componentwise. Admissible lines
 u = s*m + b with all m_i > 0 restrict a multifiltration to an ordinary
-scalar filtration.
+scalar filtration. The text parser checks the format only (ParseError, naming
+the line); the complex's constructor checks its structure (ValidationError).
 """
 from __future__ import annotations
 
@@ -45,15 +46,8 @@ def sup_norm(u: Sequence[float]) -> float:
     return max(abs(x) for x in u)
 
 
-def faces(simplex: Simplex) -> list[Simplex]:
-    """Codimension-1 faces; empty for a vertex."""
-    if len(simplex) == 1:
-        return []
-    return [simplex[:i] + simplex[i + 1 :] for i in range(len(simplex))]
-
-
 def face_indices(simplices: Sequence[Simplex]) -> list[tuple[int, ...]]:
-    """The faces of each simplex, as a tuple of indices into ``simplices``.
+    """The faces of each simplex (none for a vertex), as a tuple of indices into ``simplices``.
 
     Raises ValidationError for the first simplex listed twice, and else for
     the first simplex with a face that is not listed.
@@ -64,8 +58,9 @@ def face_indices(simplices: Sequence[Simplex]) -> list[tuple[int, ...]]:
         raise ValidationError(f"duplicate simplex {duplicate}")
     boundary = []
     for simplex in simplices:
+        n = len(simplex) if len(simplex) > 1 else 0  # a vertex has no faces
         try:
-            boundary.append(tuple(index[f] for f in faces(simplex)))
+            boundary.append(tuple(index[simplex[:i] + simplex[i + 1 :]] for i in range(n)))
         except KeyError as exc:
             raise ValidationError(f"simplex {simplex}: missing face {exc.args[0]}") from None
     return boundary
@@ -149,6 +144,8 @@ class MultiFilteredComplex:
                 )
             if any(not math.isfinite(g) for g in grade):
                 raise ValidationError(f"simplex {simplex}: non-finite grade {grade}")
+            if not simplex:
+                raise ValidationError("simplex (): a simplex needs at least one vertex")
             if tuple(simplex) != tuple(sorted(set(simplex))):
                 raise ValidationError(f"simplex {simplex}: vertex ids must be distinct and sorted")
             if any(v < 0 for v in simplex):
@@ -197,7 +194,7 @@ def parse_bifiltration(text: str) -> MultiFilteredComplex:
     """Parse the textual multifiltration format.
 
     Header line ``bifiltration <n>``; every following non-empty, non-comment
-    line is ``<vertex ids> ; <n reals>``. '#' starts a comment line.
+    line is ``<k> <k + 1 vertex ids> ; <n reals>``. '#' starts a comment line.
     """
     entries: list[tuple[Simplex, Grade]] = []
     ambient: int | None = None
@@ -213,8 +210,6 @@ def parse_bifiltration(text: str) -> MultiFilteredComplex:
                 ambient = int(parts[1])
             except ValueError:
                 raise ParseError(f"bad ambient dimension {parts[1]!r}", lineno) from None
-            if ambient < 1:
-                raise ParseError("ambient dimension must be >= 1", lineno)
             continue
         if ";" not in stripped:
             raise ParseError("expected '<k> <vertex ids> ; <grade>'", lineno)
@@ -226,20 +221,12 @@ def parse_bifiltration(text: str) -> MultiFilteredComplex:
         if not numbers:
             raise ParseError("empty simplex description", lineno)
         k, verts = numbers[0], tuple(numbers[1:])
-        if k < 0:
-            raise ParseError(f"negative simplex dimension {k}", lineno)
         if len(verts) != k + 1:
-            raise ParseError(
-                f"{k}-simplex needs {k + 1} vertex ids, got {len(verts)}", lineno
-            )
-        if len(set(verts)) != len(verts):
-            raise ParseError(f"repeated vertex id in simplex {verts}", lineno)
+            raise ParseError(f"{k}-simplex needs {k + 1} vertex ids, got {len(verts)}", lineno)
         try:
             grade = tuple(float(x) for x in right.split())
         except ValueError:
             raise ParseError(f"bad grade {right.strip()!r}", lineno) from None
-        if len(grade) != ambient:
-            raise ParseError(f"grade has {len(grade)} coordinates, expected {ambient}", lineno)
         entries.append((tuple(sorted(verts)), grade))
     if ambient is None:
         raise ParseError("empty input: missing 'bifiltration <n>' header")

@@ -7,7 +7,8 @@ d + 1, so only simplices of dimension <= d + 1 are reduced; the truncation
 is exact. The persistence pairing depends only on the simplex order, not on
 the entry values, so lines that order a complex alike share one reduction.
 Every barcode comes from the line engine, :func:`line_barcodes`; a scalar
-filtration is its one-parameter case (:func:`compute_barcode`).
+filtration is its one-parameter case (:func:`compute_barcode`). One step,
+:func:`_split_pairs`, turns the engine's creator/destroyer pairs into barcodes.
 The rank invariant of a transition map H(K_u) -> H(K_v) is read off one
 filtration of the whole complex: K_u enters at 0, K_v \\ K_u at 1 and the
 rest at 2, and the rank equals the number of classes born at 0 that are
@@ -58,6 +59,7 @@ class Interval:
 
 
 Barcode = tuple[Interval, ...]
+_Side = list[tuple[float, float, float]]  # finite (birth, death, half the length), sorted
 
 
 def _pairs(
@@ -111,17 +113,19 @@ def _pairs(
     return [(order[j], killer.get(j, -1)) for j in creators]
 
 
-def _intervals(pairs: list[tuple[int, int]], values: list[float], degree: int) -> Barcode:
-    """Sorted intervals of the given creator/destroyer pairs; zero-length ones dropped."""
-    intervals: list[Interval] = []
+def _split_pairs(pairs: list[tuple[int, int]], values: list[float]) -> tuple[list[float], _Side]:
+    """The barcode of creator/destroyer ``pairs`` (-1: never destroyed) under ``values``,
+    split: sorted essential births, and the finite intervals as a _Side; zero-length dropped."""
+    essential, finite = [], []
     for i, j in pairs:
         birth = values[i]
         if j < 0:
-            intervals.append(Interval(birth, math.inf, degree))
-        elif values[j] > birth:
-            intervals.append(Interval(birth, values[j], degree))
-    intervals.sort()
-    return tuple(intervals)
+            essential.append(birth)
+        elif (death := values[j]) > birth:
+            finite.append((birth, death, (death - birth) / 2.0))
+    essential.sort()
+    finite.sort()
+    return essential, finite
 
 
 def _check_degree(degree: int) -> None:
@@ -152,19 +156,21 @@ def line_barcodes(M: MultiFilteredComplex, lines: Sequence[Line], degree: int) -
     order is reduced once; births and deaths are then read from each line's
     own push values.
     """
-    return [_intervals(pairs, values, degree) for pairs, values in _line_pairs(M, lines, degree)]
+    return [tuple(sorted([Interval(b, math.inf, degree) for b in essential]
+                         + [Interval(b, d, degree) for b, d, _ in finite]))
+            for essential, finite in _line_splits(M, lines, degree)]
 
 
-def _line_pairs(M: MultiFilteredComplex, lines: Sequence[Line], degree: int
-                ) -> Iterator[tuple[list[tuple[int, int]], list[float]]]:
-    """Per line, the creator/destroyer pairs (-1: never destroyed) and the push values."""
+def _line_splits(M: MultiFilteredComplex, lines: Sequence[Line], degree: int
+                 ) -> Iterator[tuple[list[float], _Side]]:
+    """Per line, its barcode in the split form of :func:`_split_pairs`."""
     for L in lines:
         if L.dim != M.dim:
             raise ValueError(f"complex dimension {M.dim} != line dimension {L.dim}")
     _check_degree(degree)
     size = M.skeleton(degree)
     if not size or len(M.table[size - 1]) <= degree:  # no simplex of dimension degree
-        yield from [([], [])] * len(lines)
+        yield from (([], []) for _ in lines)
         return
     boundary = M.boundary[:size]
     # a key is a whole order; the narrowest index type keeps large caches small
@@ -183,7 +189,7 @@ def _line_pairs(M: MultiFilteredComplex, lines: Sequence[Line], degree: int
             if pairs is None:
                 pairs = cache[key] = _pairs(order.tolist(), boundary, degree, essential)
                 essential = sum(1 for _, j in pairs if j < 0)
-            yield pairs, values.tolist()
+            yield _split_pairs(pairs, values.tolist())
 
 
 @dataclass(frozen=True)

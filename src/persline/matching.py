@@ -11,14 +11,14 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .bottleneck import _split_distance, _split_pairs
+from .bottleneck import _split_distance
 from .complexes import (
     Grade,
     Line,
     MultiFilteredComplex,
     canonicalize_line,
 )
-from .homology import _line_pairs, strict_dumps
+from .homology import _line_splits, strict_dumps
 
 _DEDUP_DECIMALS = 9
 _BOX_PAD = 0.1
@@ -120,8 +120,8 @@ def line_distances(
 ) -> list[float]:
     """m_star times the bottleneck distance of the two restricted barcodes, per line.
     In split form, no Interval built; M's lines run first: one pairing cache at a time."""
-    split_m = [_split_pairs(*pv) for pv in _line_pairs(M, lines, degree)]
-    split_n = [_split_pairs(*pv) for pv in _line_pairs(N, lines, degree)]
+    split_m = list(_line_splits(M, lines, degree))
+    split_n = _line_splits(N, lines, degree)
     return [L.m_star * _split_distance(*a, *b) for L, a, b in zip(lines, split_m, split_n)]
 
 

@@ -20,7 +20,6 @@ from .complexes import (
     Line,
     MultiFilteredComplex,
     diagonal_shift,
-    faces,
     sup_norm,
 )
 from .homology import line_barcodes, strict_dumps
@@ -83,22 +82,18 @@ def perturb_grades(M: MultiFilteredComplex, epsilon: float, seed: int) -> Interl
     if not math.isfinite(2 * epsilon):
         raise ValueError(f"epsilon {epsilon}: 2 * epsilon must be finite")
     rng = np.random.default_rng(seed)
-    jittered: dict = {}
-    for simplex, grade in M.simplices:
-        delta = rng.uniform(-epsilon, epsilon, size=M.dim)
-        jittered[simplex] = tuple(float(g + d) for g, d in zip(grade, delta))
-    fixed: dict = {}
-    for simplex in M.table:  # faces first
+    jittered = {s: tuple(float(g + d) for g, d in zip(grade, rng.uniform(-epsilon, epsilon, size=M.dim)))
+                for s, grade in M.simplices}
+    maxima: list[Grade] = []
+    for simplex, face_ids in zip(M.table, M.boundary):  # faces first
         g = jittered[simplex]
-        for face in faces(simplex):
-            g = tuple(max(a, b) for a, b in zip(g, fixed[face]))
-        fixed[simplex] = g
+        for f in face_ids:
+            g = tuple(map(max, g, maxima[f]))
+        maxima.append(g)
+    fixed = dict(zip(M.table, maxima))
     new_simplices = tuple((s, fixed[s]) for s, _ in M.simplices)
     N = MultiFilteredComplex(M.dim, new_simplices)
-    certified = max(
-        (sup_norm(tuple(a - b for a, b in zip(fixed[s], g))) for s, g in M.simplices),
-        default=0.0,
-    )
+    certified = max((sup_norm([a - b for a, b in zip(fixed[s], g)]) for s, g in M.simplices), default=0.0)
     return InterleavedPair(M, N, certified, "grade-perturbation")
 
 

@@ -89,6 +89,14 @@ class TestBottleneckDistance:
         B = (Interval(0, INF, 0),)
         assert bottleneck_distance(A, B) == INF
 
+    @pytest.mark.parametrize("births", [(-1e308, 1e308), (-10**308, 10**308)])
+    def test_essential_birth_gap_overflow_raises(self, births):
+        # +inf is kept for differing counts; a float or integer gap past the float range is an error
+        A, B = (Interval(births[0], INF, 0),), (Interval(births[1], INF, 0),)
+        with pytest.raises(ValueError, match="essential births differ by more than the largest float"):
+            bottleneck_distance(A, B)
+        assert bottleneck_distance(A, B + B) == INF
+
     def test_empty_barcodes(self):
         assert bottleneck_distance((), ()) == 0
 

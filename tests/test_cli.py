@@ -85,6 +85,15 @@ class TestBottleneck:
         assert run(["bottleneck", "--input", str(a), str(b)]) == 0
         assert strict_loads(capsys.readouterr().out) == {"distance": None}
 
+    def test_essential_birth_gap_overflow_is_usage_error(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text('[{"degree": 0, "birth": -1e308, "death": null}]')
+        b.write_text('[{"degree": 0, "birth": 1e308, "death": null}]')
+        assert run(["bottleneck", "--input", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "essential births" in captured.err
+
     @pytest.mark.parametrize("birth", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_birth_is_usage_error(self, tmp_path, capsys, birth):
         a = tmp_path / "a.json"
@@ -348,6 +357,21 @@ class TestExitCodes:
         assert run(["barcode", "--input", str(bad), "--line", "1,1:0,0", "--degree", "0"]) == 2
         err = capsys.readouterr().err
         assert "bad.bif" in err and "line 2" in err
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("bifiltration 0\n", id="ambient-dimension-0"),
+        pytest.param("bifiltration 2\n0 0 ; 0 0 0\n", id="grade-arity"),
+        pytest.param("bifiltration 2\n1 0 0 ; 0 0\n", id="repeated-vertex-id"),
+        pytest.param("bifiltration 2\n-1 ; 0 0\n", id="empty-simplex"),
+    ])
+    def test_structure_error_names_file(self, tmp_path, capsys, text):
+        # the parser checks the format; these reach the complex's constructor
+        bad = tmp_path / "bad.bif"
+        bad.write_text(text)
+        assert run(["barcode", "--input", str(bad), "--line", "1,1:0,0", "--degree", "0"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "bad.bif: " in captured.err and "line " not in captured.err
 
     def test_inadmissible_line(self, fixture_complex, capsys):
         for line in ["1,0:0,0", "0,1:0,0"]:

@@ -61,7 +61,7 @@ class TestParsing:
         assert len(parse_bifiltration(text).simplices) == 1
 
     def test_wrong_grade_arity(self):
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ValidationError, match=r"simplex \(0,\): grade \(0.0, 0.0, 0.0\) has dimension 3, expected 2"):
             parse_bifiltration("bifiltration 2\n0 0 ; 0 0 0\n")
 
     def test_round_trip(self):
@@ -270,6 +270,13 @@ class TestDiagonalShift:
 def test_validation_rejects_nan_grade():
     with pytest.raises(ValidationError):
         MultiFilteredComplex(2, (((0,), (math.nan, 0.0)),))
+
+
+def test_validation_rejects_the_empty_simplex():
+    # without a vertex it would count as one more H0 class
+    for simplices in ((((), (0.0,)),), (((0,), (0.0,)), ((), (0.0,)))):
+        with pytest.raises(ValidationError, match=r"simplex \(\): a simplex needs at least one vertex"):
+            MultiFilteredComplex(1, simplices)
 
 
 class TestScalarFiltration:

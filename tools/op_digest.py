@@ -1,0 +1,83 @@
+"""One sha256 over what every seed-101 benchmark op prints.
+
+Usage (from anywhere; the checkout is found from this file's place):
+
+    python3 tools/op_digest.py [--expect HEX]
+
+The inputs of the three benchmark workloads (tiny-verify, rips-matchdist,
+bottleneck-large, known-defect probes included) are written for seed 101 by
+``perfbench/workloads.py`` into a temporary directory. Each op then runs as
+an in-process ``persline.cli.run(argv)`` call from inside that directory,
+with relative paths, so the digest does not depend on where the directory
+is. The digest covers, per op and in order: the argument vector, the exit
+code, stdout and stderr. Two checkouts whose CLI behaves the same on these
+inputs print the same digest. With ``--expect`` a different digest exits 1.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# persline from this checkout; tests/ and perfbench/ for the workload generators
+SYS_PATH = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+SEED = 101
+
+
+def outcome(run, argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr) of one op; an escaping exception is named in place of the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        except Exception as exc:  # recorded, not raised: an escaping exception is behaviour too
+            code = f"{type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest() -> tuple[str, int]:
+    """The sha256 hex digest over every op of every workload, and the op count."""
+    sys.path[:0] = SYS_PATH
+    import numpy as np
+    from persline.cli import run
+    from workloads import WORKLOADS
+
+    h, count = hashlib.sha256(), 0
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, build in WORKLOADS.items():
+                workload = build(np.random.default_rng(SEED), Path("."))
+                for op in workload.ops + workload.probes:
+                    record = [name, op.argv, *outcome(run, op.argv)]
+                    h.update(json.dumps(record).encode() + b"\n")
+                    count += 1
+        finally:
+            os.chdir(start)
+    return h.hexdigest(), count
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--expect", help="exit 1 unless the digest equals this hex string")
+    args = parser.parse_args()
+    value, count = digest()
+    print(f"{value}  {count} ops, seed {SEED}")
+    if args.expect is not None and args.expect.lower() != value:
+        print(f"op_digest: expected {args.expect}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
