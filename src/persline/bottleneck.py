@@ -48,7 +48,7 @@ from .homology import Barcode, _Side
 
 def _split(A: Iterable, B: Iterable) -> list[tuple[list[float], _Side, list[float], _Side]]:
     """Per degree of A or B: A's and B's essential births and finite (birth, death,
-    diag) triples, each sorted. An Interval unpacks as a (birth, death, degree) row."""
+    diag) triples, each sorted. An Interval is a (birth, death, degree) row."""
     split: dict[int, tuple[list, list, list, list]] = {}
     for at, rows in ((0, A), (2, B)):
         for birth, death, degree in rows:

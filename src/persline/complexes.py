@@ -91,7 +91,7 @@ class Line:
         m = tuple(x / top for x in self.direction)
         s0 = -sum(self.offset) / sum(m)
         b = tuple(o + s0 * mi for o, mi in zip(self.offset, m))
-        if not all(map(math.isfinite, m + b)):  # a NaN input, or a sum that overflows
+        if 0.0 in m or not all(map(math.isfinite, m + b)):  # underflow, NaN, or overflow
             raise InadmissibleLineError(
                 f"direction {tuple(self.direction)} and offset {tuple(self.offset)} have no finite canonical form"
             )
@@ -221,6 +221,8 @@ def parse_bifiltration(text: str) -> MultiFilteredComplex:
         if not numbers:
             raise ParseError("empty simplex description", lineno)
         k, verts = numbers[0], tuple(numbers[1:])
+        if k < -1:  # -1 is the empty simplex, which the constructor rejects
+            raise ParseError(f"bad simplex dimension {k}", lineno)
         if len(verts) != k + 1:
             raise ParseError(f"{k}-simplex needs {k + 1} vertex ids, got {len(verts)}", lineno)
         try:

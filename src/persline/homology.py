@@ -4,7 +4,8 @@ Barcodes come from plain left-to-right column reduction of the boundary
 matrix, with columns stored as integer bitmasks (xor = addition over F2).
 Homology in degree d depends only on the boundary maps of degrees d and
 d + 1, so only simplices of dimension <= d + 1 are reduced; the truncation
-is exact. The persistence pairing depends only on the simplex order, not on
+is exact, and above the complex's dimension the same reduction finds no
+pairs. The persistence pairing depends only on the simplex order, not on
 the entry values, so lines that order a complex alike share one reduction.
 Every barcode comes from the line engine, :func:`line_barcodes`; a scalar
 filtration is its one-parameter case (:func:`compute_barcode`). One step,
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,9 +38,9 @@ from .complexes import (
 LINE_BLOCK = 128
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """Half-open interval [birth, death) of a given homology degree.
+class Interval(NamedTuple):
+    """Half-open interval [birth, death) of a given homology degree: the
+    (birth, death, degree) row that barcode JSON is read into.
 
     ``death`` is math.inf for essential classes. Zero-length intervals are
     never emitted by the reduction.
@@ -52,10 +53,6 @@ class Interval:
     @property
     def essential(self) -> bool:
         return math.isinf(self.death)
-
-    def __iter__(self) -> Iterator[float]:
-        """Unpacks as the (birth, death, degree) row that barcode JSON is read into."""
-        return iter((self.birth, self.death, self.degree))
 
 
 Barcode = tuple[Interval, ...]
@@ -169,9 +166,6 @@ def _line_splits(M: MultiFilteredComplex, lines: Sequence[Line], degree: int
             raise ValueError(f"complex dimension {M.dim} != line dimension {L.dim}")
     _check_degree(degree)
     size = M.skeleton(degree)
-    if not size or len(M.table[size - 1]) <= degree:  # no simplex of dimension degree
-        yield from (([], []) for _ in lines)
-        return
     boundary = M.boundary[:size]
     # a key is a whole order; the narrowest index type keeps large caches small
     key_type = np.min_scalar_type(size - 1)

@@ -3,7 +3,8 @@
 The matching distance is the supremum, over admissible lines in canonical
 form, of m_star times the bottleneck distance between the barcodes of the
 two restrictions. Sampling a finite grid of lines yields a lower bound;
-no discretization error bound is claimed.
+no discretization error bound is claimed. A finer grid can give less; a
+grid that holds another's lines (``extra_lines``) never does.
 """
 from __future__ import annotations
 

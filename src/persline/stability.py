@@ -3,9 +3,9 @@
 Builds pairs of multifiltered complexes whose interleaving distance has a
 certified upper bound (diagonal shift by eps, or sup-norm grade
 perturbation bounded by eps), then checks the stability inequalities as
-empirical facts: the weighted per-line bottleneck distance never exceeds
-the certified bound, and restrictions of one module to two nearby lines
-stay within the explicit eta bound.
+empirical facts: no weighted per-line bottleneck distance in the table of
+matching_distance_lb exceeds the certified bound, and restrictions of one
+module to two nearby lines stay within the explicit eta bound.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .complexes import (
     sup_norm,
 )
 from .homology import line_barcodes, strict_dumps
-from .matching import LineGrid, default_offset_box, line_distances, sample_lines
+from .matching import LineGrid, matching_distance_lb
 
 VERIFY_TOL = 1e-9
 
@@ -98,18 +98,13 @@ def perturb_grades(M: MultiFilteredComplex, epsilon: float, seed: int) -> Interl
 
 
 def verify_rank_stability(pair: InterleavedPair, grid: LineGrid, degree: int) -> StabilityReport:
-    """Check m_star * d_B(restrictions) <= epsilon on every sampled line."""
-    lines = sample_lines(grid, default_offset_box(pair.M, pair.N))
+    """Check m_star * d_B(restrictions) <= epsilon on every line of matchdist's table.
+    The least margin is eps - max(lhs): correctly rounded subtraction is monotone."""
+    result = matching_distance_lb(pair.M, pair.N, grid, degree)
     rhs = pair.epsilon
-    entries = [
-        (L, lhs, rhs, lhs <= rhs + VERIFY_TOL)
-        for L, lhs in zip(lines, line_distances(pair.M, pair.N, lines, degree))
-    ]
-    global_pass = all(ok for _, _, _, ok in entries)
-    worst = min((rhs - lhs for _, lhs, rhs, _ in entries), default=math.inf)
-    return StabilityReport(
-        pair.construction, "epsilon", pair.epsilon, tuple(entries), global_pass, worst
-    )
+    entries = tuple((L, lhs, rhs, lhs <= rhs + VERIFY_TOL) for L, lhs in result.per_line)
+    return StabilityReport(pair.construction, "epsilon", rhs, entries,
+                           result.value <= rhs + VERIFY_TOL, rhs - result.value)
 
 
 def eta_bound(L: Line, Lp: Line, c: Grade) -> EtaBound:
@@ -130,7 +125,8 @@ def eta_bound(L: Line, Lp: Line, c: Grade) -> EtaBound:
     K = A + 2.0 * B
     dm = sup_norm(tuple(a - b for a, b in zip(L.direction, Lp.direction)))
     db = sup_norm(tuple(a - b for a, b in zip(L.offset, Lp.offset)))
-    eta = (K * dm + C * db) / (L.m_star * Lp.m_star)
+    num, den = K * dm + C * db, L.m_star * Lp.m_star
+    eta = num / den if den else num / L.m_star / Lp.m_star  # the product underflowed
     return EtaBound(L, Lp, c, A, B, C, K, eta)
 
 

@@ -1,10 +1,13 @@
 import hashlib
+import io
 import json
 import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import persline.cli
@@ -28,6 +31,16 @@ def assert_one_error_line(captured):
     assert captured.out == ""
     assert captured.err.startswith("persline: error: ")
     assert captured.err.count("\n") == 1
+
+
+def run_unwarned(argv):
+    """run(argv), asserting that it raises no warning, numpy's floating-point ones included.
+    Such a warning would reach stderr, which tests capture apart from warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code
 
 
 @pytest.fixture
@@ -335,6 +348,36 @@ class TestOverflowAtTheFloatRange:
         assert_one_error_line(captured)
         assert "simplex (0,)" in captured.err and "overflows" in captured.err
 
+    def test_push_overflow_above_the_dimension(self, tmp_path, capsys):
+        # a degree above the dimension takes the same reduction, and the same push check
+        m = tmp_path / "M.bif"
+        m.write_text("bifiltration 2\n0 0 ; 1e308 0\n")
+        assert run(["barcode", "--input", str(m), "--line", "1,1:-1e308,1e308",
+                    "--degree", "3"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "simplex (0,)" in captured.err and "overflows" in captured.err
+
+    @pytest.mark.parametrize("grade", ["0 1", "0 0"])
+    def test_direction_underflow_is_inadmissible(self, tmp_path, capsys, grade):
+        # 1e-308 / 1e308 rounds to 0: no canonical direction with every component > 0
+        m = tmp_path / "M.bif"
+        m.write_text(f"bifiltration 2\n0 0 ; {grade}\n")
+        assert run_unwarned(["barcode", "--input", str(m), "--line", "1e308,1e-308:0,0",
+                             "--degree", "0"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "no finite canonical form" in captured.err
+
+    def test_eta_weight_product_underflow(self, tmp_path, capsys):
+        # m_star * m'_star = 1e-300 * 1e-300 rounds to 0; eta divides by each in turn
+        m = tmp_path / "M.bif"
+        m.write_text("bifiltration 2\n0 0 ; 0 0\n")
+        assert run(["verify-internal", "--input", str(m), "--line", "1,1e-300:0,0",
+                    "--line2", "1e-300,1:0,0"]) == 0
+        payload = strict_loads(capsys.readouterr().out)
+        assert payload["eta"] == 0.0 and payload["globalPass"] is True
+
     def test_matchdist_offset_box_overflow(self, tmp_path, capsys):
         m, n = tmp_path / "M.bif", tmp_path / "N.bif"
         m.write_text("bifiltration 2\n0 0 ; -1e308 -1e308\n")
@@ -372,6 +415,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert_one_error_line(captured)
         assert "bad.bif: " in captured.err and "line " not in captured.err
+
+    def test_simplex_dimension_below_minus_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bif"
+        bad.write_text("bifiltration 2\n-2 ; 0 0\n")
+        assert run(["barcode", "--input", str(bad), "--line", "1,1:0,0", "--degree", "0"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err.endswith("bad.bif: line 2: bad simplex dimension -2\n")
 
     def test_inadmissible_line(self, fixture_complex, capsys):
         for line in ["1,0:0,0", "0,1:0,0"]:
@@ -547,3 +598,63 @@ class TestDeterminism:
             first = capsys.readouterr().out
             run(argv)
             assert capsys.readouterr().out == first
+
+
+# Values at the edges of the float range: zeros, the smallest subnormal, tiny
+# weights whose product underflows, and the largest magnitudes.
+EDGE = ("0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e-160", "1e308", "-1e308")
+EDGE_FILES = {
+    "vertex": "bifiltration 2\n0 0 ; 0 1\n",
+    "edge": TWO_VERTEX_EDGE,
+    "far": "bifiltration 2\n0 0 ; 1e308 -1e308\n0 1 ; -1e308 1e308\n1 0 1 ; 1e308 1e308\n",
+    "tiny": "bifiltration 2\n0 0 ; 5e-324 -5e-324\n0 1 ; 1e-300 0\n1 0 1 ; 1e-160 1e-160\n",
+}
+_edge = st.sampled_from(EDGE)
+_vector = st.tuples(_edge, _edge).map(",".join)
+# a direction with a non-positive component is rejected at once; these are admissible
+_direction = st.tuples(*[st.sampled_from(("1", "5e-324", "1e-300", "1e-160", "1e308"))] * 2)
+_line = st.tuples(_direction.map(",".join), _vector).map(":".join)
+_file = st.sampled_from(sorted(EDGE_FILES)).map("@".__add__)
+_degree = st.sampled_from(["0", "1", "3"])
+_rows = st.lists(st.tuples(_edge, st.one_of(st.none(), _edge)), max_size=3)
+# argv with "@name" for the file EDGE_FILES[name], "@A"/"@B" for barcode JSON of the two row lists
+_edge_ops = st.one_of(
+    st.builds(lambda f, L, d: ["barcode", "--input", f, f"--line={L}", "--degree", d],
+              _file, _line, _degree),
+    st.builds(lambda f, u, v, d: ["rank", "--input", f, f"--u={u}", f"--v={v}", "--degree", d],
+              _file, _vector, _vector, _degree),
+    st.builds(lambda f, g, d, csv: ["matchdist", "--input", f, g, "--grid", "2x2", "--degree", d]
+              + (["--format", "csv"] if csv else []), _file, _file, _degree, st.booleans()),
+    st.builds(lambda f, c, e, d: ["verify-external", "--input", f, "--construction", c,
+                                  f"--epsilon={e}", "--seed", "1", "--grid", "2x2", "--degree", d],
+              _file, st.sampled_from(["shift", "perturb"]), _edge, _degree),
+    st.builds(lambda f, L, Lp, d: ["verify-internal", "--input", f, f"--line={L}",
+                                   f"--line2={Lp}", "--degree", d], _file, _line, _line, _degree),
+).map(lambda argv: (argv, [], [])) | st.tuples(
+    st.just(["bottleneck", "--input", "@A", "@B"]), _rows, _rows)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_edge_ops)
+@example((["barcode", "--input", "@vertex", "--line=1e308,1e-300:0,0", "--degree", "0"], [], []))
+@example((["verify-internal", "--input", "@vertex", "--line=1e-160,5e-324:0,0",
+           "--line2=5e-324,1e-160:0,0", "--degree", "0"], [], []))
+def test_edge_values_are_answers_or_usage_errors(tmp_path, op):
+    """Every command on edge values exits 0, 1 or 2, never 3, with no warning, and
+    prints strict JSON when it succeeds."""
+    argv, rows_a, rows_b = op
+    for name, text in EDGE_FILES.items():
+        (tmp_path / name).write_text(text)
+    for name, rows in (("A", rows_a), ("B", rows_b)):
+        (tmp_path / name).write_text(json.dumps(
+            [{"degree": 0, "birth": float(b), "death": None if d is None else float(d)}
+             for b, d in rows]))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_unwarned(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Warning" not in err.getvalue()
+    if code != 2 and "csv" not in argv:
+        strict_loads(out.getvalue())

@@ -127,7 +127,9 @@ class TestCanonicalizeLine:
         ((float("inf"), 1.0), (0.0, 0.0)),
         ((1.0, 1.0), (float("nan"), 0.0)),
         ((1.0, 1.0), (1e308, 1e308)),  # the offset sum overflows
-    ], ids=["nan-direction", "inf-direction", "nan-offset", "overflowing-offset"])
+        ((1e308, 1e-308), (0.0, 0.0)),  # 1e-308 / 1e308 underflows to 0
+    ], ids=["nan-direction", "inf-direction", "nan-offset", "overflowing-offset",
+            "underflowing-direction"])
     def test_no_finite_canonical_form_rejected(self, raw_m, raw_b):
         with pytest.raises(InadmissibleLineError, match="no finite canonical form"):
             Line(raw_m, raw_b)

@@ -9,7 +9,9 @@ from persline import (
     LineGrid,
     bottleneck_distance,
     canonicalize_line,
+    diagonal_shift,
     eta_bound,
+    matching_distance_lb,
     parse_bifiltration,
     perturb_grades,
     report_to_json,
@@ -17,6 +19,7 @@ from persline import (
     verify_internal_stability,
     verify_rank_stability,
 )
+from persline.stability import VERIFY_TOL
 from generators import random_bifiltered_complex, random_canonical_line
 from oracles import push_to_line, scalar_barcode
 
@@ -74,6 +77,27 @@ class TestVerifyRankStability:
             report = verify_rank_stability(pair, LineGrid(4, 4), 0)
             assert report.global_pass
             assert report.worst_margin >= -1e-9
+
+    def test_reads_the_matchdist_table(self):
+        # entries are matchdist's table; the verdict and margin read its value
+        rng = np.random.default_rng(167)
+        pairs = []
+        for seed in range(4):
+            M = random_bifiltered_complex(rng)
+            pairs += [shift_pair(M, 0.3), perturb_grades(M, 0.1, seed=seed),
+                      InterleavedPair(M, diagonal_shift(M, 0.3), 0.1, "understated-shift")]
+        two_vertices = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n")
+        pairs.append(InterleavedPair(two_vertices, TWO_VERTEX_EDGE, 0.5, "essential-counts-differ"))
+        verdicts = set()
+        for pair in pairs:
+            for degree in (0, 1):
+                report = verify_rank_stability(pair, LineGrid(4, 3), degree)
+                result = matching_distance_lb(pair.M, pair.N, LineGrid(4, 3), degree)
+                assert [(L, lhs) for L, lhs, _, _ in report.entries] == list(result.per_line)
+                assert report.worst_margin == pair.epsilon - result.value
+                assert report.global_pass == (result.value <= pair.epsilon + VERIFY_TOL)
+                verdicts.add((report.global_pass, math.isinf(result.value)))
+        assert verdicts == {(True, False), (False, False), (False, True)}
 
     def test_unweighted_corollary(self):
         # d_B of the restrictions stays below epsilon / m_star on every line

@@ -6,10 +6,13 @@ Usage (from anywhere; the checkout is found from this file's place):
 
 The inputs of the three benchmark workloads (tiny-verify, rips-matchdist,
 bottleneck-large, known-defect probes included) are written for seed 101 by
-``perfbench/workloads.py`` into a temporary directory. Each op then runs as
-an in-process ``persline.cli.run(argv)`` call from inside that directory,
-with relative paths, so the digest does not depend on where the directory
-is. The digest covers, per op and in order: the argument vector, the exit
+``perfbench/workloads.py`` into a temporary directory. Their ops run only
+``verify-external``, ``matchdist`` and ``bottleneck``, so fixed ops of
+``barcode``, ``rank``, ``verify-internal`` and ``matchdist --format csv`` on
+the function-Rips files of rips-matchdist follow them. Each op runs as an
+in-process ``persline.cli.run(argv)`` call from inside that directory, with
+relative paths, so the digest does not depend on where the directory is.
+The digest covers, per op and in order: the argument vector, the exit
 code, stdout and stderr. Two checkouts whose CLI behaves the same on these
 inputs print the same digest. With ``--expect`` a different digest exits 1.
 """
@@ -29,6 +32,22 @@ ROOT = Path(__file__).resolve().parent.parent
 # persline from this checkout; tests/ and perfbench/ for the workload generators
 SYS_PATH = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 SEED = 101
+# run after the workloads' ops, on files rips-matchdist wrote (129 simplices, grades in [0, 1.5])
+FIXED_OPS = [
+    ["barcode", "--input", "rips-0-M.bif", "--line", "1,1:0,0", "--degree", "0"],
+    ["barcode", "--input", "rips-1-N.bif", "--line", "1,0.5:0.1,-0.2", "--degree", "1"],
+    ["barcode", "--input", "rips-2-M.bif", "--line", "0.3,1:0,0", "--degree", "3"],
+    ["rank", "--input", "rips-0-M.bif", "--u", "0.3,0.3", "--v", "0.6,0.6", "--degree", "0"],
+    ["rank", "--input", "rips-1-N.bif", "--u", "0.4,0.4", "--v", "1,0.42", "--degree", "1"],
+    ["verify-internal", "--input", "rips-0-M.bif", "--line", "1,1:0,0",
+     "--line2", "1,0.8:0.05,-0.05", "--degree", "0"],
+    ["verify-internal", "--input", "rips-1-N.bif", "--line", "0.7,1:0,0",
+     "--line2", "1,1:0,0", "--degree", "1"],
+    ["matchdist", "--input", "rips-0-M.bif", "rips-0-N.bif", "--grid", "4x2", "--degree", "0",
+     "--format", "csv"],
+    ["matchdist", "--input", "rips-1-M.bif", "rips-1-N.bif", "--grid", "4x2", "--degree", "1",
+     "--format", "csv"],
+]
 
 
 def outcome(run, argv: list[str]) -> tuple:
@@ -51,20 +70,20 @@ def digest() -> tuple[str, int]:
     from persline.cli import run
     from workloads import WORKLOADS
 
-    h, count = hashlib.sha256(), 0
+    h, ops = hashlib.sha256(), []
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             for name, build in WORKLOADS.items():
                 workload = build(np.random.default_rng(SEED), Path("."))
-                for op in workload.ops + workload.probes:
-                    record = [name, op.argv, *outcome(run, op.argv)]
-                    h.update(json.dumps(record).encode() + b"\n")
-                    count += 1
+                ops += [(name, op.argv) for op in workload.ops + workload.probes]
+            ops += [("fixed", argv) for argv in FIXED_OPS]
+            for name, argv in ops:
+                h.update(json.dumps([name, argv, *outcome(run, argv)]).encode() + b"\n")
         finally:
             os.chdir(start)
-    return h.hexdigest(), count
+    return h.hexdigest(), len(ops)
 
 
 def main() -> int:
