@@ -112,6 +112,24 @@ def canonicalize_line(raw_direction: Sequence[float], raw_offset: Sequence[float
     return Line(raw_direction, raw_offset)
 
 
+def _line_arrays(lines: Sequence[Line], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical directions and offsets of ``lines`` of dimension ``dim``, as (len(lines), dim) arrays."""
+    for L in lines:
+        if L.dim != dim:
+            raise ValueError(f"complex dimension {dim} != line dimension {L.dim}")
+    rows = np.array([L.direction + L.offset for L in lines], dtype=np.float64).reshape(len(lines), 2 * dim)
+    return rows[:, :dim], rows[:, dim:]
+
+
+def _canonical_lines(directions: np.ndarray, offsets: np.ndarray) -> list[Line]:
+    """The ``Line`` of each row of canonical line arrays, its values kept: Line(m, b) would
+    canonicalize again, which may move b by a rounding."""
+    lines = [object.__new__(Line) for _ in range(len(directions))]
+    for L, m, b in zip(lines, directions.tolist(), offsets.tolist()):
+        L.__dict__.update(direction=tuple(m), offset=tuple(b), m_star=min(m))
+    return lines
+
+
 @dataclass(frozen=True)
 class MultiFilteredComplex:
     """Finite one-critical multifiltered simplicial complex.
@@ -245,25 +263,24 @@ def serialize_bifiltration(M: MultiFilteredComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def push_values(grades: np.ndarray, lines: Sequence[Line]) -> np.ndarray:
-    """Push of every grade onto every line, as a (len(lines), N) array.
+def push_values(grades: np.ndarray, directions: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Push of every grade onto every line, as a (k, N) array.
 
-    ``grades`` is an (N, n) float64 array. Entry [k, j] is the least s with
-    grades[j] <= s*m + b componentwise for lines[k] = (m, b), that is
+    ``grades`` is an (N, n) float64 array; row k of the (k, n) float64 arrays
+    ``directions`` and ``offsets`` is the canonical line (m, b). Entry [k, j]
+    is the least s with grades[j] <= s*m + b componentwise, that is
     max_i (g_i - b_i) / m_i, computed one coordinate at a time so that no
-    (lines, N, n) temporary exists. The push is monotone: g <= g'
+    (k, N, n) temporary exists. The push is monotone: g <= g'
     componentwise implies push(g) <= push(g'), because correctly rounded
     subtraction and division by m_i > 0 are monotone, and so is the maximum.
     The running maximum keeps the earlier coordinate on a tie, as Python's
     max does, so a signed zero comes out as it does there (np.maximum may
     return either zero). An overflow gives inf, unwarned.
     """
-    m = np.array([L.direction for L in lines], dtype=np.float64)
-    b = np.array([L.offset for L in lines], dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        P = (grades[:, 0] - b[:, :1]) / m[:, :1]
+        P = (grades[:, 0] - offsets[:, :1]) / directions[:, :1]
         for i in range(1, grades.shape[1]):
-            c = (grades[:, i] - b[:, i : i + 1]) / m[:, i : i + 1]
+            c = (grades[:, i] - offsets[:, i : i + 1]) / directions[:, i : i + 1]
             np.copyto(P, c, where=c > P)
     return P
 
@@ -272,9 +289,8 @@ def restrict(M: MultiFilteredComplex, L: Line) -> ScalarFiltration:
     """Scalar filtration of M along L: each simplex enters at its push value.
 
     The simplices are listed in M's table order, (dimension, vertex ids)."""
-    if M.dim != L.dim:
-        raise ValueError(f"complex dimension {M.dim} != line dimension {L.dim}")
-    return ScalarFiltration(tuple(zip(M.table, push_values(M.grade_array, [L])[0].tolist())))
+    P = push_values(M.grade_array, *_line_arrays([L], M.dim))
+    return ScalarFiltration(tuple(zip(M.table, P[0].tolist())))
 
 
 def diagonal_shift(M: MultiFilteredComplex, epsilon: float) -> MultiFilteredComplex:

@@ -29,6 +29,8 @@ from .complexes import (
     Line,
     MultiFilteredComplex,
     ScalarFiltration,
+    _canonical_lines,
+    _line_arrays,
     leq,
     push_values,
 )
@@ -141,29 +143,29 @@ def compute_barcode(F: ScalarFiltration, degree: int) -> Barcode:
 
 
 def line_barcodes(M: MultiFilteredComplex, lines: Sequence[Line], degree: int) -> list[Barcode]:
-    """Barcodes of M restricted to each line, in one batch.
-
-    It reads the prefix of M's face-index table that holds the simplices of
-    dimension <= degree + 1. The push values of a block of lines are one
-    array, checked for overflow only (ValueError): the push is monotone, and
-    M was checked face <= coface when built. The table is in (dimension,
-    vertex ids) order, so a stable argsort of each row orders the simplices
-    by (push value, dimension, vertex ids), faces before cofaces. The pairing
-    is cached by that order for the length of this call, so each distinct
-    order is reduced once; births and deaths are then read from each line's
-    own push values.
-    """
+    """Barcodes of M restricted to each line, in one batch (:func:`_line_splits`)."""
     return [tuple(sorted([Interval(b, math.inf, degree) for b in essential]
                          + [Interval(b, d, degree) for b, d, _ in finite]))
-            for essential, finite in _line_splits(M, lines, degree)]
+            for essential, finite in _line_splits(M, *_line_arrays(lines, M.dim), degree)]
 
 
-def _line_splits(M: MultiFilteredComplex, lines: Sequence[Line], degree: int
+def _line_splits(M: MultiFilteredComplex, directions: np.ndarray, offsets: np.ndarray, degree: int
                  ) -> Iterator[tuple[list[float], _Side]]:
-    """Per line, its barcode in the split form of :func:`_split_pairs`."""
-    for L in lines:
-        if L.dim != M.dim:
-            raise ValueError(f"complex dimension {M.dim} != line dimension {L.dim}")
+    """Per row of the (k, n) canonical line arrays ``directions`` and ``offsets``,
+    M's barcode along that line in the split form of :func:`_split_pairs`.
+
+    It reads the prefix of M's face-index table that holds the simplices of
+    dimension <= degree + 1. The push values of a block of LINE_BLOCK rows
+    are one array, checked for overflow only (ValueError): the push is
+    monotone, and M was checked face <= coface when built. The table is in
+    (dimension, vertex ids) order, so a stable argsort of each row orders the
+    simplices by (push value, dimension, vertex ids), faces before cofaces.
+    The pairing is cached by that order for the length of this call, so each
+    distinct order is reduced once; births and deaths are then read from each
+    line's own push values.
+    """
+    if directions.shape[1] != M.dim:
+        raise ValueError(f"complex dimension {M.dim} != line dimension {directions.shape[1]}")
     _check_degree(degree)
     size = M.skeleton(degree)
     boundary = M.boundary[:size]
@@ -171,11 +173,13 @@ def _line_splits(M: MultiFilteredComplex, lines: Sequence[Line], degree: int
     key_type = np.min_scalar_type(size - 1)
     cache: dict[bytes, list[tuple[int, int]]] = {}
     essential = -1
-    for start in range(0, len(lines), LINE_BLOCK):
-        P = push_values(M.grade_array[:size], lines[start : start + LINE_BLOCK])
+    for start in range(0, len(directions), LINE_BLOCK):
+        block = slice(start, start + LINE_BLOCK)
+        P = push_values(M.grade_array[:size], directions[block], offsets[block])
         if not np.isfinite(P).all():
-            k, i = np.argwhere(~np.isfinite(P))[0]
-            raise ValueError(f"simplex {M.table[i]}: push onto {lines[start + k]} overflows")
+            k, i = np.argwhere(~np.isfinite(P))[0] + (start, 0)
+            L = _canonical_lines(directions[k : k + 1], offsets[k : k + 1])[0]
+            raise ValueError(f"simplex {M.table[i]}: push onto {L} overflows")
         orders = np.argsort(P, axis=1, kind="stable").astype(key_type)
         for values, order in zip(P, orders):
             key = order.tobytes()

@@ -5,6 +5,10 @@ form, of m_star times the bottleneck distance between the barcodes of the
 two restrictions. Sampling a finite grid of lines yields a lower bound;
 no discretization error bound is claimed. A finer grid can give less; a
 grid that holds another's lines (``extra_lines``) never does.
+
+The sampled grid stays two float64 arrays, canonical directions and offsets
+with one row per line, from sampling to output; its ``Line`` objects
+(:func:`sample_lines`, ``per_line``) are built only on request.
 """
 from __future__ import annotations
 
@@ -12,12 +16,16 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .bottleneck import _split_distance
 from .complexes import (
     Grade,
+    InadmissibleLineError,
     Line,
     MultiFilteredComplex,
-    canonicalize_line,
+    _canonical_lines,
+    _line_arrays,
 )
 from .homology import _line_splits, strict_dumps
 
@@ -38,13 +46,19 @@ class LineGrid:
             raise ValueError("direction_steps and offset_steps must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchResult:
-    """Maximum weighted per-line distance, its witness line, and the full table."""
+    """Maximum weighted per-line distance and the table: the canonical line in row k
+    of the (k, n) arrays ``directions`` and ``offsets`` has distance ``distances[k]``."""
 
     value: float
-    argmax_line: Line
-    per_line: tuple[tuple[Line, float], ...]
+    directions: np.ndarray
+    offsets: np.ndarray
+    distances: tuple[float, ...]
+
+    @property
+    def per_line(self) -> tuple[tuple[Line, float], ...]:
+        return tuple(zip(_canonical_lines(self.directions, self.offsets), self.distances))
 
 
 def _axis_samples(lo: float, hi: float, steps: int) -> list[float]:
@@ -69,36 +83,56 @@ def _sample_directions(n: int, steps: int) -> list[tuple[float, ...]]:
     return [tuple(m / max(p) for m in p) for p in product(axis, repeat=n)]
 
 
-def _line_key(L: Line) -> tuple:
-    return (
-        tuple(round(m, _DEDUP_DECIMALS) for m in L.direction),
-        tuple(round(b, _DEDUP_DECIMALS) for b in L.offset),
-    )
+def _round_keys(x: np.ndarray) -> np.ndarray:
+    """Python's round(v, 9) of every entry v: the double nearest N / 10**9, N the integer
+    nearest v * 10**9 (ties to even), which is rint(y), y = fl(v * 1e9), unless y is within
+    its rounding error of a tie (then Python's round is called), or v if |y| >= 2**53."""
+    scale = 10.0**_DEDUP_DECIMALS
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * scale
+        n = np.rint(y)
+        exact = np.abs(y) < 2.0**53  # beyond, doubles near v are more than 1e-9 apart
+        keys = np.where(exact, n / scale, x)
+        near_tie = exact & (0.5 - np.abs(y - n) <= np.abs(y) * 2.0**-53)
+    for i in zip(*np.nonzero(near_tie)):
+        keys[i] = round(float(x[i]), _DEDUP_DECIMALS)
+    return keys
 
 
-def sample_lines(grid: LineGrid, box: tuple[Grade, Grade]) -> list[Line]:
-    """Grid of canonical admissible lines; deduplicated, extra lines appended.
-
-    ``box`` = (lo, hi) bounds the raw offsets before each line is put in
-    canonical form.
-    """
+def _grid(grid: LineGrid, box: tuple[Grade, Grade]) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical (directions, offsets) arrays of :func:`sample_lines`' lines."""
     lo, hi = box
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"degenerate offset box: min {lo} exceeds max {hi}")
-    n = len(lo)
-    offsets: list[tuple[float, ...]] = [()]
-    for i in range(n):
-        axis = _axis_samples(lo[i], hi[i], grid.offset_steps)
-        offsets = [o + (x,) for o in offsets for x in axis]
-    # the first line met per key; the extra lines come after the grid's
-    first: dict[tuple, Line] = {}
-    for m in _sample_directions(n, grid.direction_steps):
-        for o in offsets:
-            L = canonicalize_line(m, o)
-            first.setdefault(_line_key(L), L)
-    for L in grid.extra_lines:
-        first.setdefault(_line_key(L), L)
-    return [first[key] for key in sorted(first)]
+    raw_o = np.array(list(product(*(_axis_samples(a, b, grid.offset_steps) for a, b in zip(lo, hi)))))
+    raw_m = np.array(_sample_directions(len(lo), grid.direction_steps))
+    raw_o, raw_m = np.tile(raw_o, (len(raw_m), 1)), np.repeat(raw_m, len(raw_o), axis=0)
+    # Line's canonical form of every pair, directions outermost; the sums are Python's
+    # (0 plus the columns from left to right), so -0.0 entries sum to 0.0 as there
+    zero = np.zeros(len(raw_m))
+    with np.errstate(all="ignore"):
+        m = raw_m / raw_m.max(axis=1, keepdims=True)
+        b = raw_o + (-sum(raw_o.T, zero) / sum(m.T, zero))[:, None] * m
+    if not ((raw_m > 0).all() and (m > 0).all() and np.isfinite(b).all()):  # m > 0: no 0, no NaN
+        raise InadmissibleLineError(
+            f"offset box from {lo} to {hi}: a sampled line has no finite canonical form")
+    extra_m, extra_b = _line_arrays(grid.extra_lines, len(lo))
+    m, b = np.vstack((m, extra_m)), np.vstack((b, extra_b))
+    # the first line met per key, the extra lines after the grid's: a stable sort by key
+    keys = _round_keys(np.hstack((m, b)))
+    order = np.lexsort(keys.T[::-1])
+    first = np.insert((keys[order[1:]] != keys[order[:-1]]).any(axis=1), 0, True)
+    return m[order[first]], b[order[first]]
+
+
+def sample_lines(grid: LineGrid, box: tuple[Grade, Grade]) -> list[Line]:
+    """Grid of canonical admissible lines, the extra lines after the grid's.
+
+    ``box`` = (lo, hi) bounds the raw offsets before each line is put in
+    canonical form. The first line met per 9-decimal key is kept, and the
+    lines are sorted by key.
+    """
+    return _canonical_lines(*_grid(grid, box))
 
 
 def default_offset_box(M: MultiFilteredComplex, N: MultiFilteredComplex) -> tuple[Grade, Grade]:
@@ -119,24 +153,32 @@ def default_offset_box(M: MultiFilteredComplex, N: MultiFilteredComplex) -> tupl
 def line_distances(
     M: MultiFilteredComplex, N: MultiFilteredComplex, lines: list[Line], degree: int
 ) -> list[float]:
-    """m_star times the bottleneck distance of the two restricted barcodes, per line.
-    In split form, no Interval built; M's lines run first: one pairing cache at a time."""
-    split_m = list(_line_splits(M, lines, degree))
-    split_n = _line_splits(N, lines, degree)
-    return [L.m_star * _split_distance(*a, *b) for L, a, b in zip(lines, split_m, split_n)]
+    """m_star times the bottleneck distance of the two restricted barcodes, per line."""
+    return _distances(M, N, *_line_arrays(lines, M.dim), degree)
+
+
+def _distances(M: MultiFilteredComplex, N: MultiFilteredComplex, directions: np.ndarray,
+               offsets: np.ndarray, degree: int) -> list[float]:
+    """:func:`line_distances` of canonical line arrays. In split form, no Interval
+    built; M's lines run first: one pairing cache at a time."""
+    split_m = list(_line_splits(M, directions, offsets, degree))
+    split_n = _line_splits(N, directions, offsets, degree)
+    m_star = directions.min(axis=1).tolist()
+    return [s * _split_distance(*a, *b) for s, a, b in zip(m_star, split_m, split_n)]
 
 
 def matching_distance_lb(
     M: MultiFilteredComplex, N: MultiFilteredComplex, grid: LineGrid, degree: int
 ) -> MatchResult:
     """Max of per-line distances over the sampled grid (a matching-distance lower bound)."""
-    lines = sample_lines(grid, default_offset_box(M, N))
-    table = tuple(zip(lines, line_distances(M, N, lines, degree)))
-    best_line, best = table[0]
-    for L, d in table[1:]:
-        if d > best:
-            best_line, best = L, d
-    return MatchResult(best, best_line, table)
+    box = default_offset_box(M, N)
+    try:
+        directions, offsets = _grid(grid, box)
+    except InadmissibleLineError as exc:  # a line of the grid, not one the user gave
+        raise ValueError(f"grades in the boxes {M.bounding_box()} and {N.bounding_box()}, "
+                         f"padded to the {exc}") from None
+    distances = tuple(_distances(M, N, directions, offsets, degree))
+    return MatchResult(max(distances), directions, offsets, distances)
 
 
 def match_result_to_json(result: MatchResult) -> str:
@@ -144,21 +186,13 @@ def match_result_to_json(result: MatchResult) -> str:
 
     An infinite distance (a line where the essential counts differ) is null.
     """
+    m_rows, b_rows = result.directions.tolist(), result.offsets.tolist()
+    k = result.distances.index(result.value)
+    rows = zip(m_rows, b_rows, result.directions.min(axis=1).tolist(), result.distances)
     payload = {
         "value": result.value,
-        "argmax": {
-            "m": list(result.argmax_line.direction),
-            "b": list(result.argmax_line.offset),
-        },
-        "table": [
-            {
-                "m": list(L.direction),
-                "b": list(L.offset),
-                "mStar": L.m_star,
-                "distance": d,
-            }
-            for L, d in result.per_line
-        ],
+        "argmax": {"m": m_rows[k], "b": b_rows[k]},
+        "table": [{"m": m, "b": b, "mStar": s, "distance": d} for m, b, s, d in rows],
     }
     return strict_dumps(payload)
 
@@ -166,8 +200,7 @@ def match_result_to_json(result: MatchResult) -> str:
 def match_result_to_csv(result: MatchResult) -> str:
     """Flat per-line table; vector fields are space-joined."""
     rows = ["m,b,mStar,distance"]
-    for L, d in result.per_line:
-        m = " ".join(repr(x) for x in L.direction)
-        b = " ".join(repr(x) for x in L.offset)
-        rows.append(f"{m},{b},{L.m_star!r},{d!r}")
+    m_star = result.directions.min(axis=1).tolist()
+    for m, b, s, d in zip(result.directions.tolist(), result.offsets.tolist(), m_star, result.distances):
+        rows.append(f"{' '.join(map(repr, m))},{' '.join(map(repr, b))},{s!r},{d!r}")
     return "\n".join(rows) + "\n"

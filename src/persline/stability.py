@@ -19,6 +19,8 @@ from .complexes import (
     Grade,
     Line,
     MultiFilteredComplex,
+    _canonical_lines,
+    _line_arrays,
     diagonal_shift,
     sup_norm,
 )
@@ -38,16 +40,24 @@ class InterleavedPair:
     construction: str  # "diagonal-shift" | "grade-perturbation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
-    """Per-line inequality checks: pass iff lhs <= rhs + tolerance."""
+    """Per-line inequality checks, lhs <= bound + tolerance: row k of the (k, n)
+    arrays ``directions`` and ``offsets`` is a canonical line, ``lhs[k]`` its value."""
 
     construction: str
     bound_name: str  # "epsilon" | "eta"
     bound: float
-    entries: tuple[tuple[Line, float, float, bool], ...]
+    directions: np.ndarray
+    offsets: np.ndarray
+    lhs: tuple[float, ...]
     global_pass: bool
     worst_margin: float
+
+    @property
+    def entries(self) -> tuple[tuple[Line, float, float, bool], ...]:  # (line, lhs, rhs, pass)
+        rows = zip(_canonical_lines(self.directions, self.offsets), self.lhs)
+        return tuple((L, lhs, self.bound, lhs <= self.bound + VERIFY_TOL) for L, lhs in rows)
 
 
 @dataclass(frozen=True)
@@ -100,11 +110,9 @@ def perturb_grades(M: MultiFilteredComplex, epsilon: float, seed: int) -> Interl
 def verify_rank_stability(pair: InterleavedPair, grid: LineGrid, degree: int) -> StabilityReport:
     """Check m_star * d_B(restrictions) <= epsilon on every line of matchdist's table.
     The least margin is eps - max(lhs): correctly rounded subtraction is monotone."""
-    result = matching_distance_lb(pair.M, pair.N, grid, degree)
-    rhs = pair.epsilon
-    entries = tuple((L, lhs, rhs, lhs <= rhs + VERIFY_TOL) for L, lhs in result.per_line)
-    return StabilityReport(pair.construction, "epsilon", rhs, entries,
-                           result.value <= rhs + VERIFY_TOL, rhs - result.value)
+    r, eps = matching_distance_lb(pair.M, pair.N, grid, degree), pair.epsilon
+    return StabilityReport(pair.construction, "epsilon", eps, r.directions, r.offsets, r.distances,
+                           r.value <= eps + VERIFY_TOL, eps - r.value)
 
 
 def eta_bound(L: Line, Lp: Line, c: Grade) -> EtaBound:
@@ -125,7 +133,8 @@ def eta_bound(L: Line, Lp: Line, c: Grade) -> EtaBound:
     K = A + 2.0 * B
     dm = sup_norm(tuple(a - b for a, b in zip(L.direction, Lp.direction)))
     db = sup_norm(tuple(a - b for a, b in zip(L.offset, Lp.offset)))
-    num, den = K * dm + C * db, L.m_star * Lp.m_star
+    # dm == 0 drops the K * dm term: K may be inf, and inf * 0 is NaN
+    num, den = (K * dm if dm else 0.0) + C * db, L.m_star * Lp.m_star
     eta = num / den if den else num / L.m_star / Lp.m_star  # the product underflowed
     return EtaBound(L, Lp, c, A, B, C, K, eta)
 
@@ -138,8 +147,8 @@ def verify_internal_stability(
     bound = eta_bound(L, Lp, M.bounding_box()[1])
     lhs = bottleneck_distance(*line_barcodes(M, [L, Lp], degree))
     ok = lhs <= bound.eta + VERIFY_TOL
-    entries = ((Lp, lhs, bound.eta, ok),)
-    return StabilityReport("internal", "eta", bound.eta, entries, ok, bound.eta - lhs)
+    return StabilityReport("internal", "eta", bound.eta, *_line_arrays([Lp], Lp.dim), (lhs,), ok,
+                           bound.eta - lhs)
 
 
 def report_to_json(report: StabilityReport) -> str:
@@ -148,18 +157,13 @@ def report_to_json(report: StabilityReport) -> str:
     Strict: an infinite lhs or margin (a line where the essential counts of
     the two restrictions differ) is written as null.
     """
+    tol = report.bound + VERIFY_TOL
+    rows = zip(report.directions.tolist(), report.offsets.tolist(), report.lhs)
     payload = {
         "construction": report.construction,
         report.bound_name: report.bound,
-        "entries": [
-            {
-                "line": {"m": list(L.direction), "b": list(L.offset)},
-                "lhs": lhs,
-                "rhs": rhs,
-                "pass": ok,
-            }
-            for L, lhs, rhs, ok in report.entries
-        ],
+        "entries": [{"line": {"m": m, "b": b}, "lhs": lhs, "rhs": report.bound, "pass": lhs <= tol}
+                    for m, b, lhs in rows],
         "globalPass": report.global_pass,
         "worstMargin": report.worst_margin,
     }

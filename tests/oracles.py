@@ -8,7 +8,7 @@ for the bottleneck distance. None of it shares code with the package.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -122,6 +122,57 @@ def scalar_rank(
     sub_s = [sx for sx, v in filtration if v <= s]
     sub_t = [sx for sx, v in filtration if v <= t]
     return induced_rank(sub_s, sub_t, degree)
+
+
+def _samples(lo: float, hi: float, steps: int) -> list[float]:
+    if steps == 1:
+        return [(lo + hi) / 2.0]
+    step = (hi - lo) / (steps - 1)
+    return [lo + i * step for i in range(steps)]
+
+
+def _left_sum(values) -> float:
+    """0 plus the values from left to right, each sum rounded (Python's sum of floats before 3.12)."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
+def sampled_grid(direction_steps: int, offset_steps: int, lo, hi, extra=()) -> list[tuple]:
+    """The sampled line grid, one line at a time, as (direction, offset, m_star) triples.
+
+    Directions: for n = 2, angles k*pi/(2*(steps + 1)), k = 1..steps, as
+    (cos, sin) over their max, rounded to 12 decimals; else every n-tuple of
+    ``steps`` values from 1/(steps + 1) to 1, over its max. Offsets: every
+    n-tuple of ``offset_steps`` values per axis of the box [lo, hi] (the
+    midpoint for one step), the first axis outermost. Each (direction, offset)
+    pair, directions outermost, is put in canonical form: the direction over
+    its max, the offset slid by -sum(offset) / sum(direction) along it. The
+    ``extra`` canonical (direction, offset) pairs follow. The first line met
+    per key (every value rounded to 9 decimals) is kept, sorted by key.
+    """
+    n = len(lo)
+    if n == 2:
+        directions = []
+        for k in range(1, direction_steps + 1):
+            theta = (math.pi / 2.0) * k / (direction_steps + 1)
+            c, s = math.cos(theta), math.sin(theta)
+            directions.append((round(c / max(c, s), 12), round(s / max(c, s), 12)))
+    else:
+        axis = _samples(1.0 / (direction_steps + 1), 1.0, direction_steps)
+        directions = [tuple(m / max(p) for m in p) for p in product(axis, repeat=n)]
+    offsets = list(product(*(_samples(a, b, offset_steps) for a, b in zip(lo, hi))))
+    lines = []
+    for raw_m in directions:
+        for raw_b in offsets:
+            m = tuple(x / max(raw_m) for x in raw_m)
+            s0 = -_left_sum(raw_b) / _left_sum(m)
+            lines.append((m, tuple(o + s0 * mi for o, mi in zip(raw_b, m))))
+    first = {}
+    for m, b in lines + list(extra):
+        first.setdefault((tuple(round(x, 9) for x in m), tuple(round(x, 9) for x in b)), (m, b))
+    return [(m, b, min(m)) for m, b in (first[key] for key in sorted(first))]
 
 
 def push_to_line(g, L) -> float:

@@ -378,6 +378,27 @@ class TestOverflowAtTheFloatRange:
         payload = strict_loads(capsys.readouterr().out)
         assert payload["eta"] == 0.0 and payload["globalPass"] is True
 
+    def test_eta_of_equal_lines_with_overflowing_a(self, tmp_path, capsys):
+        # A overflows to inf, so K is inf; the directions are equal, and inf * 0 would be NaN
+        m = tmp_path / "M.bif"
+        m.write_text("bifiltration 2\n0 0 ; 0 1\n")
+        line = "1e-160,1e-300:1e-300,1e308"
+        assert run(["verify-internal", "--input", str(m), f"--line={line}", f"--line2={line}"]) == 0
+        payload = strict_loads(capsys.readouterr().out)
+        assert math.isfinite(payload["eta"]) and payload["globalPass"] is True
+
+    def test_sampled_line_without_canonical_form_names_grades_and_box(self, tmp_path, capsys):
+        # the padded box is finite, but the offset sum of its corner overflows
+        m = tmp_path / "M.bif"
+        m.write_text("bifiltration 2\n0 0 ; 0 1\n")
+        assert run(["verify-external", "--input", str(m), "--construction", "shift",
+                    "--epsilon", "1e308", "--grid", "2x2"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "grades in the boxes ((0.0, 1.0), (0.0, 1.0)) and " in captured.err
+        assert "padded to the offset box from (-1.1e+308, -1.1e+308) to " in captured.err
+        assert "direction" not in captured.err  # no line the user never gave
+
     def test_matchdist_offset_box_overflow(self, tmp_path, capsys):
         m, n = tmp_path / "M.bif", tmp_path / "N.bif"
         m.write_text("bifiltration 2\n0 0 ; -1e308 -1e308\n")

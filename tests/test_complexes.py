@@ -16,7 +16,7 @@ from persline import (
     restrict,
     serialize_bifiltration,
 )
-from persline.complexes import push_values
+from persline.complexes import _line_arrays, push_values
 from generators import random_bifiltered_complex, random_canonical_line
 from oracles import push_to_line
 
@@ -187,7 +187,7 @@ class TestPushValues:
                 canonicalize_line(tuple(rng.uniform(0.1, 1, n)), tuple(rng.integers(-1, 2, n) * 0.5))
                 for _ in range(9)
             ]
-            P = push_values(grades, lines)
+            P = push_values(grades, *_line_arrays(lines, n))
             for k, L in enumerate(lines):
                 want = [float(push_to_line(tuple(g), L)).hex() for g in grades.tolist()]
                 assert [x.hex() for x in P[k].tolist()] == want
@@ -198,7 +198,8 @@ class TestPushValues:
         g = rng.uniform(-2, 2, size=(500, 2))
         h = g + rng.uniform(0, 1, size=g.shape) * (rng.random(g.shape) < 0.7)
         lines = [random_canonical_line(rng) for _ in range(20)]
-        assert (push_values(g, lines) <= push_values(h, lines)).all()
+        arrays = _line_arrays(lines, 2)
+        assert (push_values(g, *arrays) <= push_values(h, *arrays)).all()
         for L in lines[:5]:
             for a, b in zip(g.tolist(), h.tolist()):
                 assert push_to_line(a, L) <= push_to_line(b, L)

@@ -27,6 +27,7 @@ from persline import (
 )
 import persline.homology
 from persline.bottleneck import _split
+from persline.complexes import _line_arrays
 from persline.homology import LINE_BLOCK, _line_splits
 from generators import random_bifiltered_complex, random_canonical_line, random_scalar_filtration
 from oracles import homology_dim, induced_rank, push_to_line, scalar_barcode, scalar_rank
@@ -380,7 +381,7 @@ class TestLineDistancesHandOff:
         for d in degrees:
             bars_m, bars_n = line_barcodes(M, lines, d), line_barcodes(N, lines, d)
             for X, bars in ((M, bars_m), (N, bars_n)):
-                split = list(_line_splits(X, lines, d))
+                split = list(_line_splits(X, *_line_arrays(lines, X.dim), d))
                 # a line barcode has one degree: at most one entry, B's half empty
                 want = [(_split(b, ()) or [([], [], [], [])])[0][:2] for b in bars]
                 assert _bits(split) == _bits(want)
@@ -426,7 +427,7 @@ class TestLineDistancesHandOff:
         M = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 0 0\n")
         N = parse_bifiltration(TWO_VERTEX_EDGE)
         L = canonicalize_line((1, 1), (0, 0))
-        assert list(_line_splits(M, [L], 0)) == [([0.0], [])]
+        assert list(_line_splits(M, *_line_arrays([L], 2), 0)) == [([0.0], [])]
         self._check(M, N, [L], (0,))
 
     def test_differing_essential_counts_are_infinite(self):

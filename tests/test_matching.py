@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import persline
 from persline import (
+    Line,
     LineGrid,
     canonicalize_line,
     default_offset_box,
@@ -13,9 +16,14 @@ from persline import (
     line_distances,
     matching_distance_lb,
     parse_bifiltration,
+    report_to_json,
     sample_lines,
+    shift_pair,
+    verify_rank_stability,
 )
+from persline.matching import _grid, _round_keys
 from generators import random_bifiltered_complex
+from oracles import sampled_grid
 
 ONE_VERTEX_ORIGIN = parse_bifiltration("bifiltration 2\n0 0 ; 0 0")
 ONE_VERTEX_ONES = parse_bifiltration("bifiltration 2\n0 0 ; 1 1")
@@ -57,6 +65,82 @@ class TestSampleLines:
             assert L.dim == 3
             assert max(L.direction) == pytest.approx(1.0, abs=1e-12)
             assert min(L.direction) > 0
+
+
+def _hex(values):
+    return tuple(float(x).hex() for x in values)
+
+
+def _random_box(rng, n, kind):
+    """A box with some sides of length 0 (lo == hi); kind 1 puts -0.0 and 0.0 at corners."""
+    lo = rng.uniform(-3, 3, n).round(int(rng.integers(0, 4)))
+    hi = lo + rng.uniform(0, 4, n).round(2) * (rng.random(n) < 0.6)
+    if kind == 1:
+        zeros = rng.random(n) < 0.7
+        lo[zeros] = -0.0
+        hi[zeros] = np.where(rng.random(n) < 0.5, -0.0, rng.uniform(0, 2, n))[zeros]
+    return tuple(lo.tolist()), tuple(hi.tolist())
+
+
+class TestArrayGrid:
+    """The grid's arrays against a line-at-a-time reference, compared as float.hex."""
+
+    @pytest.mark.parametrize("steps", [(1, 1), (3, 2)], ids=["1x1", "3x2"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_per_line_reference(self, n, steps):
+        rng = np.random.default_rng(431 + 7 * n + steps[0])
+        for trial in range(24):
+            box = _random_box(rng, n, trial % 2)
+            extra = ()
+            if trial % 3:  # extra lines: grid lines, one nudged below the 9-decimal key, and a new one
+                lines = sample_lines(LineGrid(*steps), box)
+                again = [lines[int(k)] for k in rng.integers(len(lines), size=2)]
+                nudged = canonicalize_line(again[0].direction, tuple(b + 1e-13 for b in again[0].offset))
+                fresh = canonicalize_line(tuple(rng.uniform(0.2, 1, n)), tuple(rng.uniform(-1, 1, n)))
+                extra = (*again, nudged, fresh)
+            grid = LineGrid(*steps, extra_lines=extra)
+            want = sampled_grid(*steps, *box, [(L.direction, L.offset) for L in extra])
+            directions, offsets = _grid(grid, box)
+            got = zip(directions.tolist(), offsets.tolist(), directions.min(axis=1).tolist())
+            assert [(_hex(m), _hex(b), s.hex()) for m, b, s in got] == \
+                [(_hex(m), _hex(b), s.hex()) for m, b, s in want]
+            lines = [(_hex(L.direction), _hex(L.offset), L.m_star.hex()) for L in sample_lines(grid, box)]
+            assert lines == [(_hex(m), _hex(b), s.hex()) for m, b, s in want]
+
+    def test_round_keys_are_pythons_round(self):
+        # halfway between two 9-decimal values and the doubles next to it, where
+        # v * 1e9 may round onto or off the tie; signed zeros; above 2**53 / 1e9
+        rng = np.random.default_rng(433)
+        ties = [(int(k) + 0.5) / 1e9 for k in rng.integers(-10**10, 10**10, 300)]
+        values = [t for v in ties for t in (v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf))]
+        values += [0.0, -0.0, -1e-12, 5e-10, 2.5e-9, 1e7 + 5e-10, 1e300]
+        values += rng.uniform(-10, 10, 300).tolist()
+        keys = _round_keys(np.array([values]))[0].tolist()
+        assert _hex(keys) == _hex(round(v, 9) for v in values)
+
+
+def test_grid_path_builds_no_line(monkeypatch):
+    # matchdist and verify-external keep the grid as arrays from sampling to output
+    rng = np.random.default_rng(439)
+    M, N = random_bifiltered_complex(rng), random_bifiltered_complex(rng)
+    grid = LineGrid(4, 3)
+
+    def outputs():
+        result = matching_distance_lb(M, N, grid, 0)
+        report = verify_rank_stability(shift_pair(M, 0.25), grid, 0)
+        return match_result_to_json(result), match_result_to_csv(result), report_to_json(report)
+
+    want = outputs()
+
+    def no_line(*args):
+        raise AssertionError("a Line was built")
+
+    monkeypatch.setattr(Line, "__post_init__", no_line)
+    for module in (persline.matching, persline.stability, persline.homology):
+        monkeypatch.setattr(module, "_canonical_lines", no_line)
+    assert outputs() == want
+    with pytest.raises(AssertionError, match="a Line was built"):
+        sample_lines(grid, default_offset_box(M, N))
 
 
 class TestPerLineDistance:

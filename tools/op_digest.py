@@ -8,8 +8,11 @@ The inputs of the three benchmark workloads (tiny-verify, rips-matchdist,
 bottleneck-large, known-defect probes included) are written for seed 101 by
 ``perfbench/workloads.py`` into a temporary directory. Their ops run only
 ``verify-external``, ``matchdist`` and ``bottleneck``, so fixed ops of
-``barcode``, ``rank``, ``verify-internal`` and ``matchdist --format csv`` on
-the function-Rips files of rips-matchdist follow them. Each op runs as an
+``barcode``, ``rank``, ``verify-internal``, ``matchdist --format csv`` and
+``matchdist --grid 1x1`` on the function-Rips files of rips-matchdist follow
+them, and a ``matchdist`` on two 3-parameter complexes that this tool writes
+into the same directory, as the workloads sample 2-parameter lines only.
+Each op runs as an
 in-process ``persline.cli.run(argv)`` call from inside that directory, with
 relative paths, so the digest does not depend on where the directory is.
 The digest covers, per op and in order: the argument vector, the exit
@@ -47,7 +50,17 @@ FIXED_OPS = [
      "--format", "csv"],
     ["matchdist", "--input", "rips-1-M.bif", "rips-1-N.bif", "--grid", "4x2", "--degree", "1",
      "--format", "csv"],
+    ["matchdist", "--input", "rips-2-M.bif", "rips-2-N.bif", "--grid", "1x1", "--degree", "0"],
+    ["matchdist", "--input", "three-M.bif", "three-N.bif", "--grid", "3x2", "--degree", "0"],
 ]
+# a filled triangle, and a perturbed copy with one more vertex and edge, graded in R^3
+FIXED_FILES = {
+    "three-M.bif": "bifiltration 3\n0 0 ; 0 0 0\n0 1 ; 1 0 0.5\n0 2 ; 0 1 0.25\n"
+                   "1 0 1 ; 1 0.5 0.5\n1 0 2 ; 0.5 1 0.25\n1 1 2 ; 1 1 0.75\n2 0 1 2 ; 1 1 1\n",
+    "three-N.bif": "bifiltration 3\n0 0 ; 0.1 0 0\n0 1 ; 1 0.2 0.5\n0 2 ; 0 1 0.5\n0 3 ; 2 2 0\n"
+                   "1 0 1 ; 1.2 0.5 0.5\n1 0 2 ; 0.5 1 0.5\n1 1 2 ; 1 1 0.75\n1 2 3 ; 2 2 0.5\n"
+                   "2 0 1 2 ; 1.5 1 1\n",
+}
 
 
 def outcome(run, argv: list[str]) -> tuple:
@@ -78,6 +91,8 @@ def digest() -> tuple[str, int]:
             for name, build in WORKLOADS.items():
                 workload = build(np.random.default_rng(SEED), Path("."))
                 ops += [(name, op.argv) for op in workload.ops + workload.probes]
+            for file_name, text in FIXED_FILES.items():
+                Path(file_name).write_text(text, encoding="utf-8")
             ops += [("fixed", argv) for argv in FIXED_OPS]
             for name, argv in ops:
                 h.update(json.dumps([name, argv, *outcome(run, argv)]).encode() + b"\n")
