@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -89,7 +91,7 @@ class Line:
             raise InadmissibleLineError(f"direction {tuple(self.direction)} has a non-positive component")
         top = max(self.direction)
         m = tuple(x / top for x in self.direction)
-        s0 = -sum(self.offset) / sum(m)
+        s0 = -reduce(add, self.offset, 0) / reduce(add, m, 0)  # left to right, as the grid sums
         b = tuple(o + s0 * mi for o, mi in zip(self.offset, m))
         if 0.0 in m or not all(map(math.isfinite, m + b)):  # underflow, NaN, or overflow
             raise InadmissibleLineError(
@@ -151,6 +153,7 @@ class MultiFilteredComplex:
     table: tuple[Simplex, ...] = field(init=False, repr=False, compare=False)
     boundary: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
     grade_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _relation_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -185,6 +188,46 @@ class MultiFilteredComplex:
     def skeleton(self, degree: int) -> int:
         """Length of the table prefix that holds the simplices of dimension <= degree + 1."""
         return bisect_right(self.table, degree + 2, key=len)
+
+    def _relations(self, degree: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+        """The table indices that homology in ``degree`` >= 0 reads, and their faces; cached.
+
+        Every simplex of dimension <= degree, and each (degree + 1)-simplex tau
+        but those with a vertex v not in tau such that each (tau minus one
+        vertex) + v is present, graded <= g(tau) and earlier in (lexicographic
+        grade, table order). d(tau) is their boundaries' sum, so by induction
+        the kept boundaries graded <= u span im d of K_u for each u: homology
+        maps, ranks and (pushes are monotone) line barcodes stay. A -0.0 grade
+        may tie pushes of 0.0 and -0.0, and the killer's sets the death's: then
+        faces must also come earlier in table order, every line's tie order.
+        """
+        if degree < 0:
+            raise ValueError(f"degree {degree} is negative")
+        if degree not in self._relation_cache:
+            lo, hi, G = self.skeleton(degree - 1), self.skeleton(degree), self.grade_array
+            faces = np.array(self.boundary[lo:hi], dtype=np.intp).reshape(hi - lo, degree + 2)
+            vertex = {s[0]: i for i, s in enumerate(self.table[: self.skeleton(-1)])}
+            n, rows = max(len(vertex), 1), np.arange(hi - lo)
+            apex = np.array([[vertex[x] for x in s] for s in self.table[lo:hi]], dtype=np.intp)
+            keys = (faces * n + apex.reshape(faces.shape)).reshape(-1)  # (facet, vertex it lacks)
+            by_key = np.argsort(keys)  # sorted, the cofaces of a facet are a run
+            keys, names = keys[by_key], by_key // (degree + 2) + lo
+            first = np.searchsorted(keys, faces * n)
+            count = np.searchsorted(keys, faces * n + n) - first
+            pick = count.argmin(axis=1)  # the v to try: the cofaces of tau's rarest facet
+            first, count = first[rows, pick], count[rows, pick]
+            tau = rows.repeat(count) + lo
+            at = np.arange(count.sum()) - (np.cumsum(count) - count - first).repeat(count)
+            near = (names[at] != tau) & (G.T[:, names[at]] <= G.T[:, tau]).all(axis=0)  # a first cut
+            tau, v = tau[near], keys[at[near]] % n
+            key = (faces[tau - lo] * n + v[:, None]).T  # [i, c]: candidate c's cone face through facet i
+            at = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+            sigma, gs, gt = names[at], G.T[:, names[at]], G.T[:, None, tau]  # grades: coordinate first
+            earlier = (sigma < tau) | ((gs < gt).any(axis=0) & ~np.signbit(G[:hi][G[:hi] == 0]).any())
+            ok = ((keys[at] == key) & (gs <= gt).all(axis=0) & earlier).all(axis=0)
+            keep = np.flatnonzero(np.bincount(tau[ok], minlength=hi) == 0)
+            self._relation_cache[degree] = keep, [self.boundary[i] for i in keep]
+        return self._relation_cache[degree]
 
     def bounding_box(self) -> tuple[Grade, Grade]:
         """Componentwise (min, max) over all grades."""

@@ -3,10 +3,11 @@
 Barcodes come from plain left-to-right column reduction of the boundary
 matrix, with columns stored as integer bitmasks (xor = addition over F2).
 Homology in degree d depends only on the boundary maps of degrees d and
-d + 1, so only simplices of dimension <= d + 1 are reduced; the truncation
-is exact, and above the complex's dimension the same reduction finds no
-pairs. The persistence pairing depends only on the simplex order, not on
-the entry values, so lines that order a complex alike share one reduction.
+d + 1, so only simplices of dimension <= d + 1 are reduced, less the
+(d + 1)-simplices that a complex drops once as sums of earlier relations
+(:meth:`MultiFilteredComplex._relations`): both cuts are exact. The degree-d
+pairing depends only on the order of the d- and (d + 1)-simplices, not on
+the entry values, so lines that order those alike share one reduction.
 Every barcode comes from the line engine, :func:`line_barcodes`; a scalar
 filtration is its one-parameter case (:func:`compute_barcode`). One step,
 :func:`_split_pairs`, turns the engine's creator/destroyer pairs into barcodes.
@@ -127,11 +128,6 @@ def _split_pairs(pairs: list[tuple[int, int]], values: list[float]) -> tuple[lis
     return essential, finite
 
 
-def _check_degree(degree: int) -> None:
-    if degree < 0:
-        raise ValueError(f"degree {degree} is negative")
-
-
 def compute_barcode(F: ScalarFiltration, degree: int) -> Barcode:
     """Barcode of the sublevel persistence module of F in one degree.
 
@@ -154,40 +150,43 @@ def _line_splits(M: MultiFilteredComplex, directions: np.ndarray, offsets: np.nd
     """Per row of the (k, n) canonical line arrays ``directions`` and ``offsets``,
     M's barcode along that line in the split form of :func:`_split_pairs`.
 
-    It reads the prefix of M's face-index table that holds the simplices of
-    dimension <= degree + 1. The push values of a block of LINE_BLOCK rows
-    are one array, checked for overflow only (ValueError): the push is
-    monotone, and M was checked face <= coface when built. The table is in
-    (dimension, vertex ids) order, so a stable argsort of each row orders the
-    simplices by (push value, dimension, vertex ids), faces before cofaces.
-    The pairing is cached by that order for the length of this call, so each
-    distinct order is reduced once; births and deaths are then read from each
-    line's own push values.
+    It reads M's relation subset for ``degree``, in table order. The push
+    values of LINE_BLOCK rows are one array, checked for overflow only
+    (ValueError; the push is monotone, M was checked face <= coface) over
+    dropped relations too: the push of the componentwise max grade is the
+    largest, and a push is -inf only if its faces' are. A stable argsort of
+    each row orders the simplices by (push value, dimension, vertex ids),
+    faces first. The pairing is cached for the call by the order of the d-
+    and (d + 1)-simplices alone (d = degree): whether a d-column reduces to
+    zero depends only on which d-simplices come before it, and the low of a
+    reduced (d + 1)-column only on the order of the d-simplices and the
+    (d + 1)-columns before it. Births and deaths come from each line's push.
     """
     if directions.shape[1] != M.dim:
         raise ValueError(f"complex dimension {M.dim} != line dimension {directions.shape[1]}")
-    _check_degree(degree)
-    size = M.skeleton(degree)
-    boundary = M.boundary[:size]
-    # a key is a whole order; the narrowest index type keeps large caches small
-    key_type = np.min_scalar_type(size - 1)
+    keep, boundary = M._relations(degree)
+    grades, size, low = M.grade_array[keep], M.skeleton(degree), M.skeleton(degree - 2)
+    top = M.grade_array[:size].max(axis=0, keepdims=True, initial=-math.inf)
+    fits = push_values(top, directions, offsets)[:, 0] < math.inf
+    key_type = np.min_scalar_type(len(keep) - 1)  # the narrowest keeps large caches small
     cache: dict[bytes, list[tuple[int, int]]] = {}
     essential = -1
     for start in range(0, len(directions), LINE_BLOCK):
-        block = slice(start, start + LINE_BLOCK)
-        P = push_values(M.grade_array[:size], directions[block], offsets[block])
-        if not np.isfinite(P).all():
-            k, i = np.argwhere(~np.isfinite(P))[0] + (start, 0)
+        block = directions[start : start + LINE_BLOCK], offsets[start : start + LINE_BLOCK]
+        P = push_values(grades, *block)
+        if not (np.isfinite(P).all() and fits[start : start + LINE_BLOCK].all()):
+            k, i = np.argwhere(~np.isfinite(push_values(M.grade_array[:size], *block)))[0] + (start, 0)
             L = _canonical_lines(directions[k : k + 1], offsets[k : k + 1])[0]
             raise ValueError(f"simplex {M.table[i]}: push onto {L} overflows")
         orders = np.argsort(P, axis=1, kind="stable").astype(key_type)
-        for values, order in zip(P, orders):
-            key = order.tobytes()
-            pairs = cache.get(key)
+        keys = orders[orders >= low].tobytes()
+        width = len(keys) // len(P)
+        for r, values in enumerate(P.tolist()):
+            pairs = cache.get(key := keys[r * width : (r + 1) * width])
             if pairs is None:
-                pairs = cache[key] = _pairs(order.tolist(), boundary, degree, essential)
+                pairs = cache[key] = _pairs(orders[r].tolist(), boundary, degree, essential)
                 essential = sum(1 for _, j in pairs if j < 0)
-            yield _split_pairs(pairs, values.tolist())
+            yield _split_pairs(pairs, values)
 
 
 @dataclass(frozen=True)
@@ -208,18 +207,16 @@ def rank_invariant(M: MultiFilteredComplex, q: RankQuery) -> int:
 
     One value row over M's face-index table, 0 on K_u, 1 on K_v \\ K_u and
     2 elsewhere, is a filtration of the whole complex; the rank is the
-    number of classes born at 0 that die after 1 or never. Only the
-    simplices of dimension <= degree + 1 are read.
+    number of classes born at 0 that die after 1 or never. Only M's relation
+    subset for the degree is read: it leaves every rank as it is.
     """
     for name, g in (("u", q.u), ("v", q.v)):
         if len(g) != M.dim:
             raise ValueError(f"grade {name} has {len(g)} coordinates, expected {M.dim}")
-    _check_degree(q.degree)
-    size = M.skeleton(q.degree)
-    grades = M.grade_array[:size]
+    keep, boundary = M._relations(q.degree)
+    grades = M.grade_array[keep]
     row = (2 - (grades <= q.v).all(axis=1) - (grades <= q.u).all(axis=1)).tolist()
-    order = sorted(range(size), key=row.__getitem__)
-    pairs = _pairs(order, M.boundary[:size], q.degree)
+    pairs = _pairs(sorted(range(len(keep)), key=row.__getitem__), boundary, q.degree)
     return sum(1 for i, j in pairs if row[i] == 0 and (j < 0 or row[j] == 2))
 
 

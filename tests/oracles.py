@@ -139,6 +139,14 @@ def _left_sum(values) -> float:
     return total
 
 
+def canonical_line(raw_m, raw_b) -> tuple[tuple, tuple]:
+    """The canonical (direction, offset) of the line s*raw_m + raw_b: the direction over its
+    max, the offset slid by -sum(raw_b) / sum(direction) along it, each sum from left to right."""
+    m = tuple(x / max(raw_m) for x in raw_m)
+    s0 = -_left_sum(raw_b) / _left_sum(m)
+    return m, tuple(o + s0 * mi for o, mi in zip(raw_b, m))
+
+
 def sampled_grid(direction_steps: int, offset_steps: int, lo, hi, extra=()) -> list[tuple]:
     """The sampled line grid, one line at a time, as (direction, offset, m_star) triples.
 
@@ -166,9 +174,7 @@ def sampled_grid(direction_steps: int, offset_steps: int, lo, hi, extra=()) -> l
     lines = []
     for raw_m in directions:
         for raw_b in offsets:
-            m = tuple(x / max(raw_m) for x in raw_m)
-            s0 = -_left_sum(raw_b) / _left_sum(m)
-            lines.append((m, tuple(o + s0 * mi for o, mi in zip(raw_b, m))))
+            lines.append(canonical_line(raw_m, raw_b))
     first = {}
     for m, b in lines + list(extra):
         first.setdefault((tuple(round(x, 9) for x in m), tuple(round(x, 9) for x in b)), (m, b))

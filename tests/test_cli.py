@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import persline.cli
-from persline import Interval, barcode_to_json, bottleneck_distance, serialize_bifiltration
+from persline import (
+    Interval, barcode_to_json, bottleneck_distance, parse_bifiltration, serialize_bifiltration,
+)
 from persline.cli import run
 from persline.homology import strict_dumps
 from generators import random_bifiltered_complex
@@ -357,6 +359,22 @@ class TestOverflowAtTheFloatRange:
         captured = capsys.readouterr()
         assert_one_error_line(captured)
         assert "simplex (0,)" in captured.err and "overflows" in captured.err
+
+    def test_push_overflow_of_a_dropped_relation(self, tmp_path, capsys):
+        # (0, 1, 2) is the sum of the other three triangles, graded below it, so degree 1
+        # reduces without it; its push is checked all the same
+        text = "bifiltration 2\n" + "".join(f"0 {v} ; 0 0\n" for v in range(4)) + "".join(
+            f"1 {a} {b} ; 0 0\n" for a in range(4) for b in range(a + 1, 4)) + (
+            "2 0 1 3 ; 0 0\n2 0 2 3 ; 0 0\n2 1 2 3 ; 0 0\n2 0 1 2 ; 1e308 1e308\n")
+        M = parse_bifiltration(text)
+        assert (0, 1, 2) not in [M.table[i] for i in M._relations(1)[0]]
+        m = tmp_path / "M.bif"
+        m.write_text(text)
+        assert run_unwarned(["barcode", "--input", str(m), "--line=1,1:-1e308,1e308",
+                             "--degree", "1"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert "simplex (0, 1, 2)" in captured.err and "overflows" in captured.err
 
     @pytest.mark.parametrize("grade", ["0 1", "0 0"])
     def test_direction_underflow_is_inadmissible(self, tmp_path, capsys, grade):

@@ -18,7 +18,7 @@ from persline import (
 )
 from persline.complexes import _line_arrays, push_values
 from generators import random_bifiltered_complex, random_canonical_line
-from oracles import push_to_line
+from oracles import canonical_line, push_to_line
 
 TWO_VERTEX_EDGE = "bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 1 1\n"
 
@@ -121,6 +121,18 @@ class TestCanonicalizeLine:
         assert repr(L) == repr(canonicalize_line((2.0, 1.0), (1.0, 1.0)))  # bit for bit
         assert L.direction == (1.0, 0.5) and L.m_star == 0.5
         assert sum(L.offset) == pytest.approx(0.0, abs=1e-15)
+
+    def test_offset_sums_left_to_right(self):
+        # Python 3.12's sum compensates: sum([0.1, 0.2, 0.3]) is 0.6 there, where the sampled
+        # grid's left-to-right sum gives 0.6000000000000001
+        rng = np.random.default_rng(131)
+        raws = [((1.0, 1.0, 1.0), (0.1, 0.2, 0.3))] + [
+            (rng.uniform(0.1, 1.0, n).tolist(), rng.uniform(-1.0, 1.0, n).tolist())
+            for n in (2, 3, 4, 6) for _ in range(50)]
+        for raw_m, raw_b in raws:
+            L, (m, b) = Line(raw_m, raw_b), canonical_line(raw_m, raw_b)
+            assert [x.hex() for x in L.direction + L.offset] == [x.hex() for x in m + b]
+        assert Line((1, 1, 1), (0.1, 0.2, 0.3)).offset[0] == 0.1 - 0.6000000000000001 / 3
 
     @pytest.mark.parametrize("raw_m, raw_b", [
         ((float("nan"), 1.0), (0.0, 0.0)),

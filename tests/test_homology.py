@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persline import (
     Interval,
@@ -352,6 +354,13 @@ class TestLineBarcodes:
         lines = [random_canonical_line(rng) for _ in range(2 * LINE_BLOCK + 7)]
         self._check(M, lines, (0, 1))
 
+    def test_pairing_cache_keys_both_dimensions(self):
+        # both lines order the vertices alike and the two edges apart: the edge that comes
+        # first kills vertex 2, and vertex 1 dies at the other, so the pairings differ
+        M = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n0 1 ; 1 1\n0 2 ; 2 2\n"
+                               "1 0 2 ; 5 2\n1 1 2 ; 2 5\n")
+        self._check(M, [canonicalize_line((1, 0.2), (0, 0)), canonicalize_line((0.2, 1), (0, 0))], (0,))
+
     def test_degree_above_dimension_and_negative(self):
         M = parse_bifiltration(TWO_VERTEX_EDGE)
         rng = np.random.default_rng(79)
@@ -449,3 +458,102 @@ class TestLineDistancesHandOff:
         assert line_distances(M, N, lines, 0) == want
         with pytest.raises(AssertionError, match="Interval"):
             line_barcodes(M, lines, 0)
+
+
+def _unpruned(M):
+    """A copy of M whose homology reads every simplex of dimension <= degree + 1."""
+    X = MultiFilteredComplex(M.dim, M.simplices)
+    for d in range(_max_dim(M) + 3):
+        X._relation_cache[d] = np.arange(X.skeleton(d)), X.boundary[: X.skeleton(d)]
+    return X
+
+
+def _holed_clique_complex(rng, n_vertices, top_dim, holes):
+    """Up to dimension top_dim on n_vertices; once its faces are in, a simplex is left out
+    with probability ``holes``. A vertex is graded in {-2..2}^2 and a simplex at the max of
+    its faces plus 0 or 1 per coordinate, so grades tie often; a 0 is -0.0 or 0.0."""
+    grade = {}
+    for k in range(1, top_dim + 2):
+        for s in combinations(range(n_vertices), k):
+            faces = [s[:i] + s[i + 1 :] for i in range(k)] if k > 1 else []
+            if not all(f in grade for f in faces) or (faces and rng.random() < holes):
+                continue
+            g = np.max([grade[f] for f in faces], axis=0) + rng.integers(0, 2, size=2) if faces \
+                else rng.integers(-2, 3, size=2)
+            grade[s] = tuple(-0.0 if x == 0 and rng.random() < 0.5 else float(x) for x in g)
+    return MultiFilteredComplex(2, tuple(grade.items()))
+
+
+_rngs, _holes = st.integers(0, 2**32 - 1).map(np.random.default_rng), st.sampled_from([0.0, 0.1, 0.25])
+_shapes = pytest.mark.parametrize("n_vertices, top_dim", [(3, 1), (4, 3), (5, 3), (6, 3), (6, 2), (8, 1)])
+_pruning = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+class TestPrunedRelations:
+    """Dropping relations that are sums of earlier ones changes no line barcode (bit for
+    bit, as float hex), no rank and no line distance."""
+
+    @staticmethod
+    def _check(M, lines, degrees, queries=()):
+        X = _unpruned(M)
+        for d in degrees:
+            got, want = line_barcodes(M, lines, d), line_barcodes(X, lines, d)
+            assert [[(iv.birth.hex(), iv.death.hex()) for iv in b] for b in got] == [
+                [(iv.birth.hex(), iv.death.hex()) for iv in b] for b in want]
+            for u, v in queries:
+                q = RankQuery(u, v, d)
+                assert rank_invariant(M, q) == rank_invariant(X, q)
+
+    @_shapes
+    @_pruning
+    @given(_rngs, _holes, st.lists(st.tuples(*[st.integers(-2, 4)] * 4), max_size=4))
+    def test_tie_heavy_complexes(self, n_vertices, top_dim, rng, holes, corners):
+        M = _holed_clique_complex(rng, n_vertices, top_dim, holes)
+        lines = _tie_heavy_lines([(0, 0), (1, -1), (-1, 1), (0.5, -0.5), (-2, 2)])
+        lines += sample_lines(LineGrid(4, 3), M.bounding_box())
+        queries = [((a, b), (max(a, c), max(b, e))) for a, b, c, e in corners]
+        self._check(M, lines, range(4), queries)
+
+    @_pruning
+    @given(st.integers(0, 2**32 - 1))
+    def test_generator_complexes(self, seed):
+        rng = np.random.default_rng(seed)
+        M = random_bifiltered_complex(rng, max_vertices=6, max_simplices=20)
+        lines = [random_canonical_line(rng) for _ in range(6)]
+        lines += sample_lines(LineGrid(4, 3), M.bounding_box())
+        u = tuple(rng.uniform(0, 1.5, size=2))
+        self._check(M, lines, range(3), [(u, tuple(x + rng.uniform(0, 1) for x in u))])
+
+    @_shapes
+    @_pruning
+    @given(_rngs, _holes, st.floats(0, 2), st.integers(0, 2**16))
+    def test_shift_and_perturb_pairs(self, n_vertices, top_dim, rng, holes, eps, seed):
+        M = _holed_clique_complex(rng, n_vertices, top_dim, holes)
+        for pair in (shift_pair(M, eps), perturb_grades(M, eps, seed=seed)):
+            lines = sample_lines(LineGrid(8, 4), default_offset_box(pair.M, pair.N))
+            for X in (pair.M, pair.N):
+                self._check(X, lines, range(_max_dim(X) + 1))
+            for d in range(_max_dim(M) + 1):
+                got = line_distances(pair.M, pair.N, lines, d)
+                assert _bits(got) == _bits(line_distances(_unpruned(pair.M), _unpruned(pair.N), lines, d))
+
+    def test_equal_grade_tetrahedron_boundary(self):
+        # each triangle's boundary is the sum of the other three's; only the last in table order goes
+        M = parse_bifiltration("bifiltration 2\n" + "".join(
+            f"{len(s) - 1} {' '.join(map(str, s))} ; 0 0\n"
+            for k in (1, 2, 3) for s in combinations(range(4), k)))
+        keep, _ = M._relations(1)
+        assert [M.table[i] for i in keep if len(M.table[i]) == 3] == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+        assert rank_invariant(M, RankQuery((0, 0), (0, 0), 1)) == 0
+        assert rank_invariant(M, RankQuery((0, 0), (0, 0), 2)) == 1
+        self._check(M, _tie_heavy_lines([(0, 0), (1, -1)]), (0, 1, 2), [((0, 0), (0, 0))])
+
+    def test_signed_zero_death_keeps_its_sign(self):
+        # (0, 1) is the sum of (0, 2) and (1, 2), graded below it, but on the line (1, 1) + (0, 0)
+        # it pushes to 0.0 and they to -0.0; it comes first in table order and kills the class
+        M = parse_bifiltration("bifiltration 2\n0 0 ; -1 -1\n0 1 ; -1 -1\n0 2 ; -0.0 -1\n"
+                               "1 0 1 ; 0.0 -0.5\n1 0 2 ; -0.0 -1\n1 1 2 ; -0.0 -1\n")
+        L = canonicalize_line((1, 1), (0, 0))
+        assert [(iv.birth, iv.death.hex()) for iv in line_barcodes(M, [L], 0)[0]] == [
+            (-1.0, "0x0.0p+0"), (-1.0, "inf")]
+        self._check(M, [L], (0, 1))

@@ -1,0 +1,129 @@
+"""Wall time and peak memory of whole CLI runs on the seeded size-curve inputs.
+
+Usage (from anywhere; the checkout is found from this file's place):
+
+    python3 tools/bench_scale.py [--src DIR] [--label NAME] [--case NAME ...] [--out FILE]
+
+Each case is one ``persline`` command line over files that this tool writes
+into a temporary directory from ``perfbench/gen.py`` (imported, never
+changed). The cases are ``matchdist --grid 16x8`` at degrees 0 and 1 on the
+function-Rips pair ``gen.rips_pair(default_rng(0), n, 0.05)`` with n = 25
+and 40 points (2,625 and 10,700 simplices per complex).
+
+Every run of a case is a fresh child process that imports ``persline`` from
+``--src`` (default: this checkout's ``src``), times one in-process
+``persline.cli.run(argv)`` call (parsing, validation and every line
+included) and reports its own peak resident set (``ru_maxrss``) and the
+sha256 of what it printed. The best of REPEAT (3) wall times is kept, with the
+largest peak. The results, with the commit of the tree that ``--src``
+lies in and the machine, are stored under ``--label`` in ``--out`` (default
+``BENCH_scale.json`` at the checkout root); runs under other labels in that
+file are kept. The file records; it gates nothing.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GRID = "16x8"
+EPSILON = 0.05
+REPEAT = 3
+CASES = {f"rips{n}-H{d}": (n, d) for n in (25, 40) for d in (0, 1)}
+CHILD = """
+import contextlib, hashlib, io, json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from persline.cli import run
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = run(sys.argv[2:])
+wall = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": peak,
+                  "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}))
+"""
+
+
+def write_pair(workdir: Path, n_points: int) -> tuple[list[str], int]:
+    """The rips_pair files of ``n_points`` points in ``workdir``: their names and simplex count."""
+    import numpy as np
+    import gen
+
+    pair = gen.rips_pair(np.random.default_rng(0), n_points, EPSILON)
+    names = [f"rips{n_points}-M.bif", f"rips{n_points}-N.bif"]
+    for name, X in zip(names, (pair.M, pair.N)):
+        gen.write_complex(workdir / name, X)
+    return names, len(pair.M.simplices)
+
+
+def run_case(src: Path, workdir: Path, argv: list[str]) -> dict:
+    runs = []
+    for _ in range(REPEAT):
+        done = subprocess.run([sys.executable, "-c", CHILD, str(src), *argv], cwd=workdir,
+                              capture_output=True, text=True, check=True)
+        runs.append(json.loads(done.stdout))
+    if len({(r["exit"], r["stdout_sha256"]) for r in runs}) != 1:
+        raise SystemExit(f"bench_scale: runs of {argv} differ: {runs}")
+    return {"argv": argv, "exit": runs[0]["exit"], "stdout_sha256": runs[0]["stdout_sha256"],
+            "wall_s": min(r["wall_s"] for r in runs), "runs_s": [r["wall_s"] for r in runs],
+            "peak_rss_mb": max(r["peak_rss_mb"] for r in runs)}
+
+
+def commit_of(src: Path) -> dict:
+    """The commit of the git tree ``src`` lies in, and whether it has uncommitted changes."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True).stdout.strip()
+
+    return {"commit": git("rev-parse", "HEAD") or None, "dirty": bool(git("status", "--porcelain"))}
+
+
+def machine() -> dict:
+    import numpy as np
+
+    cpuinfo = Path("/proc/cpuinfo")
+    names = [line.split(":", 1)[1].strip() for line in cpuinfo.read_text().splitlines()
+             if line.startswith("model name")] if cpuinfo.exists() else []
+    return {"cpu": names[0] if names else platform.processor(), "cpus": os.cpu_count(),
+            "system": platform.platform(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory persline is imported from")
+    parser.add_argument("--label", help="name of this run in the file (default: the commit)")
+    parser.add_argument("--case", action="append", choices=sorted(CASES), help="run only these cases")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
+    args = parser.parse_args()
+    # gen.py and the generators it imports, with this checkout's persline to write the files
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+    src = args.src.resolve()
+    tree = commit_of(src)
+    label = args.label or f"{tree['commit'] or 'unknown'}{'+dirty' if tree['dirty'] else ''}"
+    record = {**tree, "machine": machine(), "grid": GRID, "epsilon": EPSILON, "cases": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir, files = Path(tmp), {}
+        for name in args.case or sorted(CASES):
+            n_points, degree = CASES[name]
+            if n_points not in files:
+                files[n_points] = write_pair(workdir, n_points)
+            names, size = files[n_points]
+            argv = ["matchdist", "--input", *names, "--grid", GRID, "--degree", str(degree)]
+            record["cases"][name] = {"simplices": size, **run_case(src, workdir, argv)}
+            case = record["cases"][name]
+            print(f"{name}: {case['wall_s']:.3f} s, {case['peak_rss_mb']:.1f} MB peak", flush=True)
+    runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else {}
+    runs[label] = record
+    args.out.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,9 +10,11 @@ bottleneck-large, known-defect probes included) are written for seed 101 by
 ``verify-external``, ``matchdist`` and ``bottleneck``, so fixed ops of
 ``barcode``, ``rank``, ``verify-internal``, ``matchdist --format csv`` and
 ``matchdist --grid 1x1`` on the function-Rips files of rips-matchdist follow
-them, and a ``matchdist`` on two 3-parameter complexes that this tool writes
-into the same directory, as the workloads sample 2-parameter lines only.
-Each op runs as an
+them. The workloads sample 2-parameter lines on 2-dimensional complexes only,
+so this tool also writes into the same directory two 3-parameter complexes,
+for a ``matchdist``, and two 3-dimensional clique complexes and an
+equal-grade hollow tetrahedron, for ops at degrees 2 and 1 whose reduction
+leaves relations out. Each op runs as an
 in-process ``persline.cli.run(argv)`` call from inside that directory, with
 relative paths, so the digest does not depend on where the directory is.
 The digest covers, per op and in order: the argument vector, the exit
@@ -29,6 +31,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +55,29 @@ FIXED_OPS = [
      "--format", "csv"],
     ["matchdist", "--input", "rips-2-M.bif", "rips-2-N.bif", "--grid", "1x1", "--degree", "0"],
     ["matchdist", "--input", "three-M.bif", "three-N.bif", "--grid", "3x2", "--degree", "0"],
+    # degree 2 drops tetrahedra, which the workloads' 2-dimensional complexes never have
+    ["barcode", "--input", "clique-M.bif", "--line", "1,0.5:0,0", "--degree", "2"],
+    ["matchdist", "--input", "clique-M.bif", "clique-N.bif", "--grid", "4x2", "--degree", "2"],
+    # four equal-grade triangles: any one is the sum of the others, so only one may go
+    ["barcode", "--input", "hollow.bif", "--line", "1,1:0,0", "--degree", "1"],
+    ["rank", "--input", "hollow.bif", "--u", "0,0", "--v", "1,1", "--degree", "1"],
 ]
+
+
+def clique_text(values: list[int], points: list[tuple[int, int]]) -> str:
+    """Every simplex of dimension <= 3 on ``points``, graded (its largest vertex value, its
+    largest squared edge length): integers, so grades tie."""
+    rows = ["bifiltration 2"]
+    for k in (1, 2, 3, 4):
+        for s in combinations(range(len(points)), k):
+            length = max(((points[a][0] - points[b][0]) ** 2 + (points[a][1] - points[b][1]) ** 2
+                          for a, b in combinations(s, 2)), default=0)
+            rows.append(f"{k - 1} {' '.join(map(str, s))} ; {max(values[v] for v in s)} {length}")
+    return "\n".join(rows) + "\n"
+
+
+CLIQUE_POINTS = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (3, 1)]
+
 # a filled triangle, and a perturbed copy with one more vertex and edge, graded in R^3
 FIXED_FILES = {
     "three-M.bif": "bifiltration 3\n0 0 ; 0 0 0\n0 1 ; 1 0 0.5\n0 2 ; 0 1 0.25\n"
@@ -60,6 +85,9 @@ FIXED_FILES = {
     "three-N.bif": "bifiltration 3\n0 0 ; 0.1 0 0\n0 1 ; 1 0.2 0.5\n0 2 ; 0 1 0.5\n0 3 ; 2 2 0\n"
                    "1 0 1 ; 1.2 0.5 0.5\n1 0 2 ; 0.5 1 0.5\n1 1 2 ; 1 1 0.75\n1 2 3 ; 2 2 0.5\n"
                    "2 0 1 2 ; 1.5 1 1\n",
+    "clique-M.bif": clique_text([0, 1, 0, 2, 1, 0], CLIQUE_POINTS),
+    "clique-N.bif": clique_text([1, 1, 0, 2, 0, 1], CLIQUE_POINTS),
+    "hollow.bif": clique_text([0] * 4, [(0, 0)] * 4).replace("3 0 1 2 3 ; 0 0\n", ""),
 }
 
 
