@@ -196,6 +196,8 @@ def run(argv: list[str]) -> int:
             else:
                 if args.seed is None:
                     raise CliError("--seed is required for --construction perturb")
+                if args.seed < 0:
+                    raise CliError(f"--seed must be an integer >= 0, got {args.seed}")
                 pair = perturb_grades(M, args.epsilon, args.seed)
             d, o = _parse_grid(args.grid)
             report = verify_rank_stability(pair, LineGrid(d, o), args.degree)

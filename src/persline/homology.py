@@ -8,9 +8,16 @@ d + 1, so only simplices of dimension <= d + 1 are reduced, less the
 (:meth:`MultiFilteredComplex._relations`): both cuts are exact. The degree-d
 pairing depends only on the order of the d- and (d + 1)-simplices, not on
 the entry values, so lines that order those alike share one reduction.
-Every barcode comes from the line engine, :func:`line_barcodes`; a scalar
-filtration is its one-parameter case (:func:`compute_barcode`). One step,
-:func:`_split_pairs`, turns the engine's creator/destroyer pairs into barcodes.
+Every barcode comes from the line engine, :func:`_line_values`, one block of
+LINE_BLOCK lines at a time. Each distinct pairing is cached as its table
+indices: the f creators of the classes that die, their f destroyers and the
+e creators of the classes that never die, where f and e depend only on the
+complex and the degree (rank d does not depend on the order). A block of
+lines is one gather of its push values through those entries, which
+``matching`` hands to the bottleneck for M and N in lockstep, and which one
+step, :func:`_splits`, turns into a barcode's split form; :func:`line_barcodes`
+reads that too, and a scalar filtration is its one-parameter case
+(:func:`compute_barcode`).
 The rank invariant of a transition map H(K_u) -> H(K_v) is read off one
 filtration of the whole complex: K_u enters at 0, K_v \\ K_u at 1 and the
 rest at 2, and the rank equals the number of classes born at 0 that are
@@ -64,12 +71,15 @@ _Side = list[tuple[float, float, float]]  # finite (birth, death, half the lengt
 
 def _pairs(
     order: Sequence[int], boundary: Sequence[tuple[int, ...]], degree: int, essential: int = -1
-) -> list[tuple[int, int]]:
+) -> tuple[list[int], list[int], list[int]]:
     """Persistence pairs in one degree of the filtration that adds simplices in ``order``.
 
     ``boundary[i]`` lists the faces of simplex i; every face comes before its
-    cofaces in ``order``. Returns (creator, destroyer) simplex indices for
-    the classes of degree ``degree``, with -1 for a class that never dies.
+    cofaces in ``order``. Returns three lists of simplex indices for the
+    classes of degree ``degree``: the creators of the classes that die, their
+    destroyers (in the same order), and the creators of the classes that
+    never die. The lengths depend only on the complex and the degree, since
+    rank d does not depend on the order.
 
     Only columns of dimension ``degree`` and ``degree + 1`` are reduced;
     lower ones never meet them. A reduced column's pivot is a creator not
@@ -110,22 +120,19 @@ def _pairs(
         else:
             if n_faces != up:
                 creators.append(j)
-    return [(order[j], killer.get(j, -1)) for j in creators]
+    born = [j for j in creators if j in killer]
+    kept = [order[j] for j in creators if j not in killer]
+    return [order[j] for j in born], [killer[j] for j in born], kept
 
 
-def _split_pairs(pairs: list[tuple[int, int]], values: list[float]) -> tuple[list[float], _Side]:
-    """The barcode of creator/destroyer ``pairs`` (-1: never destroyed) under ``values``,
-    split: sorted essential births, and the finite intervals as a _Side; zero-length dropped."""
-    essential, finite = [], []
-    for i, j in pairs:
-        birth = values[i]
-        if j < 0:
-            essential.append(birth)
-        elif (death := values[j]) > birth:
-            finite.append((birth, death, (death - birth) / 2.0))
-    essential.sort()
-    finite.sort()
-    return essential, finite
+def _splits(values: np.ndarray, finite: int) -> Iterator[tuple[list[float], _Side]]:
+    """Each row of :func:`_line_values` as a barcode in split form: sorted essential
+    births, and the finite intervals as a _Side; zero-length ones dropped."""
+    for row in map(np.ndarray.tolist, values):  # a row at a time: a block of floats is large
+        essential = row[2 * finite :]
+        essential.sort()
+        yield essential, sorted([(b, d, (d - b) / 2.0) for b, d in zip(row[:finite], row[finite : 2 * finite])
+                                 if d > b])
 
 
 def compute_barcode(F: ScalarFiltration, degree: int) -> Barcode:
@@ -147,46 +154,73 @@ def line_barcodes(M: MultiFilteredComplex, lines: Sequence[Line], degree: int) -
 
 def _line_splits(M: MultiFilteredComplex, directions: np.ndarray, offsets: np.ndarray, degree: int
                  ) -> Iterator[tuple[list[float], _Side]]:
-    """Per row of the (k, n) canonical line arrays ``directions`` and ``offsets``,
-    M's barcode along that line in the split form of :func:`_split_pairs`.
+    """Per row of the (k, n) canonical line arrays, M's barcode along that line in split form."""
+    for values, finite in _line_values(M, directions, offsets, degree):
+        yield from _splits(values, finite)
 
-    It reads M's relation subset for ``degree``, in table order. The push
-    values of LINE_BLOCK rows are one array, checked for overflow only
-    (ValueError; the push is monotone, M was checked face <= coface) over
-    dropped relations too: the push of the componentwise max grade is the
-    largest, and a push is -inf only if its faces' are. A stable argsort of
-    each row orders the simplices by (push value, dimension, vertex ids),
-    faces first. The pairing is cached for the call by the order of the d-
-    and (d + 1)-simplices alone (d = degree): whether a d-column reduces to
-    zero depends only on which d-simplices come before it, and the low of a
-    reduced (d + 1)-column only on the order of the d-simplices and the
-    (d + 1)-columns before it. Births and deaths come from each line's push.
+
+def _line_values(M: MultiFilteredComplex, directions: np.ndarray, offsets: np.ndarray, degree: int
+                 ) -> Iterator[tuple[np.ndarray, int]]:
+    """Per LINE_BLOCK rows of the (k, n) canonical line arrays ``directions`` and
+    ``offsets``: M's persistence pairs along each line as one (rows, 2f + e) array
+    of push values, with f. Row r holds line r's f finite births, their f deaths
+    (zero-length pairs kept) and its e essential births; f and e depend only on
+    M and ``degree``.
+
+    It reads M's relation subset for ``degree``, in table order. Each block's
+    push values are one array. Overflow (ValueError naming the first simplex
+    and line, in line order) is looked for only on the lines where the push of
+    the componentwise min grade of M's simplices of dimension <= degree + 1 is
+    -inf or that of their max +inf: pushes are monotone, so elsewhere every
+    push, of dropped relations too, is finite. Every line is checked before
+    the first block is yielded. A stable argsort of each row orders the
+    simplices by (push value, dimension, vertex ids), faces first. The pairing is cached for the call by
+    the order of the d- and (d + 1)-simplices alone (d = degree): whether a
+    d-column reduces to zero depends only on which d-simplices come before
+    it, and the low of a reduced (d + 1)-column only on the order of the
+    d-simplices and the (d + 1)-columns before it. A cache entry is the 2f + e
+    table indices of a pairing in the narrowest integer type that holds them,
+    so that a cache of many orders stays small.
     """
     if directions.shape[1] != M.dim:
         raise ValueError(f"complex dimension {M.dim} != line dimension {directions.shape[1]}")
     keep, boundary = M._relations(degree)
     grades, size, low = M.grade_array[keep], M.skeleton(degree), M.skeleton(degree - 2)
-    top = M.grade_array[:size].max(axis=0, keepdims=True, initial=-math.inf)
-    fits = push_values(top, directions, offsets)[:, 0] < math.inf
+    G = M.grade_array[:size]
+    ends = push_values(np.vstack((G.min(axis=0, initial=math.inf), G.max(axis=0, initial=-math.inf))),
+                       directions, offsets)
+    _check_overflow(M, size, directions, offsets, ~((ends[:, 0] > -math.inf) & (ends[:, 1] < math.inf)))
     key_type = np.min_scalar_type(len(keep) - 1)  # the narrowest keeps large caches small
-    cache: dict[bytes, list[tuple[int, int]]] = {}
-    essential = -1
+    cache: dict[bytes, np.ndarray] = {}
+    finite = essential = -1
     for start in range(0, len(directions), LINE_BLOCK):
-        block = directions[start : start + LINE_BLOCK], offsets[start : start + LINE_BLOCK]
-        P = push_values(grades, *block)
-        if not (np.isfinite(P).all() and fits[start : start + LINE_BLOCK].all()):
-            k, i = np.argwhere(~np.isfinite(push_values(M.grade_array[:size], *block)))[0] + (start, 0)
-            L = _canonical_lines(directions[k : k + 1], offsets[k : k + 1])[0]
-            raise ValueError(f"simplex {M.table[i]}: push onto {L} overflows")
+        P = push_values(grades, directions[start : start + LINE_BLOCK], offsets[start : start + LINE_BLOCK])
         orders = np.argsort(P, axis=1, kind="stable").astype(key_type)
         keys = orders[orders >= low].tobytes()
         width = len(keys) // len(P)
-        for r, values in enumerate(P.tolist()):
-            pairs = cache.get(key := keys[r * width : (r + 1) * width])
-            if pairs is None:
-                pairs = cache[key] = _pairs(orders[r].tolist(), boundary, degree, essential)
-                essential = sum(1 for _, j in pairs if j < 0)
-            yield _split_pairs(pairs, values)
+        entries = []
+        for r in range(len(P)):
+            entry = cache.get(key := keys[r * width : (r + 1) * width])
+            if entry is None:
+                born, killed, kept = _pairs(orders[r].tolist(), boundary, degree, essential)
+                finite, essential = len(born), len(kept)
+                entry = cache[key] = np.array(born + killed + kept, dtype=key_type)
+            entries.append(entry)
+        yield np.take_along_axis(P, np.array(entries, dtype=np.intp), axis=1), finite
+
+
+def _check_overflow(M: MultiFilteredComplex, size: int, directions: np.ndarray, offsets: np.ndarray,
+                    rows: np.ndarray) -> None:
+    """ValueError for the first line among ``rows`` (a mask) onto which the push of
+    one of M's first ``size`` simplices overflows, naming the first such simplex."""
+    at = np.flatnonzero(rows)
+    for start in range(0, len(at), LINE_BLOCK):
+        lines = at[start : start + LINE_BLOCK]
+        bad = np.argwhere(~np.isfinite(push_values(M.grade_array[:size], directions[lines], offsets[lines])))
+        if len(bad):
+            k, i = lines[bad[0][0]], bad[0][1]
+            L = _canonical_lines(directions[k : k + 1], offsets[k : k + 1])[0]
+            raise ValueError(f"simplex {M.table[i]}: push onto {L} overflows")
 
 
 @dataclass(frozen=True)
@@ -216,8 +250,8 @@ def rank_invariant(M: MultiFilteredComplex, q: RankQuery) -> int:
     keep, boundary = M._relations(q.degree)
     grades = M.grade_array[keep]
     row = (2 - (grades <= q.v).all(axis=1) - (grades <= q.u).all(axis=1)).tolist()
-    pairs = _pairs(sorted(range(len(keep)), key=row.__getitem__), boundary, q.degree)
-    return sum(1 for i, j in pairs if row[i] == 0 and (j < 0 or row[j] == 2))
+    born, killed, kept = _pairs(sorted(range(len(keep)), key=row.__getitem__), boundary, q.degree)
+    return sum(row[i] == 0 and row[j] == 2 for i, j in zip(born, killed)) + sum(row[i] == 0 for i in kept)
 
 
 def strict_dumps(payload) -> str:

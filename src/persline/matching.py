@@ -9,6 +9,16 @@ grid that holds another's lines (``extra_lines``) never does.
 The sampled grid stays two float64 arrays, canonical directions and offsets
 with one row per line, from sampling to output; its ``Line`` objects
 (:func:`sample_lines`, ``per_line``) are built only on request.
+
+The per-line distances run a block of lines at a time, M's and N's in
+lockstep: each block's barcodes are two arrays of push values, used and
+dropped before the next block, while both pairing caches, compact index
+arrays, live for the call. Small barcodes are matched a block at a time in
+one numpy pass (``bottleneck._block_distances``), larger ones line by line
+by the threshold search. The two agree bit for bit: the pass takes the min
+over partial matchings of the max over the same float costs that the search
+compares, and the zero-length pairs it keeps, which the search's input
+drops, change no value (the ``bottleneck`` docstring has the argument).
 """
 from __future__ import annotations
 
@@ -18,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .bottleneck import _split_distance
+from .bottleneck import _batched, _block_distances, _split_distance
 from .complexes import (
     Grade,
     InadmissibleLineError,
@@ -27,7 +37,7 @@ from .complexes import (
     _canonical_lines,
     _line_arrays,
 )
-from .homology import _line_splits, strict_dumps
+from .homology import _line_values, _splits, strict_dumps
 
 _DEDUP_DECIMALS = 9
 _BOX_PAD = 0.1
@@ -159,12 +169,25 @@ def line_distances(
 
 def _distances(M: MultiFilteredComplex, N: MultiFilteredComplex, directions: np.ndarray,
                offsets: np.ndarray, degree: int) -> list[float]:
-    """:func:`line_distances` of canonical line arrays. In split form, no Interval
-    built; M's lines run first: one pairing cache at a time."""
-    split_m = list(_line_splits(M, directions, offsets, degree))
-    split_n = _line_splits(N, directions, offsets, degree)
-    m_star = directions.min(axis=1).tolist()
-    return [s * _split_distance(*a, *b) for s, a, b in zip(m_star, split_m, split_n)]
+    """:func:`line_distances` of canonical line arrays, a block of lines at a time,
+    M's and N's in lockstep. Every push of M is checked for overflow before N's
+    first, as when all of M's lines ran first. The path is chosen once, on the
+    first block, from M's and N's finite pair counts, which every line shares:
+    :func:`_block_distances` if their matching table is small (:func:`_batched`),
+    else ``_split_distance`` per line on the split form (no Interval built)."""
+    blocks_n = _line_values(N, directions, offsets, degree)
+    m_star, out, batched = directions.min(axis=1), [], None
+    for values_m, a in _line_values(M, directions, offsets, degree):
+        values_n, b = next(blocks_n)
+        s = m_star[len(out) : len(out) + len(values_m)]
+        if batched is None:
+            batched = _batched(a, b)
+        if batched:
+            out += (_block_distances(values_m, a, values_n, b) * s).tolist()
+        else:
+            pairs = zip(s.tolist(), _splits(values_m, a), _splits(values_n, b))
+            out += [x * _split_distance(*p, *q) for x, p, q in pairs]
+    return out
 
 
 def matching_distance_lb(

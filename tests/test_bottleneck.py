@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persline import Interval, bottleneck_distance
-from persline.bottleneck import feasible
+from persline.bottleneck import (
+    _BATCH_ENTRIES, _batched, _block_distances, _matching_table, _split_distance, feasible,
+)
+from persline.homology import _splits, strict_dumps
 from generators import random_barcode
 from oracles import brute_force_bottleneck, delete_cost, pair_cost
 
@@ -318,3 +321,80 @@ def test_5000_intervals_per_side(seed, expected):
     rng.shuffle(shuffled_a)
     rng.shuffle(shuffled_b)
     assert bottleneck_distance(tuple(shuffled_b), tuple(shuffled_a)).hex() == expected
+
+
+def _block(rng, lines, finite, essential):
+    """A block of ``lines`` barcodes as _block_distances reads them: per row ``finite``
+    births, their deaths, then ``essential`` births, on a quarter grid (ties everywhere,
+    a fifth of the pairs zero-length), the pairs in random order."""
+    births = rng.integers(0, 9, size=(lines, finite)) / 4
+    deaths = births + rng.integers(0, 9, size=(lines, finite)) / 4 * (rng.random((lines, finite)) > 0.2)
+    return np.hstack((births, deaths, rng.integers(0, 9, size=(lines, essential)) / 4))
+
+
+def _rows(values, finite):
+    """Each row as Intervals, zero-length pairs left in: the oracle's input."""
+    return [[Interval(b, d, 0) for b, d in zip(row[:finite], row[finite : 2 * finite])]
+            + [Interval(b, INF, 0) for b in row[2 * finite :]] for row in values.tolist()]
+
+
+class TestBlockDistances:
+    """The one-pass distance of small barcodes equals the per-line threshold search on
+    their split form bit for bit, and the exhaustive oracle; zero-length pairs kept."""
+
+    @staticmethod
+    def _check(A, a, B, b):
+        got = _block_distances(A, a, B, b).tolist()
+        want = [_split_distance(*p, *q) for p, q in zip(_splits(A, a), _splits(B, b))]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert got == [brute_force_bottleneck(p, q) for p, q in zip(_rows(A, a), _rows(B, b))]
+        # the zero-length pairs of one side, taken out, change no value or sign
+        for r in range(len(A)):
+            for X, x, Y, y in ((A, a, B, b), (B, b, A, a)):
+                row = X[r : r + 1]
+                keep = np.flatnonzero(row[0, x : 2 * x] != row[0, :x])
+                dropped = np.hstack((row[:, keep], row[:, x + keep], row[:, 2 * x :]))
+                assert _block_distances(dropped, len(keep), Y[r : r + 1], y)[0].hex() == got[r].hex()
+        return got
+
+    @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 3), (1, 1), (2, 3), (3, 3), (4, 2), (4, 4),
+                                      (5, 5), (5, 6), (2, 9)])
+    def test_seeded_blocks_on_both_sides_of_the_table_bound(self, a, b):
+        rng = np.random.default_rng(1000 + 10 * a + b)
+        for essential in (0, 1, 2):
+            self._check(_block(rng, 24, a, essential), a, _block(rng, 24, b, essential), b)
+        assert _batched(a, b) == (_matching_table(a, b).size <= _BATCH_ENTRIES)
+
+    def test_table_bound_splits_these_sizes(self):
+        # the sizes above fall on both sides of it
+        assert _batched(5, 5) and _batched(2, 9) and not _batched(5, 6)
+
+    def test_every_partial_matching_once(self):
+        for a, b in ((0, 0), (1, 2), (3, 3), (2, 4)):
+            columns = _matching_table(a, b)
+            matchings = {tuple(sorted(set(column.tolist()))) for column in columns.T}
+            assert len(matchings) == columns.shape[1] == sum(
+                math.comb(a, k) * math.perm(b, k) for k in range(min(a, b) + 1))
+
+    def test_signed_zero_pair_costs_positive_zero(self):
+        # birth 0.0, death -0.0: a zero-length pair whose difference is -0.0
+        A = np.array([[0.0, -0.0], [0.0, -0.0], [1.0, 1.0]])
+        B = np.array([[0.0, -0.0], [0.0, 1.0], [0.25, 0.75]])
+        got = self._check(A, 1, B, 1)
+        assert [math.copysign(1.0, x) for x in got] == [1.0, 1.0, 1.0]
+        assert got == [0.0, 0.5, 0.25]
+        assert _block_distances(np.array([[0.0, -0.0]]), 1, np.empty((1, 0)), 0)[0].hex() == "0x0.0p+0"
+
+    def test_differing_essential_counts_are_infinite(self):
+        rng = np.random.default_rng(7)
+        A, B = _block(rng, 5, 2, 1), _block(rng, 5, 2, 2)
+        got = self._check(A, 2, B, 2)
+        assert strict_dumps(got) == "[null, null, null, null, null]"
+
+    def test_essential_gap_overflow_raises_as_per_line(self):
+        A, B = np.array([[0.0, 1.0, -1e308]]), np.array([[1e308]])
+        with pytest.raises(ValueError, match="largest float") as per_line:
+            _split_distance(*next(_splits(A, 1)), *next(_splits(B, 0)))
+        with pytest.raises(ValueError, match="largest float") as batched:
+            _block_distances(A, 1, B, 0)
+        assert str(batched.value) == str(per_line.value)

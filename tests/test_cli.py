@@ -2,17 +2,22 @@ import hashlib
 import io
 import json
 import math
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import persline.bottleneck
 import persline.cli
+import persline.homology
 from persline import (
-    Interval, barcode_to_json, bottleneck_distance, parse_bifiltration, serialize_bifiltration,
+    Interval, Line, barcode_to_json, bottleneck_distance, line_distances, parse_bifiltration,
+    serialize_bifiltration,
 )
 from persline.cli import run
 from persline.homology import strict_dumps
@@ -198,7 +203,8 @@ _graded_barcodes = st.lists(
 def test_bottleneck_command_agrees_with_the_library(tmp_path, A, B):
     """The CLI reads barcode JSON into rows, the library gets Intervals: same bytes,
     and the largest of the distances of the degrees taken apart."""
-    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "out.json"
+    fresh = Path(tempfile.mkdtemp(dir=tmp_path))  # new files: truncating old ones is slow on some disks
+    a, b, out = fresh / "a.json", fresh / "b.json", fresh / "out.json"
     a.write_text(barcode_to_json(A))
     b.write_text(barcode_to_json(B))
     assert run(["bottleneck", "--input", str(a), str(b), "--output", str(out)]) == 0
@@ -300,6 +306,14 @@ class TestVerify:
                     "--epsilon", epsilon, "--seed", "5", "--grid", "2x2"])
         assert code == 2
         assert_one_error_line(capsys.readouterr())
+
+    def test_negative_seed_is_usage_error(self, fixture_complex, capsys):
+        code = run(["verify-external", "--input", fixture_complex, "--construction", "perturb",
+                    "--epsilon", "0.1", "--seed", "-1", "--grid", "2x2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err == "persline: error: --seed must be an integer >= 0, got -1\n"
 
     def test_perturb_with_seed(self, fixture_complex, capsys):
         code = run(["verify-external", "--input", fixture_complex, "--construction", "perturb",
@@ -624,6 +638,56 @@ def test_pinned_output_bytes(tmp_path, capsys):
     assert got == PINNED_OUTPUT_SHA1
 
 
+# a table bound no matching table meets, and one every table meets
+_PATHS = {"per-line": 0, "batched": 10**9}
+
+
+@pytest.mark.parametrize("path", sorted(_PATHS))
+def test_pinned_output_bytes_on_either_distance_path(tmp_path, capsys, monkeypatch, path):
+    """Every block matched line by line, or every block in one pass: the same pinned bytes."""
+    monkeypatch.setattr(persline.bottleneck, "_BATCH_ENTRIES", _PATHS[path])
+    test_pinned_output_bytes(tmp_path, capsys)
+
+
+def test_seeded_runs_print_the_same_bytes_on_either_distance_path(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(17)
+    ops = []
+    for k in range(12):
+        m_path, n_path = tmp_path / f"M{k}.bif", tmp_path / f"N{k}.bif"
+        m_path.write_text(serialize_bifiltration(random_bifiltered_complex(rng, 5, 12)))
+        n_path.write_text(serialize_bifiltration(random_bifiltered_complex(rng, 5, 12)))
+        M, N, degree = str(m_path), str(n_path), str(k % 2)
+        ops += [["matchdist", "--input", M, N, "--grid", "6x4", "--degree", degree],
+                ["verify-external", "--input", M, "--construction", "perturb", "--epsilon", "0.2",
+                 "--seed", str(k), "--grid", "6x4", "--degree", degree],
+                ["verify-external", "--input", N, "--construction", "shift", "--epsilon", "0.5",
+                 "--grid", "5x3", "--degree", degree]]
+    printed = {}
+    for path, entries in _PATHS.items():
+        monkeypatch.setattr(persline.bottleneck, "_BATCH_ENTRIES", entries)
+        printed[path] = []
+        for argv in ops:
+            printed[path].append((run(argv), capsys.readouterr().out))
+    assert printed["per-line"] == printed["batched"]
+    assert {code for code, _ in printed["batched"]} == {0}
+
+
+def test_push_overflow_of_m_is_named_before_n_s(monkeypatch):
+    """N overflows on line 0 and M only on line 1, a block of one line each: M's lines
+    ran before N's at first, so M's simplex is named, with every block size."""
+    M = parse_bifiltration("bifiltration 2\n0 0 ; 0 1e10\n")
+    N = parse_bifiltration("bifiltration 2\n0 5 ; 1e10 0\n")
+    lines = [Line((1e-300, 1.0), (0.0, 0.0)), Line((1.0, 1e-300), (0.0, 0.0))]
+    message = r"simplex \(0,\): push onto Line\(direction=\(1\.0, 1e-300\).* overflows"
+    with pytest.raises(ValueError, match=message):
+        line_distances(M, N, lines, 0)
+    monkeypatch.setattr(persline.homology, "LINE_BLOCK", 1)
+    with pytest.raises(ValueError, match=message):
+        line_distances(M, N, lines, 0)
+    with pytest.raises(ValueError, match=r"simplex \(5,\): push onto Line\(direction=\(1e-300"):
+        line_distances(N, N, lines, 0)
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, fixture_complex, capsys):
         invocations = [
@@ -683,13 +747,14 @@ def test_edge_values_are_answers_or_usage_errors(tmp_path, op):
     """Every command on edge values exits 0, 1 or 2, never 3, with no warning, and
     prints strict JSON when it succeeds."""
     argv, rows_a, rows_b = op
+    fresh = Path(tempfile.mkdtemp(dir=tmp_path))  # new files: truncating old ones is slow on some disks
     for name, text in EDGE_FILES.items():
-        (tmp_path / name).write_text(text)
+        (fresh / name).write_text(text)
     for name, rows in (("A", rows_a), ("B", rows_b)):
-        (tmp_path / name).write_text(json.dumps(
+        (fresh / name).write_text(json.dumps(
             [{"degree": 0, "birth": float(b), "death": None if d is None else float(d)}
              for b, d in rows]))
-    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    argv = [str(fresh / a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run_unwarned(argv)

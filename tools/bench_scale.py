@@ -8,13 +8,19 @@ Each case is one ``persline`` command line over files that this tool writes
 into a temporary directory from ``perfbench/gen.py`` (imported, never
 changed). The cases are ``matchdist --grid 16x8`` at degrees 0 and 1 on the
 function-Rips pair ``gen.rips_pair(default_rng(0), n, 0.05)`` with n = 25
-and 40 points (2,625 and 10,700 simplices per complex).
+and 40 points (2,625 and 10,700 simplices per complex), and, at degree 0 on
+the 9-simplex ``gen.tiny_complex(default_rng(0), 9)`` and its perturbed copy
+(``perturb_grades``, epsilon 0.05, seed 0), ``matchdist --grid 16x8`` and
+``verify-external --grid 16x8`` with that construction.
 
 Every run of a case is a fresh child process that imports ``persline`` from
 ``--src`` (default: this checkout's ``src``), times one in-process
 ``persline.cli.run(argv)`` call (parsing, validation and every line
-included) and reports its own peak resident set (``ru_maxrss``) and the
-sha256 of what it printed. The best of REPEAT (3) wall times is kept, with the
+included) and reports its own peak resident set and the sha256 of what it
+printed. The peak is ``VmHWM`` from ``/proc/self/status``, where there is
+one: ``ru_maxrss`` also holds this tool's own peak, carried into the child
+at the exec, and the rips inputs the tool generates raise that above a tiny
+case's own. The best of REPEAT (3) wall times is kept, with the
 largest peak. The results, with the commit of the tree that ``--src``
 lies in and the machine, are stored under ``--label`` in ``--out`` (default
 ``BENCH_scale.json`` at the checkout root); runs under other labels in that
@@ -35,7 +41,11 @@ ROOT = Path(__file__).resolve().parent.parent
 GRID = "16x8"
 EPSILON = 0.05
 REPEAT = 3
-CASES = {f"rips{n}-H{d}": (n, d) for n in (25, 40) for d in (0, 1)}
+# name: (input pair, command and its flags before --grid, degree)
+CASES = {f"rips{n}-H{d}": (f"rips{n}", ["matchdist"], d) for n in (25, 40) for d in (0, 1)}
+CASES["tiny9-H0"] = ("tiny9", ["matchdist"], 0)
+CASES["tiny9-verify-H0"] = ("tiny9", ["verify-external", "--construction", "perturb",
+                                      "--epsilon", repr(EPSILON), "--seed", "0"], 0)
 CHILD = """
 import contextlib, hashlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -45,21 +55,29 @@ start = time.perf_counter()
 with contextlib.redirect_stdout(out):
     code = run(sys.argv[2:])
 wall = time.perf_counter() - start
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+try:  # the child's own high-water mark: ru_maxrss holds this tool's too
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 2**10
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
 print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": peak,
                   "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}))
 """
 
 
-def write_pair(workdir: Path, n_points: int) -> tuple[list[str], int]:
-    """The rips_pair files of ``n_points`` points in ``workdir``: their names and simplex count."""
+def write_pair(workdir: Path, name: str) -> tuple[list[str], int]:
+    """The files of the input pair ``name`` in ``workdir``: their names and M's simplex count."""
     import numpy as np
     import gen
+    from persline import perturb_grades
 
-    pair = gen.rips_pair(np.random.default_rng(0), n_points, EPSILON)
-    names = [f"rips{n_points}-M.bif", f"rips{n_points}-N.bif"]
-    for name, X in zip(names, (pair.M, pair.N)):
-        gen.write_complex(workdir / name, X)
+    if name == "tiny9":
+        pair = perturb_grades(gen.tiny_complex(np.random.default_rng(0), 9), EPSILON, seed=0)
+    else:
+        pair = gen.rips_pair(np.random.default_rng(0), int(name.removeprefix("rips")), EPSILON)
+    names = [f"{name}-M.bif", f"{name}-N.bif"]
+    for path, X in zip(names, (pair.M, pair.N)):
+        gen.write_complex(workdir / path, X)
     return names, len(pair.M.simplices)
 
 
@@ -111,11 +129,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir, files = Path(tmp), {}
         for name in args.case or sorted(CASES):
-            n_points, degree = CASES[name]
-            if n_points not in files:
-                files[n_points] = write_pair(workdir, n_points)
-            names, size = files[n_points]
-            argv = ["matchdist", "--input", *names, "--grid", GRID, "--degree", str(degree)]
+            pair, command, degree = CASES[name]
+            if pair not in files:
+                files[pair] = write_pair(workdir, pair)
+            names, size = files[pair]
+            inputs = names if command[0] == "matchdist" else names[:1]
+            argv = [command[0], "--input", *inputs, *command[1:], "--grid", GRID, "--degree", str(degree)]
             record["cases"][name] = {"simplices": size, **run_case(src, workdir, argv)}
             case = record["cases"][name]
             print(f"{name}: {case['wall_s']:.3f} s, {case['peak_rss_mb']:.1f} MB peak", flush=True)
