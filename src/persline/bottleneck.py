@@ -36,16 +36,17 @@ pairs. A test walks each interval's birth window for partners within delta at
 most once, lazily, and starts from the matchings the last failed test grew
 (valid at larger delta). Augmenting paths use an explicit stack.
 
-Small barcodes, many lines at once. The line engine hands over M's and N's
-barcodes along a block of lines as two arrays (:func:`_block_distances`).
-Every line has the same a finite and e essential pairs on M's side (and b, e'
-on N's), zero-length pairs included: rank d does not depend on the order.
-When the table of partial matchings of a with b is small (:func:`_batched`),
-each one's cost is read off one (lines, a*b + a + b + 1) array of pair and
-deletion costs, and
-the distance is the min over matchings of the max over their columns, the
-larger of that and the sorted essential births' gap; +inf when e != e'. It
-equals :func:`_split_distance` of the split form bit for bit:
+Many lines at once. The line engine hands over M's and N's barcodes along a
+block of lines as two arrays; :func:`_block_distances` alone matches them and
+picks the path per block. Every line has the same a finite and e essential
+pairs on M's side (and b, e' on N's), zero-length pairs included: rank d
+does not depend on the order, so every block of a call takes one path. If
+the table of partial matchings of a with b is small (:func:`_batched`), each
+one's cost is read off one (lines, a*b + a + b + 1) array of pair and
+deletion costs, and the distance is the min over matchings of the max over
+their columns, the larger of that and the sorted essential births' gap;
++inf when e != e'. Else each line is searched in split form (:func:`_splits`).
+The two agree bit for bit:
 
 - it is the min over matchings of the max over the same float costs that the
   threshold search compares (it tests the rounded endpoint differences
@@ -67,7 +68,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .homology import Barcode, _Side
+from .homology import Barcode
 
 # The largest matching table (partial matchings times columns, see
 # _matching_table) for which a block of lines is matched in one numpy pass. The
@@ -78,6 +79,7 @@ from .homology import Barcode, _Side
 # of b + 1 columns each.
 _BATCH_ENTRIES = 16_000
 _ESSENTIAL_OVERFLOW = "two matched essential births differ by more than the largest float"
+_Side = list[tuple[float, float, float]]  # finite (birth, death, half the length), sorted
 
 
 def _split(A: Iterable, B: Iterable) -> list[tuple[list[float], _Side, list[float], _Side]]:
@@ -326,14 +328,24 @@ def _matching_table(a: int, b: int) -> np.ndarray:
     return table
 
 
+def _splits(values: np.ndarray, finite: int) -> Iterator[tuple[list[float], _Side]]:
+    """Each row of a block (see :func:`_block_distances`) as a barcode in split form:
+    sorted essential births, and the finite intervals as a _Side; zero-length ones dropped."""
+    for row in map(np.ndarray.tolist, values):  # a row at a time: a block of floats is large
+        pairs = zip(row[:finite], row[finite : 2 * finite])
+        yield sorted(row[2 * finite :]), sorted([(b, d, (d - b) / 2.0) for b, d in pairs if d > b])
+
+
 def _block_distances(A: np.ndarray, a: int, B: np.ndarray, b: int) -> np.ndarray:
     """Bottleneck distance of each row of A with the same row of B, as a float array.
 
     A row holds a barcode's a finite births, their a deaths in the same order
-    and its essential births; so does B's with b. Exact, and equal to
-    :func:`_split_distance` of the split form (see the module docstring). An
-    essential gap that overflows raises ValueError.
+    and its essential births; so does B's with b. One pass or line by line, by
+    the size of their matching table (see the module docstring). An essential
+    gap that overflows raises ValueError.
     """
+    if not _batched(a, b):
+        return np.array([_split_distance(*p, *q) for p, q in zip(_splits(A, a), _splits(B, b))])
     ess_a, ess_b = np.sort(A[:, 2 * a :], axis=1), np.sort(B[:, 2 * b :], axis=1)
     if ess_a.shape[1] != ess_b.shape[1]:
         return np.full(len(A), math.inf)

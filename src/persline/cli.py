@@ -166,7 +166,7 @@ def run(argv: list[str]) -> int:
                 try:
                     with open(path, encoding="utf-8") as fh:
                         rows.append(_barcode_rows(fh.read()))
-                except (OSError, ValueError, KeyError, TypeError) as exc:
+                except (OSError, ValueError) as exc:
                     raise CliError(f"{path}: {exc}") from None
             d = bottleneck_distance(*rows)
             _emit(strict_dumps({"distance": d}), args.output)
@@ -201,18 +201,13 @@ def run(argv: list[str]) -> int:
                 pair = perturb_grades(M, args.epsilon, args.seed)
             d, o = _parse_grid(args.grid)
             report = verify_rank_stability(pair, LineGrid(d, o), args.degree)
-            _emit(report_to_json(report), args.output)
-            return EXIT_OK if report.global_pass else EXIT_VERIFY_FAIL
-
-        if args.command == "verify-internal":
-            M = _load_complex(args.input)
-            L = _parse_line(args.line)
-            Lp = _parse_line(args.line2)
+        elif args.command == "verify-internal":
+            M, L, Lp = _load_complex(args.input), _parse_line(args.line), _parse_line(args.line2)
             report = verify_internal_stability(M, L, Lp, args.degree)
-            _emit(report_to_json(report), args.output)
-            return EXIT_OK if report.global_pass else EXIT_VERIFY_FAIL
-
-        raise CliError(f"unknown command {args.command!r}")
+        else:
+            raise CliError(f"unknown command {args.command!r}")
+        _emit(report_to_json(report), args.output)
+        return EXIT_OK if report.global_pass else EXIT_VERIFY_FAIL
     except (CliError, ValueError) as exc:  # ParseError and the other input errors are ValueErrors
         print(f"persline: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

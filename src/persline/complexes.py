@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -87,19 +86,22 @@ class Line:
     def __post_init__(self):
         if len(self.direction) != len(self.offset):
             raise InadmissibleLineError("direction and offset dimensions differ")
+        if not self.direction or not all(isinstance(x, Real) for x in (*self.direction, *self.offset)):
+            raise InadmissibleLineError(f"direction {tuple(self.direction)} and offset {tuple(self.offset)}: "
+                                        "a line needs at least one coordinate, each a real number")
         if any(m <= 0 for m in self.direction):
             raise InadmissibleLineError(f"direction {tuple(self.direction)} has a non-positive component")
-        top = max(self.direction)
-        m = tuple(x / top for x in self.direction)
-        s0 = -reduce(add, self.offset, 0) / reduce(add, m, 0)  # left to right, as the grid sums
-        b = tuple(o + s0 * mi for o, mi in zip(self.offset, m))
-        if 0.0 in m or not all(map(math.isfinite, m + b)):  # underflow, NaN, or overflow
+        try:
+            m, b, finite = _canonical_form(*np.array([[self.direction], [self.offset]], dtype=np.float64))
+        except OverflowError:  # an integer too large for a float
+            finite = [False]
+        if not finite[0]:
             raise InadmissibleLineError(
                 f"direction {tuple(self.direction)} and offset {tuple(self.offset)} have no finite canonical form"
             )
-        object.__setattr__(self, "direction", m)
-        object.__setattr__(self, "offset", b)
-        object.__setattr__(self, "m_star", min(m))
+        object.__setattr__(self, "direction", tuple(m[0].tolist()))
+        object.__setattr__(self, "offset", tuple(b[0].tolist()))
+        object.__setattr__(self, "m_star", min(self.direction))
 
     @property
     def dim(self) -> int:
@@ -107,6 +109,17 @@ class Line:
 
     def point_at(self, s: float) -> Grade:
         return tuple(s * m + b for m, b in zip(self.direction, self.offset))
+
+
+def _canonical_form(raw_m: np.ndarray, raw_o: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical form (m, b) of the line s*raw_m[k] + raw_o[k] for each row k of two (k, n)
+    float64 arrays, and whether it is finite with all m_i > 0 (not so after an underflow to 0)."""
+    zero = np.zeros(len(raw_m))
+    with np.errstate(all="ignore"):
+        m = raw_m / raw_m.max(axis=1, keepdims=True)
+        # sums from 0 over the columns left to right (np.sum may pair terms): -0.0 + -0.0 is 0.0
+        b = raw_o + (-sum(raw_o.T, zero) / sum(m.T, zero))[:, None] * m
+    return m, b, (raw_m > 0).all(axis=1) & (m > 0).all(axis=1) & np.isfinite(b).all(axis=1)
 
 
 def canonicalize_line(raw_direction: Sequence[float], raw_offset: Sequence[float]) -> Line:

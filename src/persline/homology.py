@@ -13,11 +13,10 @@ LINE_BLOCK lines at a time. Each distinct pairing is cached as its table
 indices: the f creators of the classes that die, their f destroyers and the
 e creators of the classes that never die, where f and e depend only on the
 complex and the degree (rank d does not depend on the order). A block of
-lines is one gather of its push values through those entries, which
-``matching`` hands to the bottleneck for M and N in lockstep, and which one
-step, :func:`_splits`, turns into a barcode's split form; :func:`line_barcodes`
-reads that too, and a scalar filtration is its one-parameter case
-(:func:`compute_barcode`).
+lines is one gather of its push values through those entries. ``matching``
+and ``stability`` hand such blocks to ``bottleneck._block_distances``, which
+owns their split form; :func:`line_barcodes` reads the rows as intervals,
+and a scalar filtration is its one-parameter case (:func:`compute_barcode`).
 The rank invariant of a transition map H(K_u) -> H(K_v) is read off one
 filtration of the whole complex: K_u enters at 0, K_v \\ K_u at 1 and the
 rest at 2, and the rank equals the number of classes born at 0 that are
@@ -66,7 +65,6 @@ class Interval(NamedTuple):
 
 
 Barcode = tuple[Interval, ...]
-_Side = list[tuple[float, float, float]]  # finite (birth, death, half the length), sorted
 
 
 def _pairs(
@@ -125,16 +123,6 @@ def _pairs(
     return [order[j] for j in born], [killer[j] for j in born], kept
 
 
-def _splits(values: np.ndarray, finite: int) -> Iterator[tuple[list[float], _Side]]:
-    """Each row of :func:`_line_values` as a barcode in split form: sorted essential
-    births, and the finite intervals as a _Side; zero-length ones dropped."""
-    for row in map(np.ndarray.tolist, values):  # a row at a time: a block of floats is large
-        essential = row[2 * finite :]
-        essential.sort()
-        yield essential, sorted([(b, d, (d - b) / 2.0) for b, d in zip(row[:finite], row[finite : 2 * finite])
-                                 if d > b])
-
-
 def compute_barcode(F: ScalarFiltration, degree: int) -> Barcode:
     """Barcode of the sublevel persistence module of F in one degree.
 
@@ -146,17 +134,11 @@ def compute_barcode(F: ScalarFiltration, degree: int) -> Barcode:
 
 
 def line_barcodes(M: MultiFilteredComplex, lines: Sequence[Line], degree: int) -> list[Barcode]:
-    """Barcodes of M restricted to each line, in one batch (:func:`_line_splits`)."""
-    return [tuple(sorted([Interval(b, math.inf, degree) for b in essential]
-                         + [Interval(b, d, degree) for b, d, _ in finite]))
-            for essential, finite in _line_splits(M, *_line_arrays(lines, M.dim), degree)]
-
-
-def _line_splits(M: MultiFilteredComplex, directions: np.ndarray, offsets: np.ndarray, degree: int
-                 ) -> Iterator[tuple[list[float], _Side]]:
-    """Per row of the (k, n) canonical line arrays, M's barcode along that line in split form."""
-    for values, finite in _line_values(M, directions, offsets, degree):
-        yield from _splits(values, finite)
+    """Barcodes of M restricted to each line, in one batch (:func:`_line_values`)."""
+    return [tuple(sorted([Interval(b, d, degree) for b, d in zip(row[:f], row[f : 2 * f]) if d > b]
+                         + [Interval(b, math.inf, degree) for b in row[2 * f :]]))
+            for values, f in _line_values(M, *_line_arrays(lines, M.dim), degree)
+            for row in map(np.ndarray.tolist, values)]  # a row at a time: a block of floats is large
 
 
 def _line_values(M: MultiFilteredComplex, directions: np.ndarray, offsets: np.ndarray, degree: int
@@ -290,15 +272,23 @@ def barcode_to_json(barcode: Barcode) -> str:
 
 
 def _barcode_rows(text: str) -> list[tuple[float, float, int]]:
-    """Barcode JSON as (birth, death, degree) rows, death inf for null. Every
-    item's keys are read (KeyError, TypeError) before any value is checked."""
+    """Barcode JSON as (birth, death, degree) rows, death inf for null. A bad item
+    raises ValueError naming it; types are checked before any arithmetic."""
     items = json.loads(text)
     if not isinstance(items, list):
         raise ValueError("expected a JSON array of intervals")
-    rows = [(it["birth"], math.inf if it["death"] is None else it["death"], it["degree"])
-            for it in items]
-    inf = math.inf
+    try:
+        rows = [(it["birth"], math.inf if it["death"] is None else it["death"], it["degree"]) for it in items]
+    except (KeyError, TypeError):  # the first item that is not an object with these keys
+        item = next(it for it in items
+                    if not isinstance(it, dict) or not it.keys() >= {"birth", "death", "degree"})
+        raise ValueError(f"bad interval {item!r}: expected an object with keys birth, death "
+                         "and degree") from None
+    inf, number = math.inf, (float, int)  # a bool is not a number here
     for birth, death, degree in rows:
+        if type(degree) is not int or degree < 0 or type(birth) not in number or type(death) not in number:
+            raise ValueError(f"bad interval {Interval(birth, death, degree)}: "
+                             "degree must be an int >= 0; birth and death numbers, not booleans")
         try:  # float() of an integer too large for a float raises OverflowError
             fits = math.isfinite(birth) and (death == inf or 0.0 <= float(death - birth) < inf)
         except OverflowError:
@@ -306,9 +296,6 @@ def _barcode_rows(text: str) -> list[tuple[float, float, int]]:
         if not fits:
             raise ValueError(f"bad interval {Interval(birth, death, degree)}: birth must be "
                              "finite, death >= birth or null, death - birth a finite float")
-        if type(degree) is not int or degree < 0 or type(birth) is bool or type(death) is bool:
-            raise ValueError(f"bad interval {Interval(birth, death, degree)}: "
-                             "degree must be an int >= 0; birth and death numbers, not booleans")
     return rows
 
 

@@ -13,12 +13,8 @@ with one row per line, from sampling to output; its ``Line`` objects
 The per-line distances run a block of lines at a time, M's and N's in
 lockstep: each block's barcodes are two arrays of push values, used and
 dropped before the next block, while both pairing caches, compact index
-arrays, live for the call. Small barcodes are matched a block at a time in
-one numpy pass (``bottleneck._block_distances``), larger ones line by line
-by the threshold search. The two agree bit for bit: the pass takes the min
-over partial matchings of the max over the same float costs that the search
-compares, and the zero-length pairs it keeps, which the search's input
-drops, change no value (the ``bottleneck`` docstring has the argument).
+arrays, live for the call. ``bottleneck._block_distances`` matches each pair
+of blocks and chooses how (the ``bottleneck`` docstring has both paths).
 """
 from __future__ import annotations
 
@@ -28,16 +24,17 @@ from itertools import product
 
 import numpy as np
 
-from .bottleneck import _batched, _block_distances, _split_distance
+from .bottleneck import _block_distances
 from .complexes import (
     Grade,
     InadmissibleLineError,
     Line,
     MultiFilteredComplex,
+    _canonical_form,
     _canonical_lines,
     _line_arrays,
 )
-from .homology import _line_values, _splits, strict_dumps
+from .homology import _line_values, strict_dumps
 
 _DEDUP_DECIMALS = 9
 _BOX_PAD = 0.1
@@ -116,14 +113,9 @@ def _grid(grid: LineGrid, box: tuple[Grade, Grade]) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"degenerate offset box: min {lo} exceeds max {hi}")
     raw_o = np.array(list(product(*(_axis_samples(a, b, grid.offset_steps) for a, b in zip(lo, hi)))))
     raw_m = np.array(_sample_directions(len(lo), grid.direction_steps))
-    raw_o, raw_m = np.tile(raw_o, (len(raw_m), 1)), np.repeat(raw_m, len(raw_o), axis=0)
-    # Line's canonical form of every pair, directions outermost; the sums are Python's
-    # (0 plus the columns from left to right), so -0.0 entries sum to 0.0 as there
-    zero = np.zeros(len(raw_m))
-    with np.errstate(all="ignore"):
-        m = raw_m / raw_m.max(axis=1, keepdims=True)
-        b = raw_o + (-sum(raw_o.T, zero) / sum(m.T, zero))[:, None] * m
-    if not ((raw_m > 0).all() and (m > 0).all() and np.isfinite(b).all()):  # m > 0: no 0, no NaN
+    # every pair, directions outermost
+    m, b, finite = _canonical_form(np.repeat(raw_m, len(raw_o), axis=0), np.tile(raw_o, (len(raw_m), 1)))
+    if not finite.all():
         raise InadmissibleLineError(
             f"offset box from {lo} to {hi}: a sampled line has no finite canonical form")
     extra_m, extra_b = _line_arrays(grid.extra_lines, len(lo))
@@ -171,22 +163,12 @@ def _distances(M: MultiFilteredComplex, N: MultiFilteredComplex, directions: np.
                offsets: np.ndarray, degree: int) -> list[float]:
     """:func:`line_distances` of canonical line arrays, a block of lines at a time,
     M's and N's in lockstep. Every push of M is checked for overflow before N's
-    first, as when all of M's lines ran first. The path is chosen once, on the
-    first block, from M's and N's finite pair counts, which every line shares:
-    :func:`_block_distances` if their matching table is small (:func:`_batched`),
-    else ``_split_distance`` per line on the split form (no Interval built)."""
-    blocks_n = _line_values(N, directions, offsets, degree)
-    m_star, out, batched = directions.min(axis=1), [], None
-    for values_m, a in _line_values(M, directions, offsets, degree):
-        values_n, b = next(blocks_n)
+    first, as when all of M's lines ran first."""
+    m_star, out = directions.min(axis=1), []
+    blocks = zip(_line_values(M, directions, offsets, degree), _line_values(N, directions, offsets, degree))
+    for (values_m, a), (values_n, b) in blocks:
         s = m_star[len(out) : len(out) + len(values_m)]
-        if batched is None:
-            batched = _batched(a, b)
-        if batched:
-            out += (_block_distances(values_m, a, values_n, b) * s).tolist()
-        else:
-            pairs = zip(s.tolist(), _splits(values_m, a), _splits(values_n, b))
-            out += [x * _split_distance(*p, *q) for x, p, q in pairs]
+        out += (_block_distances(values_m, a, values_n, b) * s).tolist()
     return out
 
 

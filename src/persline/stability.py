@@ -5,16 +5,18 @@ certified upper bound (diagonal shift by eps, or sup-norm grade
 perturbation bounded by eps), then checks the stability inequalities as
 empirical facts: no weighted per-line bottleneck distance in the table of
 matching_distance_lb exceeds the certified bound, and restrictions of one
-module to two nearby lines stay within the explicit eta bound.
+module to two nearby lines stay within the explicit eta bound. A
+:class:`StabilityReport` derives every verdict from its bound and lhs values.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bottleneck import bottleneck_distance
+from .bottleneck import _block_distances
 from .complexes import (
     Grade,
     Line,
@@ -24,7 +26,7 @@ from .complexes import (
     diagonal_shift,
     sup_norm,
 )
-from .homology import line_barcodes, strict_dumps
+from .homology import _line_values, strict_dumps
 from .matching import LineGrid, matching_distance_lb
 
 VERIFY_TOL = 1e-9
@@ -51,13 +53,23 @@ class StabilityReport:
     directions: np.ndarray
     offsets: np.ndarray
     lhs: tuple[float, ...]
-    global_pass: bool
-    worst_margin: float
+
+    @cached_property
+    def _passes(self) -> list[bool]:  # the one place the rule is written
+        return (np.array(self.lhs) <= self.bound + VERIFY_TOL).tolist()
+
+    @property
+    def global_pass(self) -> bool:
+        return all(self._passes)
+
+    @property
+    def worst_margin(self) -> float:  # correctly rounded subtraction is monotone: no margin is less
+        return self.bound - max(self.lhs)
 
     @property
     def entries(self) -> tuple[tuple[Line, float, float, bool], ...]:  # (line, lhs, rhs, pass)
-        rows = zip(_canonical_lines(self.directions, self.offsets), self.lhs)
-        return tuple((L, lhs, self.bound, lhs <= self.bound + VERIFY_TOL) for L, lhs in rows)
+        rows = zip(_canonical_lines(self.directions, self.offsets), self.lhs, self._passes)
+        return tuple((L, lhs, self.bound, ok) for L, lhs, ok in rows)
 
 
 @dataclass(frozen=True)
@@ -108,11 +120,9 @@ def perturb_grades(M: MultiFilteredComplex, epsilon: float, seed: int) -> Interl
 
 
 def verify_rank_stability(pair: InterleavedPair, grid: LineGrid, degree: int) -> StabilityReport:
-    """Check m_star * d_B(restrictions) <= epsilon on every line of matchdist's table.
-    The least margin is eps - max(lhs): correctly rounded subtraction is monotone."""
-    r, eps = matching_distance_lb(pair.M, pair.N, grid, degree), pair.epsilon
-    return StabilityReport(pair.construction, "epsilon", eps, r.directions, r.offsets, r.distances,
-                           r.value <= eps + VERIFY_TOL, eps - r.value)
+    """Check m_star * d_B(restrictions) <= epsilon on every line of matchdist's table."""
+    r = matching_distance_lb(pair.M, pair.N, grid, degree)
+    return StabilityReport(pair.construction, "epsilon", pair.epsilon, r.directions, r.offsets, r.distances)
 
 
 def eta_bound(L: Line, Lp: Line, c: Grade) -> EtaBound:
@@ -122,8 +132,11 @@ def eta_bound(L: Line, Lp: Line, c: Grade) -> EtaBound:
     A the larger of max_j |c_j - b_j| scaled by direction-norm over m_star
     for each line, the bound is
     eta = (K * ||m - m'||_inf + C * ||b - b'||_inf) / (m_star * m'_star),
-    K = A + 2B.
+    K = A + 2B. L, Lp and c must have one dimension (else ValueError).
     """
+    if not L.dim == Lp.dim == len(c):
+        raise ValueError(f"lines of dimension {L.dim} and {Lp.dim}, grade c of dimension {len(c)}: "
+                         "eta needs one dimension")
     C = max(sup_norm(L.direction), sup_norm(Lp.direction))
     B = max(sup_norm(L.offset), sup_norm(Lp.offset))
     A = max(
@@ -139,16 +152,14 @@ def eta_bound(L: Line, Lp: Line, c: Grade) -> EtaBound:
     return EtaBound(L, Lp, c, A, B, C, K, eta)
 
 
-def verify_internal_stability(
-    M: MultiFilteredComplex, L: Line, Lp: Line, degree: int
-) -> StabilityReport:
+def verify_internal_stability(M: MultiFilteredComplex, L: Line, Lp: Line, degree: int) -> StabilityReport:
     """Check d_B of the two line restrictions of M against the eta bound."""
+    directions, offsets = _line_arrays([L, Lp], M.dim)
     # the componentwise max grade: past it every sublevel set is the full complex
     bound = eta_bound(L, Lp, M.bounding_box()[1])
-    lhs = bottleneck_distance(*line_barcodes(M, [L, Lp], degree))
-    ok = lhs <= bound.eta + VERIFY_TOL
-    return StabilityReport("internal", "eta", bound.eta, *_line_arrays([Lp], Lp.dim), (lhs,), ok,
-                           bound.eta - lhs)
+    values, f = next(_line_values(M, directions, offsets, degree))  # two lines: one block
+    lhs = float(_block_distances(values[:1], f, values[1:], f)[0])
+    return StabilityReport("internal", "eta", bound.eta, directions[1:], offsets[1:], (lhs,))
 
 
 def report_to_json(report: StabilityReport) -> str:
@@ -157,13 +168,12 @@ def report_to_json(report: StabilityReport) -> str:
     Strict: an infinite lhs or margin (a line where the essential counts of
     the two restrictions differ) is written as null.
     """
-    tol = report.bound + VERIFY_TOL
-    rows = zip(report.directions.tolist(), report.offsets.tolist(), report.lhs)
+    rows = zip(report.directions.tolist(), report.offsets.tolist(), report.lhs, report._passes)
     payload = {
         "construction": report.construction,
         report.bound_name: report.bound,
-        "entries": [{"line": {"m": m, "b": b}, "lhs": lhs, "rhs": report.bound, "pass": lhs <= tol}
-                    for m, b, lhs in rows],
+        "entries": [{"line": {"m": m, "b": b}, "lhs": lhs, "rhs": report.bound, "pass": ok}
+                    for m, b, lhs, ok in rows],
         "globalPass": report.global_pass,
         "worstMargin": report.worst_margin,
     }

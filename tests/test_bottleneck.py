@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persline import Interval, bottleneck_distance
+import persline.bottleneck
 from persline.bottleneck import (
-    _BATCH_ENTRIES, _batched, _block_distances, _matching_table, _split_distance, feasible,
+    _BATCH_ENTRIES, _batched, _block_distances, _matching_table, _split_distance, _splits, feasible,
 )
-from persline.homology import _splits, strict_dumps
+from persline.homology import strict_dumps
 from generators import random_barcode
 from oracles import brute_force_bottleneck, delete_cost, pair_cost
 
@@ -340,21 +341,25 @@ def _rows(values, finite):
 
 class TestBlockDistances:
     """The one-pass distance of small barcodes equals the per-line threshold search on
-    their split form bit for bit, and the exhaustive oracle; zero-length pairs kept."""
+    their split form bit for bit, and the exhaustive oracle; zero-length pairs kept.
+    Each block is also matched on the path _block_distances picks for it."""
 
     @staticmethod
     def _check(A, a, B, b):
-        got = _block_distances(A, a, B, b).tolist()
         want = [_split_distance(*p, *q) for p, q in zip(_splits(A, a), _splits(B, b))]
-        assert [x.hex() for x in got] == [x.hex() for x in want]
-        assert got == [brute_force_bottleneck(p, q) for p, q in zip(_rows(A, a), _rows(B, b))]
-        # the zero-length pairs of one side, taken out, change no value or sign
-        for r in range(len(A)):
-            for X, x, Y, y in ((A, a, B, b), (B, b, A, a)):
-                row = X[r : r + 1]
-                keep = np.flatnonzero(row[0, x : 2 * x] != row[0, :x])
-                dropped = np.hstack((row[:, keep], row[:, x + keep], row[:, 2 * x :]))
-                assert _block_distances(dropped, len(keep), Y[r : r + 1], y)[0].hex() == got[r].hex()
+        assert [x.hex() for x in _block_distances(A, a, B, b).tolist()] == [x.hex() for x in want]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(persline.bottleneck, "_BATCH_ENTRIES", 10**9)  # every block in one pass
+            got = _block_distances(A, a, B, b).tolist()
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert got == [brute_force_bottleneck(p, q) for p, q in zip(_rows(A, a), _rows(B, b))]
+            # the zero-length pairs of one side, taken out, change no value or sign
+            for r in range(len(A)):
+                for X, x, Y, y in ((A, a, B, b), (B, b, A, a)):
+                    row = X[r : r + 1]
+                    keep = np.flatnonzero(row[0, x : 2 * x] != row[0, :x])
+                    dropped = np.hstack((row[:, keep], row[:, x + keep], row[:, 2 * x :]))
+                    assert _block_distances(dropped, len(keep), Y[r : r + 1], y)[0].hex() == got[r].hex()
         return got
 
     @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 3), (1, 1), (2, 3), (3, 3), (4, 2), (4, 4),

@@ -187,6 +187,21 @@ class TestBottleneck:
         assert_one_error_line(captured)
         assert "a.json" in captured.err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[[1, 2, 0]]", "bad interval [1, 2, 0]: expected an object with keys birth, death and degree"),
+        ('[{"degree": 0, "birth": 1.0}]',
+         "bad interval {'degree': 0, 'birth': 1.0}: expected an object with keys birth, death and degree"),
+        ('[{"degree": 0, "birth": "1", "death": 2.0}]',
+         "bad interval Interval(birth='1', death=2.0, degree=0): degree must be an int >= 0; "
+         "birth and death numbers, not booleans"),
+    ])
+    def test_malformed_item_is_named(self, tmp_path, capsys, text, message):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(text)
+        b.write_text("[]")
+        assert run(["bottleneck", "--input", str(a), str(b)]) == 2
+        assert capsys.readouterr().err == f"persline: error: {a}: {message}\n"
+
 
 _quarter = st.integers(0, 8).map(lambda k: k / 4)
 _graded_barcodes = st.lists(
@@ -650,7 +665,7 @@ def test_pinned_output_bytes_on_either_distance_path(tmp_path, capsys, monkeypat
 
 
 def test_seeded_runs_print_the_same_bytes_on_either_distance_path(tmp_path, capsys, monkeypatch):
-    rng = np.random.default_rng(17)
+    rng, line_rng = np.random.default_rng(17), np.random.default_rng(19)
     ops = []
     for k in range(12):
         m_path, n_path = tmp_path / f"M{k}.bif", tmp_path / f"N{k}.bif"
@@ -662,6 +677,10 @@ def test_seeded_runs_print_the_same_bytes_on_either_distance_path(tmp_path, caps
                  "--seed", str(k), "--grid", "6x4", "--degree", degree],
                 ["verify-external", "--input", N, "--construction", "shift", "--epsilon", "0.5",
                  "--grid", "5x3", "--degree", degree]]
+        # raw lines, rescaled and slid by the CLI
+        L, Lp = (",".join(map(repr, line_rng.uniform(0.2, 2.0, 2).tolist())) + ":"
+                 + ",".join(map(repr, line_rng.uniform(-1.0, 1.0, 2).tolist())) for _ in range(2))
+        ops.append(["verify-internal", "--input", M, "--line", L, "--line2", Lp, "--degree", degree])
     printed = {}
     for path, entries in _PATHS.items():
         monkeypatch.setattr(persline.bottleneck, "_BATCH_ENTRIES", entries)

@@ -133,6 +133,14 @@ class TestCanonicalizeLine:
             L, (m, b) = Line(raw_m, raw_b), canonical_line(raw_m, raw_b)
             assert [x.hex() for x in L.direction + L.offset] == [x.hex() for x in m + b]
         assert Line((1, 1, 1), (0.1, 0.2, 0.3)).offset[0] == 0.1 - 0.6000000000000001 / 3
+        # integer components are floats first: 2**53 + 1.0 rounds to 2**53, as in the grid
+        assert Line((1, 1, 1), (2**53, 1, 1)) == Line((1.0, 1.0, 1.0), (2.0**53, 1.0, 1.0))
+
+    @pytest.mark.parametrize("raw_m, raw_b", [((), ()), ((1, 1), ("0.5", 0)), (("1", 1), (0, 0)),
+                                              ((1, 1), (None, 0))])
+    def test_empty_or_non_real_line_rejected(self, raw_m, raw_b):
+        with pytest.raises(InadmissibleLineError, match="at least one coordinate, each a real number"):
+            Line(raw_m, raw_b)
 
     @pytest.mark.parametrize("raw_m, raw_b", [
         ((float("nan"), 1.0), (0.0, 0.0)),
@@ -140,8 +148,9 @@ class TestCanonicalizeLine:
         ((1.0, 1.0), (float("nan"), 0.0)),
         ((1.0, 1.0), (1e308, 1e308)),  # the offset sum overflows
         ((1e308, 1e-308), (0.0, 0.0)),  # 1e-308 / 1e308 underflows to 0
+        ((1, 1), (10**400, 0)),  # no float holds the integer
     ], ids=["nan-direction", "inf-direction", "nan-offset", "overflowing-offset",
-            "underflowing-direction"])
+            "underflowing-direction", "integer-too-large"])
     def test_no_finite_canonical_form_rejected(self, raw_m, raw_b):
         with pytest.raises(InadmissibleLineError, match="no finite canonical form"):
             Line(raw_m, raw_b)

@@ -28,9 +28,9 @@ from persline import (
     shift_pair,
 )
 import persline.homology
-from persline.bottleneck import _split
+from persline.bottleneck import _split, _splits
 from persline.complexes import _line_arrays
-from persline.homology import LINE_BLOCK, _line_splits
+from persline.homology import LINE_BLOCK, _line_values
 from generators import random_bifiltered_complex, random_canonical_line, random_scalar_filtration
 from oracles import homology_dim, induced_rank, push_to_line, scalar_barcode, scalar_rank
 
@@ -262,6 +262,19 @@ class TestBarcodeJson:
         with pytest.raises(ValueError):
             barcode_from_json(text)
 
+    @pytest.mark.parametrize("text, named", [
+        ("[[1, 2, 0]]", "[1, 2, 0]"),
+        ("[null]", "None"),
+        ('[{"degree": 0, "birth": 1}]', "{'degree': 0, 'birth': 1}"),
+        ('[{"degree": 0, "birth": "1", "death": 2}]', "Interval(birth='1', death=2, degree=0)"),
+        ('[{"degree": 0, "birth": 0, "death": [1]}]', "Interval(birth=0, death=[1], degree=0)"),
+    ])
+    def test_malformed_item_is_a_value_error_naming_it(self, text, named):
+        # checked before any key is read or any arithmetic is done
+        with pytest.raises(ValueError) as exc:
+            barcode_from_json(text)
+        assert str(exc.value).startswith(f"bad interval {named}: ")
+
     def test_sorted_output(self):
         bars = (Interval(1.0, math.inf, 1), Interval(0.0, 2.0, 0), Interval(0.0, 1.0, 0))
         text = barcode_to_json(bars)
@@ -382,15 +395,15 @@ def _bits(x):
 
 
 class TestLineDistancesHandOff:
-    """line_distances hands the bottleneck the split form of line_barcodes'
-    barcodes, and gives m_star * bottleneck_distance of them, bit for bit."""
+    """The engine's rows in the bottleneck's split form are line_barcodes' barcodes,
+    and line_distances gives m_star * bottleneck_distance of them, bit for bit."""
 
     @staticmethod
     def _check(M, N, lines, degrees):
         for d in degrees:
             bars_m, bars_n = line_barcodes(M, lines, d), line_barcodes(N, lines, d)
             for X, bars in ((M, bars_m), (N, bars_n)):
-                split = list(_line_splits(X, *_line_arrays(lines, X.dim), d))
+                split = [s for block in _line_values(X, *_line_arrays(lines, X.dim), d) for s in _splits(*block)]
                 # a line barcode has one degree: at most one entry, B's half empty
                 want = [(_split(b, ()) or [([], [], [], [])])[0][:2] for b in bars]
                 assert _bits(split) == _bits(want)
@@ -436,7 +449,7 @@ class TestLineDistancesHandOff:
         M = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 0 0\n")
         N = parse_bifiltration(TWO_VERTEX_EDGE)
         L = canonicalize_line((1, 1), (0, 0))
-        assert list(_line_splits(M, *_line_arrays([L], 2), 0)) == [([0.0], [])]
+        assert list(_splits(*next(_line_values(M, *_line_arrays([L], 2), 0)))) == [([0.0], [])]
         self._check(M, N, [L], (0,))
 
     def test_differing_essential_counts_are_infinite(self):

@@ -147,6 +147,16 @@ class TestEtaBound:
         assert bound.K == pytest.approx(2.0, abs=1e-12)
         assert bound.eta == pytest.approx(2.0, abs=1e-12)
 
+    def test_dimensions_must_agree(self):
+        L3 = canonicalize_line((1, 0.5, 1), (0, 0, 0))
+        with pytest.raises(ValueError, match="lines of dimension 2 and 3, grade c of dimension 2"):
+            eta_bound(DIAGONAL, L3, (1.0, 1.0))
+        with pytest.raises(ValueError, match="lines of dimension 2 and 2, grade c of dimension 3"):
+            eta_bound(DIAGONAL, DIAGONAL, (1.0, 1.0, 1.0))
+        # the lines are checked against the complex first, naming the complex
+        with pytest.raises(ValueError, match="complex dimension 2 != line dimension 3"):
+            verify_internal_stability(TWO_VERTEX_EDGE, DIAGONAL, L3, 0)
+
     def test_monotone_in_stabilization_excess(self):
         rng = np.random.default_rng(149)
         for _ in range(30):
