@@ -55,6 +55,19 @@ def _parse_vector(text: str) -> tuple[float, ...]:
         raise CliError(f"bad vector {text!r}: expected comma-separated reals") from None
 
 
+def _attach_grades(argv: list[str]) -> list[str]:
+    """argv with ``--u X`` and ``--v X`` written ``--u=X`` and ``--v=X`` when X starts with one '-'
+    (X is not -h): argparse reads such a token, unless it is one plain number, as an option. They
+    are the only vector flags whose first coordinate can be negative; ``--line``'s is a direction."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--u", "--v") and arg[:1] == "-" and arg[:2] != "--" and arg != "-h":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _parse_line(text: str) -> Line:
     if ":" not in text:
         raise CliError(f"bad line {text!r}: expected 'm1,...,mn:b1,...,bn'")
@@ -118,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank invariant of the transition map H(K_u) -> H(K_v)")
     p.add_argument("--input", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
+    p.add_argument("--u", required=True, help="u1,...,un (u1 may be negative)")
+    p.add_argument("--v", required=True, help="v1,...,vn (v1 may be negative)")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--output")
 
@@ -151,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_grades(argv))
     try:
         if args.command == "barcode":
             M = _load_complex(args.input)

@@ -3,31 +3,30 @@
 Barcodes come from plain left-to-right column reduction of the boundary
 matrix, with columns stored as integer bitmasks (xor = addition over F2).
 Homology in degree d depends only on the boundary maps of degrees d and
-d + 1, so only simplices of dimension <= d + 1 are reduced, less the
-(d + 1)-simplices that a complex drops once as sums of earlier relations
-(:meth:`MultiFilteredComplex._relations`): both cuts are exact. The degree-d
+d + 1, so only the columns of the d- and (d + 1)-simplices are reduced, less
+the (d + 1)-simplices that a complex drops once as sums of earlier relations
+(:meth:`MultiFilteredComplex._relations`): both cuts are exact. One engine,
+:func:`_value_pairs`, pairs value rows over those simplices. The degree-d
 pairing depends only on the order of the d- and (d + 1)-simplices, not on
-the entry values, so lines that order those alike share one reduction.
-Every barcode comes from the line engine, :func:`_line_values`, one block of
-LINE_BLOCK lines at a time. Each distinct pairing is cached as its table
-indices: the f creators of the classes that die, their f destroyers and the
-e creators of the classes that never die, where f and e depend only on the
-complex and the degree (rank d does not depend on the order). A block of
-lines is one gather of its push values through those entries. ``matching``
-and ``stability`` hand such blocks to ``bottleneck._block_distances``, which
-owns their split form; :func:`line_barcodes` reads the rows as intervals,
-and a scalar filtration is its one-parameter case (:func:`compute_barcode`).
-The rank invariant of a transition map H(K_u) -> H(K_v) is read off one
-filtration of the whole complex: K_u enters at 0, K_v \\ K_u at 1 and the
-rest at 2, and the rank equals the number of classes born at 0 that are
-still alive at 1.
+the values: that order is the cache key and the whole input of the one
+reduction, :func:`_pairs`. A pairing is cached as the indices of the f
+creators of the classes that die, their f destroyers and the e creators of
+the classes that never die (f and e depend only on the complex and the
+degree: rank d does not depend on the order), and a block of rows is one
+gather of its values through them. Lines feed it their push values
+(:func:`_line_values`); ``matching`` and ``stability`` hand the blocks to
+``bottleneck._block_distances``, which owns their split form;
+:func:`line_barcodes` reads the rows as intervals, and a scalar filtration
+is its one-parameter case (:func:`compute_barcode`). The rank invariant of
+H(K_u) -> H(K_v) is one row: K_u enters at 0, K_v \\ K_u at 1 and the rest
+at 2, and the rank is the number of classes born at 0 still alive at 1.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,39 +66,34 @@ class Interval(NamedTuple):
 Barcode = tuple[Interval, ...]
 
 
-def _pairs(
-    order: Sequence[int], boundary: Sequence[tuple[int, ...]], degree: int, essential: int = -1
-) -> tuple[list[int], list[int], list[int]]:
-    """Persistence pairs in one degree of the filtration that adds simplices in ``order``.
+def _pairs(order: list[int], boundary: Sequence[tuple[int, ...]], low: int, mid: int, essential: int
+           ) -> tuple[list[int], list[int], list[int]]:
+    """Persistence pairs in degree d of the filtration whose cache key is ``order``.
 
-    ``boundary[i]`` lists the faces of simplex i; every face comes before its
-    cofaces in ``order``. Returns three lists of simplex indices for the
-    classes of degree ``degree``: the creators of the classes that die, their
-    destroyers (in the same order), and the creators of the classes that
-    never die. The lengths depend only on the complex and the degree, since
-    rank d does not depend on the order.
+    ``order`` lists the d-simplices, indices in [low, mid), and the (d + 1)-simplices,
+    indices from mid on, as the filtration adds them, each after its faces;
+    ``boundary[i]`` lists the faces of simplex i. Returns three lists of simplex
+    indices: the creators of the classes that die, their destroyers (in the same
+    order), and the creators of the classes that never die.
 
-    Only columns of dimension ``degree`` and ``degree + 1`` are reduced;
-    lower ones never meet them. A reduced column's pivot is a creator not
-    yet paired, so a (degree + 1)-column is zero, and is skipped, while no
-    creator is unpaired; and, when ``essential`` (the number of classes
-    that never die, which the order does not change) is known, once every
-    degree-simplex is placed and only the essential classes are unpaired.
+    A d-face's row is its place in ``order``, after every (d - 1)-face, whose row is
+    its own index. That is exact: whether a d-column reduces to zero, all that is
+    read of it, does not depend on the order of the rows (it does exactly when its
+    boundary is a sum of earlier ones). A reduced column's pivot is a creator not yet
+    paired, so a (d + 1)-column is zero, and is skipped, while no creator is unpaired;
+    and once every d-simplex is placed and only ``essential`` classes are unpaired
+    (their number, which the order does not change; -1 while it is not known).
     """
-    pos = [0] * len(order)
-    for j, i in enumerate(order):
-        pos[i] = j
-    # a k-simplex has k + 1 faces and a vertex none: columns are told apart by that count
-    own, up = (degree + 1 if degree else 0), degree + 2
-    left = list(map(len, boundary)).count(own)  # degree-simplices not yet placed
+    pos = list(range(mid))  # rows; a d-simplex's is set when it is placed
+    left = mid - low  # d-simplices not yet placed
     pivots: dict[int, int] = {}
     killer: dict[int, int] = {}
     creators: list[int] = []
-    for j, i in enumerate(order):
-        n_faces = len(boundary[i])
-        if n_faces == own:
-            left -= 1
-        elif n_faces != up or len(creators) == len(killer):
+    for j, i in enumerate(order, low):
+        top = i >= mid
+        if not top:
+            pos[i], left = j, left - 1
+        elif len(creators) == len(killer):
             continue
         elif not left and len(creators) - len(killer) == essential:
             break
@@ -107,20 +101,19 @@ def _pairs(
         for f in boundary[i]:
             col ^= 1 << pos[f]
         while col:
-            low = col.bit_length() - 1
-            prev = pivots.get(low)
+            row = col.bit_length() - 1
+            prev = pivots.get(row)
             if prev is None:
-                pivots[low] = col
-                if n_faces == up:
-                    killer[low] = i
+                pivots[row] = col
+                if top:
+                    killer[row] = i
                 break
             col ^= prev
-        else:
-            if n_faces != up:
-                creators.append(j)
+        if not (col or top):  # a d-column reduced to zero
+            creators.append(j)
     born = [j for j in creators if j in killer]
-    kept = [order[j] for j in creators if j not in killer]
-    return [order[j] for j in born], [killer[j] for j in born], kept
+    kept = [order[j - low] for j in creators if j not in killer]
+    return [order[j - low] for j in born], [killer[j] for j in born], kept
 
 
 def compute_barcode(F: ScalarFiltration, degree: int) -> Barcode:
@@ -143,48 +136,54 @@ def line_barcodes(M: MultiFilteredComplex, lines: Sequence[Line], degree: int) -
 
 def _line_values(M: MultiFilteredComplex, directions: np.ndarray, offsets: np.ndarray, degree: int
                  ) -> Iterator[tuple[np.ndarray, int]]:
-    """Per LINE_BLOCK rows of the (k, n) canonical line arrays ``directions`` and
-    ``offsets``: M's persistence pairs along each line as one (rows, 2f + e) array
-    of push values, with f. Row r holds line r's f finite births, their f deaths
-    (zero-length pairs kept) and its e essential births; f and e depend only on
-    M and ``degree``.
+    """:func:`_value_pairs` of M's push values onto the lines of the (k, n) canonical line
+    arrays ``directions`` and ``offsets``, LINE_BLOCK lines at a time; row r is line r's.
 
-    It reads M's relation subset for ``degree``, in table order. Each block's
-    push values are one array. Overflow (ValueError naming the first simplex
-    and line, in line order) is looked for only on the lines where the push of
-    the componentwise min grade of M's simplices of dimension <= degree + 1 is
-    -inf or that of their max +inf: pushes are monotone, so elsewhere every
-    push, of dropped relations too, is finite. Every line is checked before
-    the first block is yielded. A stable argsort of each row orders the
-    simplices by (push value, dimension, vertex ids), faces first. The pairing is cached for the call by
-    the order of the d- and (d + 1)-simplices alone (d = degree): whether a
-    d-column reduces to zero depends only on which d-simplices come before
-    it, and the low of a reduced (d + 1)-column only on the order of the
-    d-simplices and the (d + 1)-columns before it. A cache entry is the 2f + e
-    table indices of a pairing in the narrowest integer type that holds them,
-    so that a cache of many orders stays small.
+    Overflow (ValueError naming the first simplex and line, in line order) is looked for only on
+    the lines where the push of the componentwise min grade of M's simplices of dimension <=
+    degree + 1 is -inf or that of their max +inf: pushes are monotone, so elsewhere every push,
+    of dropped relations too, is finite. Every line is checked before the first block is yielded.
     """
     if directions.shape[1] != M.dim:
         raise ValueError(f"complex dimension {M.dim} != line dimension {directions.shape[1]}")
-    keep, boundary = M._relations(degree)
-    grades, size, low = M.grade_array[keep], M.skeleton(degree), M.skeleton(degree - 2)
+    grades, size = M.grade_array[M._relations(degree)[0]], M.skeleton(degree)
     G = M.grade_array[:size]
     ends = push_values(np.vstack((G.min(axis=0, initial=math.inf), G.max(axis=0, initial=-math.inf))),
                        directions, offsets)
     _check_overflow(M, size, directions, offsets, ~((ends[:, 0] > -math.inf) & (ends[:, 1] < math.inf)))
+    yield from _value_pairs(M, (push_values(grades, directions[s : s + LINE_BLOCK], offsets[s : s + LINE_BLOCK])
+                                for s in range(0, len(directions), LINE_BLOCK)), degree)
+
+
+def _value_pairs(M: MultiFilteredComplex, blocks: Iterable[np.ndarray], degree: int
+                 ) -> Iterator[tuple[np.ndarray, int]]:
+    """Per (rows, n) array of ``blocks``, value rows over M's relation subset for ``degree``
+    in table order: the persistence pairs of each row's filtration as one (rows, 2f + e)
+    array of its values, with f. A row holds f finite births, their f deaths (zero-length
+    pairs kept) and e essential births; f and e depend only on M and ``degree``.
+
+    A stable argsort of each row orders the simplices by (value, dimension, vertex ids),
+    faces first. The pairing is cached for the call by the order of the d- and
+    (d + 1)-simplices alone (d = degree), all that :func:`_pairs` reads: whether a
+    d-column reduces to zero depends only on which d-simplices come before it, and the
+    low of a reduced (d + 1)-column only on the order of the d-simplices and the
+    (d + 1)-columns before it. A cache entry is the 2f + e indices of a pairing in the
+    narrowest integer type that holds them, so that a cache of many orders stays small.
+    """
+    keep, boundary = M._relations(degree)
+    low, mid = M.skeleton(degree - 2), M.skeleton(degree - 1)
     key_type = np.min_scalar_type(len(keep) - 1)  # the narrowest keeps large caches small
     cache: dict[bytes, np.ndarray] = {}
     finite = essential = -1
-    for start in range(0, len(directions), LINE_BLOCK):
-        P = push_values(grades, directions[start : start + LINE_BLOCK], offsets[start : start + LINE_BLOCK])
+    for P in blocks:
         orders = np.argsort(P, axis=1, kind="stable").astype(key_type)
-        keys = orders[orders >= low].tobytes()
+        keys = orders[orders >= low].tobytes()  # each row's cache key, one after another
         width = len(keys) // len(P)
         entries = []
         for r in range(len(P)):
             entry = cache.get(key := keys[r * width : (r + 1) * width])
             if entry is None:
-                born, killed, kept = _pairs(orders[r].tolist(), boundary, degree, essential)
+                born, killed, kept = _pairs(np.frombuffer(key, key_type).tolist(), boundary, low, mid, essential)
                 finite, essential = len(born), len(kept)
                 entry = cache[key] = np.array(born + killed + kept, dtype=key_type)
             entries.append(entry)
@@ -214,6 +213,9 @@ class RankQuery:
     degree: int
 
     def __post_init__(self):
+        for name, g in (("u", self.u), ("v", self.v)):
+            if any(math.isnan(x) for x in g):
+                raise ValueError(f"grade {name} {g} has a NaN coordinate")
         if not leq(self.u, self.v):
             raise ValueError(f"rank query requires u <= v, got u={self.u}, v={self.v}")
 
@@ -221,19 +223,17 @@ class RankQuery:
 def rank_invariant(M: MultiFilteredComplex, q: RankQuery) -> int:
     """Rank over F2 of the inclusion-induced map H(K_u) -> H(K_v).
 
-    One value row over M's face-index table, 0 on K_u, 1 on K_v \\ K_u and
-    2 elsewhere, is a filtration of the whole complex; the rank is the
-    number of classes born at 0 that die after 1 or never. Only M's relation
-    subset for the degree is read: it leaves every rank as it is.
+    One value row of :func:`_value_pairs` over M's relation subset for the degree, which
+    leaves every rank as it is: 0 on K_u, 1 on K_v \\ K_u and 2 elsewhere, a filtration
+    of the whole complex. The rank is the number of classes born at 0 that die at 2 or never.
     """
     for name, g in (("u", q.u), ("v", q.v)):
         if len(g) != M.dim:
             raise ValueError(f"grade {name} has {len(g)} coordinates, expected {M.dim}")
-    keep, boundary = M._relations(q.degree)
-    grades = M.grade_array[keep]
-    row = (2 - (grades <= q.v).all(axis=1) - (grades <= q.u).all(axis=1)).tolist()
-    born, killed, kept = _pairs(sorted(range(len(keep)), key=row.__getitem__), boundary, q.degree)
-    return sum(row[i] == 0 and row[j] == 2 for i, j in zip(born, killed)) + sum(row[i] == 0 for i in kept)
+    grades = M.grade_array[M._relations(q.degree)[0]]
+    row = 2 - (grades <= q.v).all(axis=1) - (grades <= q.u).all(axis=1)
+    (values,), f = next(_value_pairs(M, [row[None]], q.degree))
+    return int(((values[:f] == 0) & (values[f : 2 * f] == 2)).sum() + (values[2 * f :] == 0).sum())
 
 
 def strict_dumps(payload) -> str:

@@ -252,6 +252,33 @@ class TestRank:
         assert captured.err.startswith("persline: error: grade ")
         assert "expected 2" in captured.err
 
+    @pytest.mark.parametrize("u, v", [("-1,0", "0,0"), ("-0.5,2", "1,3"), ("-inf,-1", "-1,1"),
+                                      ("-1,-1", "-0.5,-1"), ("0,0", "-0.5,2")])
+    def test_negative_first_coordinate_reads_as_with_equals(self, tmp_path, capsys, u, v):
+        path = tmp_path / "M.bif"
+        path.write_text("bifiltration 2\n0 0 ; -1 -1\n0 1 ; -1 0\n1 0 1 ; -0.5 0\n")
+        runs = []
+        for flags in (["--u", u, "--v", v], [f"--u={u}", f"--v={v}"]):
+            code = run(["rank", "--input", str(path), *flags, "--degree", "0"])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (2 if v == "-0.5,2" else 0)
+
+    @pytest.mark.parametrize("u, v, named", [("nan,0", "1,1", "u"), ("0,0", "1,nan", "v"),
+                                             ("-nan,0", "nan,1", "u")])
+    def test_nan_grade_is_named(self, fixture_complex, capsys, u, v, named):
+        code = run(["rank", "--input", fixture_complex, "--u", u, "--v", v, "--degree", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert captured.err.startswith(f"persline: error: grade {named} ")
+        assert "NaN" in captured.err
+
+    def test_infinite_grade_is_the_whole_complex(self, fixture_complex, capsys):
+        code = run(["rank", "--input", fixture_complex, "--u", "0,0", "--v", "inf,inf", "--degree", "0"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == 1
+
 
 class TestMatchdist:
     def test_json_output(self, fixture_complex, tmp_path, capsys):

@@ -311,6 +311,24 @@ def _clique_complex(rng, n_vertices, top_dim, levels):
     )
 
 
+def _reversed_faces_clique(rng, n_vertices):
+    """Every simplex up to dimension 3 on n_vertices >= 5 but those of dimension >= 2 on
+    the edge (0, 1), and the tetrahedron (1, 2, 3, 4): degrees 1 and 2 have a class that
+    never dies. The first grade coordinate falls with the table index among the vertices
+    and among the edges; the second ties often. A triangle or a tetrahedron enters at the
+    max of its faces plus 0 or 1 per coordinate."""
+    grade = {(i,): (float(2 * (n_vertices - i)), float(i % 2)) for i in range(n_vertices)}
+    edges = list(combinations(range(n_vertices), 2))
+    for e, s in enumerate(edges):
+        grade[s] = (float(2 * (n_vertices + len(edges) - e)), float(2 + e % 3))
+    for k in (3, 4):
+        for s in combinations(range(n_vertices), k):
+            if s[:2] != (0, 1) and s != (1, 2, 3, 4):
+                g = np.max([grade[s[:i] + s[i + 1 :]] for i in range(k)], axis=0) + rng.integers(0, 2, size=2)
+                grade[s] = tuple(map(float, g))
+    return MultiFilteredComplex(2, tuple(grade.items()))
+
+
 def _tie_heavy_lines(offsets):
     directions = ((1, 1), (1, 0.5), (0.5, 1), (1, 0.25))
     return [canonicalize_line(m, b) for m in directions for b in offsets]
@@ -373,6 +391,20 @@ class TestLineBarcodes:
         M = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n0 1 ; 1 1\n0 2 ; 2 2\n"
                                "1 0 2 ; 5 2\n1 1 2 ; 2 5\n")
         self._check(M, [canonicalize_line((1, 0.2), (0, 0)), canonicalize_line((0.2, 1), (0, 0))], (0,))
+
+    def test_faces_enter_in_reverse_table_order(self):
+        # the reduction's row for a (d - 1)-face is its table index: along most of these
+        # lines the vertices and the edges enter in the reverse of that order
+        rng = np.random.default_rng(83)
+        for _ in range(3):
+            M = _reversed_faces_clique(rng, 5)
+            lines = _tie_heavy_lines([(0, 0), (1, -1), (-1, 1), (3, -3), (-3, 3)])
+            lines += [canonicalize_line((1, w), (0, 0)) for w in (0.01, 0.1, 0.3)]
+            self._check(M, lines, (1, 2))
+            grades = [g for _, g in M.simplices]
+            for _ in range(8):
+                u, w = (grades[i] for i in rng.integers(0, len(grades), size=2))
+                TestRankInvariant._check_image_rank(M, u, tuple(map(max, u, w)), (1, 2))
 
     def test_degree_above_dimension_and_negative(self):
         M = parse_bifiltration(TWO_VERTEX_EDGE)

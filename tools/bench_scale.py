@@ -11,7 +11,9 @@ function-Rips pair ``gen.rips_pair(default_rng(0), n, 0.05)`` with n = 25
 and 40 points (2,625 and 10,700 simplices per complex), and, at degree 0 on
 the 9-simplex ``gen.tiny_complex(default_rng(0), 9)`` and its perturbed copy
 (``perturb_grades``, epsilon 0.05, seed 0), ``matchdist --grid 16x8`` and
-``verify-external --grid 16x8`` with that construction.
+``verify-external --grid 16x8`` with that construction. At degree 1 on the
+n = 40 complex M, ``verify-external --grid 16x8 --epsilon 0.05`` runs with
+``--construction shift`` and with ``--construction perturb --seed 0``.
 
 Every run of a case is a fresh child process that imports ``persline`` from
 ``--src`` (default: this checkout's ``src``), times one in-process
@@ -46,6 +48,10 @@ CASES = {f"rips{n}-H{d}": (f"rips{n}", ["matchdist"], d) for n in (25, 40) for d
 CASES["tiny9-H0"] = ("tiny9", ["matchdist"], 0)
 CASES["tiny9-verify-H0"] = ("tiny9", ["verify-external", "--construction", "perturb",
                                       "--epsilon", repr(EPSILON), "--seed", "0"], 0)
+CASES["rips40-verify-shift-H1"] = ("rips40", ["verify-external", "--construction", "shift",
+                                              "--epsilon", repr(EPSILON)], 1)
+CASES["rips40-verify-perturb-H1"] = ("rips40", ["verify-external", "--construction", "perturb",
+                                                "--epsilon", repr(EPSILON), "--seed", "0"], 1)
 CHILD = """
 import contextlib, hashlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
