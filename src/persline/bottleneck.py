@@ -45,12 +45,26 @@ the table of partial matchings of a with b is small (:func:`_batched`), each
 one's cost is read off one (lines, a*b + a + b + 1) array of pair and
 deletion costs, and the distance is the min over matchings of the max over
 their columns, the larger of that and the sorted essential births' gap;
-+inf when e != e'. Else each line is searched in split form (:func:`_splits`).
-The two agree bit for bit:
++inf when e != e'. Else the lower bound of reduction 2 is certified for the
+whole block (:func:`_certified`) and only the lines it leaves are searched in
+split form (:func:`_splits`), starting from their bound. The pass drops the
+zero-length pairs, takes per line the max over both sides of min(diag(p),
+min_q cost(p, q)), and checks Hall's condition at it on each side: every set
+S of roots (diag > the bound) has at least |S| partners at cost <= the bound,
+by a subset table over bitmasks. By Hall's theorem one matching then covers
+each side's roots, so by Mendelsohn-Dulmage (reduction 3) the bound is
+feasible: it is the distance. A failed condition, more than _HALL_ROOTS roots
+or more than 63 partners sends the line on. The paths agree bit for bit:
 
-- it is the min over matchings of the max over the same float costs that the
-  threshold search compares (it tests the rounded endpoint differences
-  against delta, and a cost is one of them, exactly halved for a deletion);
+- the pass computes the floats that :func:`_nearest_bound` and :func:`_covers`
+  compare, so its bound is theirs, and its Hall test decides their test at it;
+- a zero-length pair is never a root (it is deleted at +0.0), and pairing it
+  with p costs at least diag(p) (as below): more than the bound if p is a
+  root, and never less than p's own min(diag(p), ...);
+- the table pass is the min over matchings of the max over the same float
+  costs that the threshold search compares (it tests the rounded endpoint
+  differences against delta, and a cost is one of them, exactly halved for a
+  deletion);
 - the zero-length pairs the split form drops change no value, rounding
   included: a pair (c, c) is deleted at +0.0, and matching it to q costs
   max(fl|c - b_q|, fl|c - d_q|) >= fl(d_q - b_q) / 2, by monotone rounding
@@ -78,6 +92,16 @@ from .homology import Barcode
 # The matchings alone do not bound it: 1 and b intervals have b + 1 of them,
 # of b + 1 columns each.
 _BATCH_ENTRIES = 16_000
+# Bounds of the pass that certifies a line's lower bound (_certified). Its
+# largest temporaries, the (lines, a', b') pair costs and adjacency and the
+# (lines, 2**R) table of neighbourhoods, hold at most _PASS_ENTRIES entries of
+# at most 8 bytes each (512 KiB), lines taken a chunk at a time; a block whose
+# single line has more pair costs goes line by line. A line with more than
+# _HALL_ROOTS roots on a side, or whose roots there have more than 63 partners
+# (the value bits of an int64), is left to the per-line search.
+_PASS_ENTRIES = 1 << 16
+_HALL_ROOTS = 10
+_BYTE_BITS = np.array([bin(k).count("1") for k in range(256)], dtype=np.uint8)
 _ESSENTIAL_OVERFLOW = "two matched essential births differ by more than the largest float"
 _Side = list[tuple[float, float, float]]  # finite (birth, death, half the length), sorted
 
@@ -248,9 +272,11 @@ def _first_feasible(A: _Side, B: _Side, costs: list[float], match_a: list[int],
     return lo, match_a, match_b
 
 
-def _finite_distance(A: _Side, B: _Side) -> float:
-    """Least candidate cost at which the finite parts can be matched."""
-    lower = _nearest_bound(B, A, _nearest_bound(A, B, 0.0))
+def _finite_distance(A: _Side, B: _Side, lower: float | None = None) -> float:
+    """Least candidate cost at which the finite parts can be matched; ``lower``, if
+    given, is their lower bound (reduction 2)."""
+    if lower is None:
+        lower = _nearest_bound(B, A, _nearest_bound(A, B, 0.0))
     match_a, match_b = [-1] * len(B), [-1] * len(A)
     if _finite_feasible(A, B, lower, match_a, match_b):
         return lower
@@ -336,23 +362,19 @@ def _splits(values: np.ndarray, finite: int) -> Iterator[tuple[list[float], _Sid
         yield sorted(row[2 * finite :]), sorted([(b, d, (d - b) / 2.0) for b, d in pairs if d > b])
 
 
-def _block_distances(A: np.ndarray, a: int, B: np.ndarray, b: int) -> np.ndarray:
-    """Bottleneck distance of each row of A with the same row of B, as a float array.
-
-    A row holds a barcode's a finite births, their a deaths in the same order
-    and its essential births; so does B's with b. One pass or line by line, by
-    the size of their matching table (see the module docstring). An essential
-    gap that overflows raises ValueError.
-    """
-    if not _batched(a, b):
-        return np.array([_split_distance(*p, *q) for p, q in zip(_splits(A, a), _splits(B, b))])
-    ess_a, ess_b = np.sort(A[:, 2 * a :], axis=1), np.sort(B[:, 2 * b :], axis=1)
-    if ess_a.shape[1] != ess_b.shape[1]:
-        return np.full(len(A), math.inf)
+def _essential_gaps(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per row of two blocks of as many essential births, the sorted births' largest
+    gap. A gap that overflows raises ValueError."""
     with np.errstate(over="ignore"):
-        gap = np.abs(ess_a - ess_b).max(axis=1, initial=0.0)
-        if not (gap < math.inf).all():
-            raise ValueError(_ESSENTIAL_OVERFLOW)
+        gap = np.abs(np.sort(A, axis=1) - np.sort(B, axis=1)).max(axis=1, initial=0.0)
+    if not (gap < math.inf).all():
+        raise ValueError(_ESSENTIAL_OVERFLOW)
+    return gap
+
+
+def _table_distances(A: np.ndarray, a: int, B: np.ndarray, b: int) -> np.ndarray:
+    """The finite parts' distance per row, the min over the matching table of its worst cost."""
+    with np.errstate(over="ignore"):
         births = np.abs(A[:, :a, None] - B[:, None, :b])
         deaths = np.abs(A[:, a : 2 * a, None] - B[:, None, b : 2 * b])
         pairs = np.maximum(births, deaths).reshape(len(A), a * b)
@@ -362,4 +384,100 @@ def _block_distances(A: np.ndarray, a: int, B: np.ndarray, b: int) -> np.ndarray
     worst = costs[:, columns[0]]  # (lines, matchings): one table column at a time bounds memory
     for column in columns[1:]:
         np.maximum(worst, costs[:, column], out=worst)
-    return np.maximum(gap, worst.min(axis=1))  # the essential part first, as in _split_distance
+    return worst.min(axis=1)
+
+
+def _live(X: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Births, deaths and diag of each row's finite pairs with death > birth, moved to
+    the front and cropped to the most any row has; diag is -inf past a row's own."""
+    births, deaths = X[:, :x], X[:, x : 2 * x]
+    live = deaths > births
+    order = np.argsort(~live, axis=1, kind="stable")[:, : live.sum(axis=1).max(initial=0)]
+    births, deaths = np.take_along_axis(births, order, 1), np.take_along_axis(deaths, order, 1)
+    with np.errstate(over="ignore"):
+        diag = np.where(np.take_along_axis(live, order, 1), (deaths - births) / 2.0, -math.inf)
+    return births, deaths, diag
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each entry of an unsigned integer array."""
+    return _BYTE_BITS[x.view(np.uint8)].reshape(*x.shape, x.itemsize).sum(axis=-1, dtype=np.uint8)
+
+
+def _hall(adjacent: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Per row, whether every set S of its roots (rows, p) has at least |S| partners
+    in ``adjacent`` (rows, p, q): Hall's condition, so one matching covers the roots.
+    False also where the test is not run (see _HALL_ROOTS)."""
+    count = roots.sum(axis=1)
+    near = (adjacent & roots[:, :, None]).any(axis=1)
+    ok = count == 0
+    rows = np.flatnonzero((count > 0) & (count <= _HALL_ROOTS) & (near.sum(axis=1) <= 63))
+    if not len(rows):
+        return ok
+    R, count = int(count[rows].max()), count[rows, None]
+    near = near[rows].astype(np.int64)
+    bits = near << (np.cumsum(near, axis=1) - near)  # each partner its own bit
+    first = np.argsort(~roots[rows], axis=1, kind="stable")[:, :R, None]  # the roots, then others
+    masks = (np.take_along_axis(adjacent[rows], first, 1) * bits[:, None, :]).sum(axis=2)
+    masks = masks.astype(np.min_scalar_type(int(masks.max())))  # the fewest bytes to count
+    subsets = np.arange(1 << R, dtype=np.uint16)  # S by bits; a row with k roots owns those < 2**k
+    step = max(1, _PASS_ENTRIES >> R)
+    for start in range(0, len(rows), step):
+        chunk = masks[start : start + step]
+        table = np.zeros((len(chunk), 1 << R), dtype=masks.dtype)  # N(S) by bits
+        for k in range(R):
+            np.bitwise_or(table[:, : 1 << k], chunk[:, k, None], out=table[:, 1 << k : 2 << k])
+        short = (_popcount(table) < _popcount(subsets)) & (subsets < 1 << count[start : start + step])
+        ok[rows[start : start + step]] = ~short.any(axis=1)
+    return ok
+
+
+def _certified(A: np.ndarray, a: int, B: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per row, the finite parts' lower bound (reduction 2), and whether Hall's condition
+    holds at it on both sides, so that it is their distance (see the module docstring).
+    None if one row's pair costs exceed _PASS_ENTRIES."""
+    births_a, deaths_a, diag_a = _live(A, a)
+    births_b, deaths_b, diag_b = _live(B, b)
+    step = _PASS_ENTRIES // max(diag_a.shape[1] * diag_b.shape[1], 1)
+    if not step:
+        return None
+    lower, settled = np.zeros(len(A)), np.zeros(len(A), dtype=bool)
+    for start in range(0, len(A), step):
+        rows = slice(start, start + step)
+        da, db = diag_a[rows], diag_b[rows]
+        with np.errstate(over="ignore"):
+            cost = np.maximum(np.abs(births_a[rows, :, None] - births_b[rows, None, :]),
+                              np.abs(deaths_a[rows, :, None] - deaths_b[rows, None, :]))
+        cost[(da == -math.inf)[:, :, None] | (db == -math.inf)[:, None, :]] = math.inf
+        low = np.maximum(np.minimum(da, cost.min(axis=2, initial=math.inf)).max(axis=1, initial=0.0),
+                         np.minimum(db, cost.min(axis=1, initial=math.inf)).max(axis=1, initial=0.0))
+        adjacent = cost <= low[:, None, None]
+        lower[rows] = low
+        settled[rows] = (_hall(adjacent, da > low[:, None])
+                         & _hall(adjacent.transpose(0, 2, 1), db > low[:, None]))
+    return lower, settled
+
+
+def _block_distances(A: np.ndarray, a: int, B: np.ndarray, b: int) -> np.ndarray:
+    """Bottleneck distance of each row of A with the same row of B, as a float array.
+
+    A row holds a barcode's a finite births, their a deaths in the same order
+    and its essential births; so does B's with b. One pass over the matching
+    table, or the certified lower bound with the per-line search for the rows it
+    leaves, by the size of that table (see the module docstring). An essential
+    gap that overflows raises ValueError.
+    """
+    if A.shape[1] - 2 * a != B.shape[1] - 2 * b:  # the essential counts differ
+        return np.full(len(A), math.inf)
+    gap = _essential_gaps(A[:, 2 * a :], B[:, 2 * b :])  # the essential part first, as in _split_distance
+    if _batched(a, b):
+        return np.maximum(gap, _table_distances(A, a, B, b))
+    certified = _certified(A, a, B, b)
+    if certified is None:
+        return np.array([_split_distance(*p, *q) for p, q in zip(_splits(A, a), _splits(B, b))])
+    lower, settled = certified
+    out = np.maximum(gap, lower)
+    rest = np.flatnonzero(~settled)
+    for r, (_, fin_a), (_, fin_b) in zip(rest, _splits(A[rest], a), _splits(B[rest], b)):
+        out[r] = max(gap[r], _finite_distance(fin_a, fin_b, float(lower[r])))
+    return out

@@ -182,6 +182,10 @@ def matching_distance_lb(
     except InadmissibleLineError as exc:  # a line of the grid, not one the user gave
         raise ValueError(f"grades in the boxes {M.bounding_box()} and {N.bounding_box()}, "
                          f"padded to the {exc}") from None
+    except MemoryError:  # the user's grid, too large: a usage error, not a defect
+        lines = len(_sample_directions(M.dim, grid.direction_steps)) * grid.offset_steps ** M.dim
+        raise ValueError(f"grid {grid.direction_steps}x{grid.offset_steps} in {M.dim} parameters: "
+                         f"its {lines + len(grid.extra_lines)} lines do not fit in memory") from None
     distances = tuple(_distances(M, N, directions, offsets, degree))
     return MatchResult(max(distances), directions, offsets, distances)
 

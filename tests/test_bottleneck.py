@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from persline import Interval, bottleneck_distance
 import persline.bottleneck
 from persline.bottleneck import (
-    _BATCH_ENTRIES, _batched, _block_distances, _matching_table, _split_distance, _splits, feasible,
+    _BATCH_ENTRIES, _HALL_ROOTS, _batched, _block_distances, _certified, _finite_feasible,
+    _matching_table, _nearest_bound, _split_distance, _splits, feasible,
 )
 from persline.homology import strict_dumps
 from generators import random_barcode
@@ -339,10 +340,23 @@ def _rows(values, finite):
             + [Interval(b, INF, 0) for b in row[2 * finite :]] for row in values.tolist()]
 
 
+def _pairs(*rows):
+    """A block of rows of (birth, death) pairs, no essential ones, each padded with
+    zero-length (9, 9) pairs to the longest and to at least 6: past the table bound."""
+    width = max(6, *(len(row) for row in rows))
+    rows = [list(row) + [(9.0, 9.0)] * (width - len(row)) for row in rows]
+    return np.array([[b for b, _ in row] + [d for _, d in row] for row in rows]), width
+
+
 class TestBlockDistances:
     """The one-pass distance of small barcodes equals the per-line threshold search on
     their split form bit for bit, and the exhaustive oracle; zero-length pairs kept.
-    Each block is also matched on the path _block_distances picks for it."""
+    Each block is also matched on the path _block_distances picks for it.
+
+    Past the table bound, the certified pass's lower bound is the search's first
+    candidate bit for bit, it settles a row exactly when the search accepts that
+    candidate (where its caps let it test), and every value equals the search's as
+    float hex: with the pass on, in small chunks, capped to 0 roots and switched off."""
 
     @staticmethod
     def _check(A, a, B, b):
@@ -403,3 +417,88 @@ class TestBlockDistances:
         with pytest.raises(ValueError, match="largest float") as batched:
             _block_distances(A, 1, B, 0)
         assert str(batched.value) == str(per_line.value)
+
+    @staticmethod
+    def _check_pass(A, a, B, b):
+        """The pass's verdict per row, after checking it and the values against the search;
+        with each verdict, whether the search accepts the bound."""
+        assert not _batched(a, b)
+        want = [_split_distance(*p, *q).hex() for p, q in zip(_splits(A, a), _splits(B, b))]
+        search = []
+        for (_, fin_a), (_, fin_b) in zip(_splits(A, a), _splits(B, b)):
+            lower = _nearest_bound(fin_b, fin_a, _nearest_bound(fin_a, fin_b, 0.0))
+            search.append((lower.hex(), _finite_feasible(fin_a, fin_b, lower, [-1] * len(fin_b),
+                                                         [-1] * len(fin_a))))
+        lower, settled = _certified(A, a, B, b)
+        assert [x.hex() for x in lower.tolist()] == [h for h, _ in search]
+        assert all(feasible_at for ok, (_, feasible_at) in zip(settled, search) if ok)
+        for name, value in (("_PASS_ENTRIES", 1 << 16), ("_PASS_ENTRIES", 1 << 10),
+                            ("_HALL_ROOTS", 0), ("_PASS_ENTRIES", 0)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(persline.bottleneck, name, value)
+                assert [x.hex() for x in _block_distances(A, a, B, b).tolist()] == want
+                if name == "_PASS_ENTRIES" and value:  # chunks change no verdict
+                    assert _certified(A, a, B, b)[1].tolist() == settled.tolist()
+        return settled.tolist(), [feasible_at for _, feasible_at in search]
+
+    @pytest.mark.parametrize("a, b", [(6, 6), (8, 8), (10, 7), (4, 10)])
+    def test_settles_exactly_the_rows_the_search_accepts_at_the_bound(self, a, b):
+        # at most 10 live pairs a side: no row reaches a cap
+        rng, verdicts = np.random.default_rng(2000 + 10 * a + b), []
+        for essential in (0, 1, 2):
+            settled, feasible_at = self._check_pass(_block(rng, 64, a, essential), a,
+                                                    _block(rng, 64, b, essential), b)
+            assert settled == feasible_at
+            verdicts += settled
+        assert any(verdicts) and not all(verdicts)  # bounds that hold, bounds that fail
+
+    def test_the_full_root_set_can_be_the_only_short_one(self):
+        # two roots of A share their one partner: each alone is matched, both are not
+        A, a = _pairs([(0.0, 4.0), (0.0, 4.25)], [(0.0, 4.0)])
+        B, b = _pairs([(0.0, 4.125)], [(0.0, 4.125)])
+        assert self._check_pass(A, a, B, b) == ([False, True], [False, True])
+        assert _block_distances(A, a, B, b).tolist() == [2.0, 0.125]
+
+    def test_rows_over_the_root_cap_go_per_line(self):
+        # k-th interval of A matched to the k-th of B at 0.25, every interval a root
+        rows = [[(k, k + 4.0) for k in range(n)] for n in (_HALL_ROOTS, _HALL_ROOTS + 1)]
+        A, a = _pairs(*rows)
+        B, b = _pairs(*[[(x + 0.25, y) for x, y in row] for row in rows])
+        assert self._check_pass(A, a, B, b) == ([True, False], [True, True])
+        assert _block_distances(A, a, B, b).tolist() == [0.25, 0.25]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(persline.bottleneck, "_HALL_ROOTS", _HALL_ROOTS + 1)
+            assert _certified(A, a, B, b)[1].tolist() == [True, True]
+
+    def test_rows_whose_roots_have_more_than_63_partners_go_per_line(self):
+        # (100, 102) alone sets the bound 1.0; the one root (0, 3) has every interval
+        # of B as a partner, and none of them is a root
+        A, a = _pairs([(0.0, 3.0), (100.0, 102.0)], [(0.0, 3.0), (100.0, 102.0)])
+        B, b = _pairs(*[[(0.5 + k / 1024, 2.5 - k / 1024) for k in range(n)] for n in (63, 64)])
+        assert self._check_pass(A, a, B, b) == ([True, False], [True, True])
+        assert _block_distances(A, a, B, b).tolist() == [1.0, 1.0]
+
+    def test_rows_without_live_pairs_and_signed_zeros(self):
+        # no live pair on A's side, on B's, on both, on B's against two of A's; births 0.0
+        # with deaths -0.0 among the zero-length pairs
+        A, a = _pairs([(0.0, -0.0), (2.0, 2.0)], [(0.0, 1.0), (0.0, -0.0)], [(0.0, -0.0)] * 2,
+                      [(0.0, -0.0), (0.0, 0.5), (1.0, 3.0)])
+        B, b = _pairs([(0.0, 2.0), (0.0, -0.0)], [(3.0, 3.0)], [(0.0, -0.0)],
+                      [(0.0, -0.0)] * 6)
+        assert self._check_pass(A, a, B, b) == ([True] * 4, [True] * 4)
+        got = _block_distances(A, a, B, b).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in (1.0, 0.5, 0.0, 1.0)]
+
+    def test_differing_essential_counts_are_infinite_past_the_table_bound(self):
+        rng = np.random.default_rng(8)
+        A, B = _block(rng, 5, 6, 1), _block(rng, 5, 6, 2)
+        assert strict_dumps(_block_distances(A, 6, B, 6).tolist()) == "[null, null, null, null, null]"
+        assert [_split_distance(*p, *q) for p, q in zip(_splits(A, 6), _splits(B, 6))] == [INF] * 5
+
+    def test_essential_gap_overflow_raises_as_per_line_past_the_table_bound(self):
+        A, B = np.hstack((np.zeros((1, 12)), [[-1e308]])), np.hstack((np.ones((1, 12)), [[1e308]]))
+        with pytest.raises(ValueError, match="largest float") as per_line:
+            _split_distance(*next(_splits(A, 6)), *next(_splits(B, 6)))
+        with pytest.raises(ValueError, match="largest float") as certified:
+            _block_distances(A, 6, B, 6)
+        assert str(certified.value) == str(per_line.value)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import persline.bottleneck
 import persline.cli
 import persline.homology
+import persline.matching
 from persline import (
     Interval, Line, barcode_to_json, bottleneck_distance, line_distances, parse_bifiltration,
     serialize_bifiltration,
@@ -533,6 +534,24 @@ class TestExitCodes:
                         "--grid", grid, "--degree", "0"]) == 2
             assert_one_error_line(capsys.readouterr())
 
+    def test_grid_too_large_for_memory_is_usage_error(self, fixture_complex, tmp_path, capsys,
+                                                      monkeypatch):
+        # numpy raises MemoryError for an array it cannot allocate; the patch raises it
+        # before anything is allocated
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 402. GiB for an array with shape (27000000000, 2)")
+
+        monkeypatch.setattr(persline.matching, "_canonical_form", no_memory)
+        other = tmp_path / "N.bif"
+        other.write_text("bifiltration 2\n0 0 ; 1 1\n")
+        for argv in (["matchdist", "--input", fixture_complex, str(other)],
+                     ["verify-external", "--input", fixture_complex, "--construction", "shift",
+                      "--epsilon", "0.1"]):
+            assert run([*argv, "--grid", "30x20", "--degree", "0"]) == 2
+            captured = capsys.readouterr()
+            assert_one_error_line(captured)
+            assert "grid 30x20 in 2 parameters: its 12000 lines do not fit in memory" in captured.err
+
     def test_unwritable_output_is_usage_error(self, fixture_complex, tmp_path, capsys):
         out = tmp_path / "missing" / "bars.json"
         assert run(["barcode", "--input", fixture_complex, "--line", "1,1:0,0",
@@ -680,14 +699,24 @@ def test_pinned_output_bytes(tmp_path, capsys):
     assert got == PINNED_OUTPUT_SHA1
 
 
-# a table bound no matching table meets, and one every table meets
-_PATHS = {"per-line": 0, "batched": 10**9}
+# (table bound, root cap): every block past the table bound, its lower bound certified
+# where it can be; past it with a root cap of 0, so every line with a root goes to the
+# per-line search; every block on the table
+_PATHS = {"certified": (0, persline.bottleneck._HALL_ROOTS), "per-line": (0, 0),
+          "batched": (10**9, 0)}
+
+
+def _take_path(monkeypatch, path):
+    entries, roots = _PATHS[path]
+    monkeypatch.setattr(persline.bottleneck, "_BATCH_ENTRIES", entries)
+    monkeypatch.setattr(persline.bottleneck, "_HALL_ROOTS", roots)
 
 
 @pytest.mark.parametrize("path", sorted(_PATHS))
 def test_pinned_output_bytes_on_either_distance_path(tmp_path, capsys, monkeypatch, path):
-    """Every block matched line by line, or every block in one pass: the same pinned bytes."""
-    monkeypatch.setattr(persline.bottleneck, "_BATCH_ENTRIES", _PATHS[path])
+    """Every block matched through the certified bound, line by line, or in one pass:
+    the same pinned bytes."""
+    _take_path(monkeypatch, path)
     test_pinned_output_bytes(tmp_path, capsys)
 
 
@@ -709,12 +738,12 @@ def test_seeded_runs_print_the_same_bytes_on_either_distance_path(tmp_path, caps
                  + ",".join(map(repr, line_rng.uniform(-1.0, 1.0, 2).tolist())) for _ in range(2))
         ops.append(["verify-internal", "--input", M, "--line", L, "--line2", Lp, "--degree", degree])
     printed = {}
-    for path, entries in _PATHS.items():
-        monkeypatch.setattr(persline.bottleneck, "_BATCH_ENTRIES", entries)
+    for path in _PATHS:
+        _take_path(monkeypatch, path)
         printed[path] = []
         for argv in ops:
             printed[path].append((run(argv), capsys.readouterr().out))
-    assert printed["per-line"] == printed["batched"]
+    assert printed["per-line"] == printed["batched"] == printed["certified"]
     assert {code for code, _ in printed["batched"]} == {0}
 
 

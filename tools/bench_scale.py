@@ -14,6 +14,10 @@ the 9-simplex ``gen.tiny_complex(default_rng(0), 9)`` and its perturbed copy
 ``verify-external --grid 16x8`` with that construction. At degree 1 on the
 n = 40 complex M, ``verify-external --grid 16x8 --epsilon 0.05`` runs with
 ``--construction shift`` and with ``--construction perturb --seed 0``.
+The ``bottleneck`` cases match two barcodes of 200 or 1,000 finite degree-0
+intervals per side, drawn one side after the other from ``default_rng(0)``:
+spread (births uniform on [0, 10], lengths uniform on [0, 3]) and equal-birth
+(births 0, deaths uniform on [0, 10]), every endpoint rounded to 1e-3.
 
 Every run of a case is a fresh child process that imports ``persline`` from
 ``--src`` (default: this checkout's ``src``), times one in-process
@@ -43,8 +47,11 @@ ROOT = Path(__file__).resolve().parent.parent
 GRID = "16x8"
 EPSILON = 0.05
 REPEAT = 3
-# name: (input pair, command and its flags before --grid, degree)
+# name: (input pair, command and its flags before --grid, degree); no grid or degree
+# for a barcode pair
 CASES = {f"rips{n}-H{d}": (f"rips{n}", ["matchdist"], d) for n in (25, 40) for d in (0, 1)}
+CASES.update({f"bottleneck-{kind}-{n}": (f"{kind}-{n}", ["bottleneck"], None)
+              for kind in ("spread", "equal") for n in (200, 1000)})
 CASES["tiny9-H0"] = ("tiny9", ["matchdist"], 0)
 CASES["tiny9-verify-H0"] = ("tiny9", ["verify-external", "--construction", "perturb",
                                       "--epsilon", repr(EPSILON), "--seed", "0"], 0)
@@ -71,12 +78,26 @@ print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": peak,
 """
 
 
-def write_pair(workdir: Path, name: str) -> tuple[list[str], int]:
-    """The files of the input pair ``name`` in ``workdir``: their names and M's simplex count."""
+def write_pair(workdir: Path, name: str) -> tuple[list[str], dict]:
+    """The files of the input pair ``name`` in ``workdir``: their names, and M's simplex
+    count or the intervals per side."""
     import numpy as np
     import gen
-    from persline import perturb_grades
+    from persline import Interval, perturb_grades
 
+    kind, _, n = name.partition("-")
+    if kind in ("spread", "equal"):
+        rng, n = np.random.default_rng(0), int(n)
+        names = [f"{name}-A.json", f"{name}-B.json"]
+        for path in names:
+            if kind == "spread":
+                births = rng.uniform(0, 10, n)
+                deaths = births + rng.uniform(0, 3, n)
+            else:
+                births, deaths = np.zeros(n), rng.uniform(0, 10, n)
+            rows = zip(np.round(births, 3).tolist(), np.round(deaths, 3).tolist())
+            gen.write_barcode(workdir / path, tuple(Interval(b, d, 0) for b, d in rows))
+        return names, {"intervals": n}
     if name == "tiny9":
         pair = perturb_grades(gen.tiny_complex(np.random.default_rng(0), 9), EPSILON, seed=0)
     else:
@@ -84,7 +105,7 @@ def write_pair(workdir: Path, name: str) -> tuple[list[str], int]:
     names = [f"{name}-M.bif", f"{name}-N.bif"]
     for path, X in zip(names, (pair.M, pair.N)):
         gen.write_complex(workdir / path, X)
-    return names, len(pair.M.simplices)
+    return names, {"simplices": len(pair.M.simplices)}
 
 
 def run_case(src: Path, workdir: Path, argv: list[str]) -> dict:
@@ -139,9 +160,11 @@ def main() -> int:
             if pair not in files:
                 files[pair] = write_pair(workdir, pair)
             names, size = files[pair]
-            inputs = names if command[0] == "matchdist" else names[:1]
-            argv = [command[0], "--input", *inputs, *command[1:], "--grid", GRID, "--degree", str(degree)]
-            record["cases"][name] = {"simplices": size, **run_case(src, workdir, argv)}
+            inputs = names[:1] if command[0] == "verify-external" else names
+            argv = [command[0], "--input", *inputs, *command[1:]]
+            if degree is not None:
+                argv += ["--grid", GRID, "--degree", str(degree)]
+            record["cases"][name] = {**size, **run_case(src, workdir, argv)}
             case = record["cases"][name]
             print(f"{name}: {case['wall_s']:.3f} s, {case['peak_rss_mb']:.1f} MB peak", flush=True)
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else {}
