@@ -242,12 +242,32 @@ def strict_dumps(payload) -> str:
     Payloads without a non-finite float, nearly all of them, are dumped
     directly; only when that raises is the payload walked for infinities.
     The sign of an infinity is not kept: only a stability report's margin
-    can be -inf, and its globalPass (false) tells it from +inf.
+    can be -inf, and its globalPass (false) tells it from +inf. The per-line
+    tables' rows are written by :func:`_table`, to the same bytes.
     """
     try:
         return json.dumps(payload, allow_nan=False)
     except ValueError:
         return json.dumps(_inf_to_null(payload), allow_nan=False)
+
+
+def _table(row: str, floats: Iterable[Sequence[float]], *texts: Iterable[str], strict: bool = True,
+           sep: str = ", ") -> str:
+    """``row % cells`` for each row of the columns, joined by ``sep``: the cells of the float
+    columns ``floats`` (1-d, read as float64), then those of the ``texts``. A float's text is
+    float.__repr__, or, if ``strict``, its strict_dumps (null for an infinity, json's ValueError
+    for NaN): for a float that is what json.dumps writes. Each distinct bit pattern of a
+    column (0.0 and -0.0 apart) is formatted once, and the rows are filled in C."""
+    cells = []
+    for values in floats:
+        bits, at = np.unique(np.asarray(values, np.float64).view(np.uint64), return_inverse=True)
+        unique = bits.view(np.float64)
+        column = list(map(float.__repr__, unique.tolist()))
+        if strict:
+            for i in np.flatnonzero(~np.isfinite(unique)).tolist():
+                column[i] = strict_dumps(float(unique[i]))
+        cells.append(map(column.__getitem__, at.tolist()))
+    return sep.join(map(row.__mod__, zip(*cells, *texts)))
 
 
 def _inf_to_null(value):

@@ -34,7 +34,7 @@ from .complexes import (
     _canonical_lines,
     _line_arrays,
 )
-from .homology import _line_values, strict_dumps
+from .homology import _line_values, _table, strict_dumps
 
 _DEDUP_DECIMALS = 9
 _BOX_PAD = 0.1
@@ -111,7 +111,9 @@ def _grid(grid: LineGrid, box: tuple[Grade, Grade]) -> tuple[np.ndarray, np.ndar
     lo, hi = box
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"degenerate offset box: min {lo} exceeds max {hi}")
-    raw_o = np.array(list(product(*(_axis_samples(a, b, grid.offset_steps) for a, b in zip(lo, hi)))))
+    # every offset, the last axis fastest: itertools.product's order
+    axes = np.meshgrid(*(_axis_samples(a, b, grid.offset_steps) for a, b in zip(lo, hi)), indexing="ij")
+    raw_o = np.stack(axes, axis=-1).reshape(-1, len(lo))
     raw_m = np.array(_sample_directions(len(lo), grid.direction_steps))
     # every pair, directions outermost
     m, b, finite = _canonical_form(np.repeat(raw_m, len(raw_o), axis=0), np.tile(raw_o, (len(raw_m), 1)))
@@ -191,25 +193,23 @@ def matching_distance_lb(
 
 
 def match_result_to_json(result: MatchResult) -> str:
-    """JSON {value, argmax: {m, b}, table: [{m, b, mStar, distance}]}.
+    """JSON {value, argmax: {m, b}, table: [{m, b, mStar, distance}]}, as json.dumps writes it.
 
     An infinite distance (a line where the essential counts differ) is null.
     """
-    m_rows, b_rows = result.directions.tolist(), result.offsets.tolist()
-    k = result.distances.index(result.value)
-    rows = zip(m_rows, b_rows, result.directions.min(axis=1).tolist(), result.distances)
-    payload = {
-        "value": result.value,
-        "argmax": {"m": m_rows[k], "b": b_rows[k]},
-        "table": [{"m": m, "b": b, "mStar": s, "distance": d} for m, b, s, d in rows],
-    }
-    return strict_dumps(payload)
+    k, cells = result.distances.index(result.value), ", ".join(["%s"] * result.directions.shape[1])
+    line = f'{{"m": [{cells}], "b": [{cells}]'
+    argmax = _table(line + "}", [*result.directions[k : k + 1].T, *result.offsets[k : k + 1].T])
+    table = _table(line + ', "mStar": %s, "distance": %s}', _columns(result))
+    return f'{{"value": {strict_dumps(result.value)}, "argmax": {argmax}, "table": [{table}]}}'
 
 
 def match_result_to_csv(result: MatchResult) -> str:
-    """Flat per-line table; vector fields are space-joined."""
-    rows = ["m,b,mStar,distance"]
-    m_star = result.directions.min(axis=1).tolist()
-    for m, b, s, d in zip(result.directions.tolist(), result.offsets.tolist(), m_star, result.distances):
-        rows.append(f"{' '.join(map(repr, m))},{' '.join(map(repr, b))},{s!r},{d!r}")
-    return "\n".join(rows) + "\n"
+    """Flat per-line table, floats as repr (inf spelled inf); vector fields are space-joined."""
+    cells = " ".join(["%s"] * result.directions.shape[1])
+    return "m,b,mStar,distance\n" + _table(f"{cells},{cells},%s,%s\n", _columns(result), strict=False, sep="")
+
+
+def _columns(result: MatchResult) -> list:
+    """The table's float columns: each coordinate of m and of b, then mStar and the distance."""
+    return [*result.directions.T, *result.offsets.T, result.directions.min(axis=1), result.distances]

@@ -26,7 +26,7 @@ from .complexes import (
     diagonal_shift,
     sup_norm,
 )
-from .homology import _line_values, strict_dumps
+from .homology import _line_values, _table, strict_dumps
 from .matching import LineGrid, matching_distance_lb
 
 VERIFY_TOL = 1e-9
@@ -163,18 +163,18 @@ def verify_internal_stability(M: MultiFilteredComplex, L: Line, Lp: Line, degree
 
 
 def report_to_json(report: StabilityReport) -> str:
-    """JSON {construction, epsilon|eta, entries, globalPass, worstMargin}.
+    """JSON {construction, epsilon|eta, entries: [{line: {m, b}, lhs, rhs, pass}],
+    globalPass, worstMargin}, the bytes json.dumps writes of that object.
 
     Strict: an infinite lhs or margin (a line where the essential counts of
-    the two restrictions differ) is written as null.
+    the two restrictions differ) is written as null. The entries come from
+    one row template (:func:`homology._table`), each distinct lhs and line
+    coordinate formatted once; the scalars, the bound too, from strict_dumps.
     """
-    rows = zip(report.directions.tolist(), report.offsets.tolist(), report.lhs, report._passes)
-    payload = {
-        "construction": report.construction,
-        report.bound_name: report.bound,
-        "entries": [{"line": {"m": m, "b": b}, "lhs": lhs, "rhs": report.bound, "pass": ok}
-                    for m, b, lhs, ok in rows],
-        "globalPass": report.global_pass,
-        "worstMargin": report.worst_margin,
-    }
-    return strict_dumps(payload)
+    bound, cells = strict_dumps(report.bound), ", ".join(["%s"] * report.directions.shape[1])
+    row = f'{{"line": {{"m": [{cells}], "b": [{cells}]}}, "lhs": %s, "rhs": {bound}, "pass": %s}}'
+    entries = _table(row, [*report.directions.T, *report.offsets.T, report.lhs],
+                     map(("false", "true").__getitem__, report._passes))
+    return (f'{{"construction": {strict_dumps(report.construction)}, {strict_dumps(report.bound_name)}: '
+            f'{bound}, "entries": [{entries}], "globalPass": {strict_dumps(report.global_pass)}, '
+            f'"worstMargin": {strict_dumps(report.worst_margin)}}}')

@@ -83,3 +83,11 @@ def random_canonical_line(rng: np.random.Generator, n: int = 2) -> Line:
     direction = rng.uniform(0.1, 1.0, size=n)
     offset = rng.uniform(-1.0, 1.0, size=n)
     return canonicalize_line(tuple(direction), tuple(offset))
+
+
+def repeating_floats(rng: np.random.Generator, shape, extra=()) -> np.ndarray:
+    """Floats drawn with repeats from a small pool: both signed zeros, short and
+    17-digit decimals, a subnormal, values near the float range, and ``extra``."""
+    pool = [0.0, -0.0, 1.0, 0.25, -2.5, 0.1, 5e-324, 1.7976931348623157e308, -1e-300,
+            *rng.normal(size=4).tolist(), *extra]
+    return np.array(pool)[rng.integers(len(pool), size=shape)]

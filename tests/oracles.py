@@ -3,10 +3,12 @@
 Everything here is deliberately naive: dense numpy Gaussian elimination
 mod 2 for homology ranks, a scalar push and a set-column reduction for
 one-parameter barcodes, and exhaustive enumeration of partial matchings
-for the bottleneck distance. None of it shares code with the package.
+for the bottleneck distance, and the per-line tables as json.dumps of
+their entry dicts. None of it shares code with the package.
 """
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations, product
 
@@ -264,3 +266,51 @@ def brute_force_bottleneck(A, B) -> float:
         return best
 
     return search(0, set(), 0.0)
+
+
+def strict_json(payload) -> str:
+    """json.dumps(payload, allow_nan=False) with every infinite float written as null."""
+    def walk(value):
+        if isinstance(value, float) and math.isinf(value):
+            return None
+        if isinstance(value, dict):
+            return {k: walk(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [walk(v) for v in value]
+        return value
+    return json.dumps(walk(payload), allow_nan=False)
+
+
+def report_json(report) -> str:
+    """A stability report as strict JSON of one dict per entry, its verdicts read off the report."""
+    rows = zip(report.directions.tolist(), report.offsets.tolist(), report.lhs, report._passes)
+    return strict_json({
+        "construction": report.construction,
+        report.bound_name: report.bound,
+        "entries": [{"line": {"m": m, "b": b}, "lhs": lhs, "rhs": report.bound, "pass": ok}
+                    for m, b, lhs, ok in rows],
+        "globalPass": report.global_pass,
+        "worstMargin": report.worst_margin,
+    })
+
+
+def match_json(result) -> str:
+    """A matching table as strict JSON of one dict per line (mStar its direction's numpy min),
+    the argmax the first line whose distance is the value."""
+    m_rows, b_rows = result.directions.tolist(), result.offsets.tolist()
+    k = list(result.distances).index(result.value)
+    rows = zip(m_rows, b_rows, result.directions.min(axis=1).tolist(), result.distances)
+    return strict_json({
+        "value": result.value,
+        "argmax": {"m": m_rows[k], "b": b_rows[k]},
+        "table": [{"m": m, "b": b, "mStar": s, "distance": d} for m, b, s, d in rows],
+    })
+
+
+def match_csv(result) -> str:
+    """A matching table as CSV, every float as its repr, one line at a time."""
+    rows = ["m,b,mStar,distance"]
+    m_star = result.directions.min(axis=1).tolist()
+    for m, b, s, d in zip(result.directions.tolist(), result.offsets.tolist(), m_star, result.distances):
+        rows.append(f"{' '.join(map(repr, m))},{' '.join(map(repr, b))},{s!r},{d!r}")
+    return "\n".join(rows) + "\n"

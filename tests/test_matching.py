@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from persline import (
     shift_pair,
     verify_rank_stability,
 )
-from persline.matching import _grid, _round_keys
-from generators import random_bifiltered_complex
-from oracles import sampled_grid
+from persline.matching import MatchResult, _axis_samples, _grid, _round_keys
+from generators import random_bifiltered_complex, repeating_floats
+from oracles import match_csv, match_json, sampled_grid
 
 ONE_VERTEX_ORIGIN = parse_bifiltration("bifiltration 2\n0 0 ; 0 0")
 ONE_VERTEX_ONES = parse_bifiltration("bifiltration 2\n0 0 ; 1 1")
@@ -106,6 +107,28 @@ class TestArrayGrid:
                 [(_hex(m), _hex(b), s.hex()) for m, b, s in want]
             lines = [(_hex(L.direction), _hex(L.offset), L.m_star.hex()) for L in sample_lines(grid, box)]
             assert lines == [(_hex(m), _hex(b), s.hex()) for m, b, s in want]
+
+    @pytest.mark.parametrize("offset_steps", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_raw_offsets_in_product_order(self, monkeypatch, n, offset_steps):
+        # the raw offsets _grid puts in canonical form, bit for bit: every tuple of the
+        # axis samples in itertools.product's order, once per raw direction
+        seen, canonical_form = [], persline.matching._canonical_form
+
+        def spy(raw_m, raw_b):
+            seen.append(raw_b.copy())
+            return canonical_form(raw_m, raw_b)
+
+        monkeypatch.setattr(persline.matching, "_canonical_form", spy)
+        rng = np.random.default_rng(449 + n)
+        for trial in range(6):
+            lo, hi = _random_box(rng, n, trial % 2)
+            seen.clear()
+            _grid(LineGrid(2, offset_steps), (lo, hi))
+            raw = np.array(list(product(*(_axis_samples(a, b, offset_steps) for a, b in zip(lo, hi)))))
+            (got,) = seen
+            assert len(got) % len(raw) == 0
+            assert got.tobytes() == np.tile(raw, (len(got) // len(raw), 1)).tobytes()
 
     def test_round_keys_are_pythons_round(self):
         # halfway between two 9-decimal values and the doubles next to it, where
@@ -245,6 +268,41 @@ class TestSerialization:
         assert set(payload["argmax"]) == {"m", "b"}
         assert all(set(row) == {"m", "b", "mStar", "distance"} for row in payload["table"])
         assert payload["value"] == max(row["distance"] for row in payload["table"])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_writers_equal_json_dumps_and_repr_of_each_line(self, n):
+        # both signed zeros in one column, repeats, inf distances (value null), an np.float64
+        # value, one-line tables; the CSV spells inf and NaN as repr does
+        rng = np.random.default_rng(563 + n)
+        for trial in range(42):
+            rows = 1 if trial % 7 == 3 else int(rng.integers(2, 80))
+            directions, offsets = repeating_floats(rng, (rows, n)), repeating_floats(rng, (rows, n))
+            distances = tuple(repeating_floats(rng, rows, [math.inf] * (trial % 3)).tolist())
+            value = max(distances) if trial % 2 else np.float64(max(distances))
+            result = MatchResult(value, directions, offsets, distances)
+            assert match_result_to_json(result) == match_json(result)
+            assert match_result_to_csv(result) == match_csv(result)
+            directions[-1, -1] = math.nan  # JSON has no text for it; the CSV writes nan
+            assert match_result_to_csv(result) == match_csv(result)
+
+    @pytest.mark.parametrize("where", ["direction", "offset", "distance"])
+    def test_json_writer_raises_jsons_error_on_nan(self, where):
+        rng = np.random.default_rng(569)
+        directions, offsets = repeating_floats(rng, (4, 3)), repeating_floats(rng, (4, 3))
+        distances = [0.5, 1.5, 0.25, 1.0]
+        if where == "direction":
+            directions[2, 0] = math.nan
+        elif where == "offset":
+            offsets[0, 2] = math.nan
+        else:
+            distances[3] = math.nan
+        result = MatchResult(1.5, directions, offsets, tuple(distances))
+        with pytest.raises(ValueError) as want:
+            match_json(result)
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant") as got:
+            match_result_to_json(result)
+        assert str(got.value) == str(want.value)
+        assert match_result_to_csv(result) == match_csv(result)
 
     def test_csv_header_and_rows(self):
         result = matching_distance_lb(ONE_VERTEX_ORIGIN, ONE_VERTEX_ONES, LineGrid(2, 2), 0)

@@ -19,9 +19,9 @@ from persline import (
     verify_internal_stability,
     verify_rank_stability,
 )
-from persline.stability import VERIFY_TOL
-from generators import random_bifiltered_complex, random_canonical_line
-from oracles import push_to_line, scalar_barcode
+from persline.stability import VERIFY_TOL, StabilityReport
+from generators import random_bifiltered_complex, random_canonical_line, repeating_floats
+from oracles import push_to_line, report_json, scalar_barcode
 
 TWO_VERTEX_EDGE = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 1 1\n")
 DIAGONAL = canonicalize_line((1, 1), (0, 0))
@@ -234,6 +234,48 @@ class TestReportJson:
     @staticmethod
     def _reject(name):
         raise ValueError(f"non-finite JSON constant {name}")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_writer_equals_json_dumps_of_the_entries(self, n):
+        # both signed zeros in one column, repeats, inf lhs (margin -inf), and the bound as
+        # -0.0, an int, an np.float64 and inf (with a finite lhs: inf - inf is NaN); one-row
+        # reports among them
+        rng = np.random.default_rng(541 + n)
+        bounds = [0.25, -0.0, 1, np.float64(0.5), 0.0, math.inf, 7e-12]
+        for trial in range(42):
+            rows, bound = 1 if trial % 7 == 3 else int(rng.integers(2, 80)), bounds[trial % 7]
+            directions, offsets = repeating_floats(rng, (rows, n)), repeating_floats(rng, (rows, n))
+            infinite = [math.inf] * (trial % 3) if math.isfinite(bound) else []
+            lhs = tuple(repeating_floats(rng, rows, infinite).tolist())
+            name = "eta" if trial % 2 else "epsilon"
+            report = StabilityReport("grade-perturbation", name, bound, directions, offsets, lhs)
+            assert report_to_json(report) == report_json(report)
+
+    def test_writer_on_int_float64_and_negative_zero_bounds(self):
+        M = random_bifiltered_complex(np.random.default_rng(547))
+        for eps in (1, np.float64(0.25), -0.0, 0.0):
+            report = verify_rank_stability(shift_pair(M, eps), LineGrid(4, 3), 0)
+            text = report_to_json(report)
+            assert text == report_json(report)
+            assert f'"rhs": {json.dumps(eps)},' in text
+
+    @pytest.mark.parametrize("where", ["direction", "offset", "lhs", "bound"])
+    def test_writer_raises_jsons_error_on_nan(self, where):
+        rng = np.random.default_rng(557)
+        directions, offsets, lhs = repeating_floats(rng, (5, 2)), repeating_floats(rng, (5, 2)), [0.5] * 5
+        if where == "direction":
+            directions[3, 1] = math.nan
+        elif where == "offset":
+            offsets[3, 1] = math.nan
+        elif where == "lhs":
+            lhs[2] = math.nan
+        report = StabilityReport("diagonal-shift", "epsilon", math.nan if where == "bound" else 0.25,
+                                 directions, offsets, tuple(lhs))
+        with pytest.raises(ValueError) as want:
+            report_json(report)
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant") as got:
+            report_to_json(report)
+        assert str(got.value) == str(want.value)
 
     def test_internal_report_shape(self):
         Lp = canonicalize_line((1, 0.5), (0, 0))
