@@ -85,13 +85,16 @@ import numpy as np
 from .homology import Barcode
 
 # The largest matching table (partial matchings times columns, see
-# _matching_table) for which a block of lines is matched in one numpy pass. The
-# pass's time grows with the table; per 128 lines it met the per-line search's
-# at 19k to 26k entries (3x12 and 4x7 intervals, AMD EPYC, numpy 2.4). 5x5
-# intervals (1,546 matchings, 15,460 entries) are inside, 5x6 (44,561) outside.
-# The matchings alone do not bound it: 1 and b intervals have b + 1 of them,
-# of b + 1 columns each.
-_BATCH_ENTRIES = 16_000
+# _matching_table) for which a block of lines is matched in one numpy pass
+# rather than by the certified lower bound (_certified). The table pass's time
+# grows with the table, the certified pass's hardly: on rips-matchdist's blocks
+# of 128 lines (seed 1, AMD EPYC, numpy 2.4) they met near 2,000 entries (2x11
+# intervals, 1,729 entries: 0.11 ms on both; 2x12, 2,198: 0.13 against 0.10 ms),
+# and 2x17 (5,833) took 0.29 ms against 0.10 to 0.16 ms. 4x4 intervals (209
+# matchings, 1,672 entries) are inside, as is every tiny-verify block; 2x12 is
+# outside. The matchings alone do not bound it: 1 and b intervals have b + 1 of
+# them, of b + 1 columns each.
+_BATCH_ENTRIES = 2_000
 # Bounds of the pass that certifies a line's lower bound (_certified). Its
 # largest temporaries, the (lines, a', b') pair costs and adjacency and the
 # (lines, 2**R) table of neighbourhoods, hold at most _PASS_ENTRIES entries of
@@ -341,7 +344,7 @@ def _matching_table(a: int, b: int) -> np.ndarray:
 
     Built on first use and kept between calls, the package's one cache besides
     ``cli.build_parser``: at most 16 tables (every size pair up to 3x3) of at
-    most _BATCH_ENTRIES intp entries, 2 MB in all."""
+    most _BATCH_ENTRIES intp entries, 256 KB in all."""
     rows, zero = [], a * b + a + b
     for k in range(min(a, b) + 1):
         for I in combinations(range(a), k):

@@ -203,7 +203,29 @@ class MultiFilteredComplex:
         return bisect_right(self.table, degree + 2, key=len)
 
     def _relations(self, degree: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-        """The table indices that homology in ``degree`` >= 0 reads, and their faces; cached.
+        """The table indices that homology in ``degree`` >= 0 reads, ascending, and their faces:
+        a (degree + 1)-simplex's as indices into that list, any other's into the table; cached.
+
+        Two exact cuts, in turn. The cone test (:meth:`_cone`) drops (degree + 1)-simplices
+        whose boundaries are sums of earlier kept ones. Then, until nothing changes, a kept
+        (degree + 1)-simplex tau is paired with a degree-simplex sigma in its current boundary
+        of bit-identical grade: every other kept column rho that holds sigma becomes d(rho) +
+        d(tau), and sigma and tau go. They enter at the same grade, so at each grade both or
+        neither are in, and this is Gaussian elimination of an invertible entry there: a
+        filtered quasi-isomorphism (an acyclic partial matching, as in Allili, Kaczynski, Landi
+        and Masoni 2017), so homology maps, ranks and line barcodes stay but for zero-length
+        pairs. With a -0.0 grade coordinate, whether a birth or death at 0 is 0.0 or -0.0 may
+        hang on which column kills which class, so such a complex is not paired (the cone test
+        then keeps table order too).
+        """
+        if degree < 0:
+            raise ValueError(f"degree {degree} is negative")
+        if degree not in self._relation_cache:
+            self._relation_cache[degree] = self._same_grade_pairs_out(self._cone(degree), degree)
+        return self._relation_cache[degree]
+
+    def _cone(self, degree: int) -> np.ndarray:
+        """The table indices below ``skeleton(degree)`` that the cone test keeps, ascending.
 
         Every simplex of dimension <= degree, and each (degree + 1)-simplex tau
         but those with a vertex v not in tau such that each (tau minus one
@@ -214,33 +236,79 @@ class MultiFilteredComplex:
         may tie pushes of 0.0 and -0.0, and the killer's sets the death's: then
         faces must also come earlier in table order, every line's tie order.
         """
-        if degree < 0:
-            raise ValueError(f"degree {degree} is negative")
-        if degree not in self._relation_cache:
-            lo, hi, G = self.skeleton(degree - 1), self.skeleton(degree), self.grade_array
-            faces = np.array(self.boundary[lo:hi], dtype=np.intp).reshape(hi - lo, degree + 2)
-            vertex = {s[0]: i for i, s in enumerate(self.table[: self.skeleton(-1)])}
-            n, rows = max(len(vertex), 1), np.arange(hi - lo)
-            apex = np.array([[vertex[x] for x in s] for s in self.table[lo:hi]], dtype=np.intp)
-            keys = (faces * n + apex.reshape(faces.shape)).reshape(-1)  # (facet, vertex it lacks)
-            by_key = np.argsort(keys)  # sorted, the cofaces of a facet are a run
-            keys, names = keys[by_key], by_key // (degree + 2) + lo
-            first = np.searchsorted(keys, faces * n)
-            count = np.searchsorted(keys, faces * n + n) - first
-            pick = count.argmin(axis=1)  # the v to try: the cofaces of tau's rarest facet
-            first, count = first[rows, pick], count[rows, pick]
-            tau = rows.repeat(count) + lo
-            at = np.arange(count.sum()) - (np.cumsum(count) - count - first).repeat(count)
-            near = (names[at] != tau) & (G.T[:, names[at]] <= G.T[:, tau]).all(axis=0)  # a first cut
-            tau, v = tau[near], keys[at[near]] % n
-            key = (faces[tau - lo] * n + v[:, None]).T  # [i, c]: candidate c's cone face through facet i
-            at = np.searchsorted(keys, key).clip(max=len(keys) - 1)
-            sigma, gs, gt = names[at], G.T[:, names[at]], G.T[:, None, tau]  # grades: coordinate first
-            earlier = (sigma < tau) | ((gs < gt).any(axis=0) & ~np.signbit(G[:hi][G[:hi] == 0]).any())
-            ok = ((keys[at] == key) & (gs <= gt).all(axis=0) & earlier).all(axis=0)
-            keep = np.flatnonzero(np.bincount(tau[ok], minlength=hi) == 0)
-            self._relation_cache[degree] = keep, [self.boundary[i] for i in keep]
-        return self._relation_cache[degree]
+        lo, hi, G = self.skeleton(degree - 1), self.skeleton(degree), self.grade_array
+        faces = np.array(self.boundary[lo:hi], dtype=np.intp).reshape(hi - lo, degree + 2)
+        vertex = {s[0]: i for i, s in enumerate(self.table[: self.skeleton(-1)])}
+        n, rows = max(len(vertex), 1), np.arange(hi - lo)
+        apex = np.array([[vertex[x] for x in s] for s in self.table[lo:hi]], dtype=np.intp)
+        keys = (faces * n + apex.reshape(faces.shape)).reshape(-1)  # (facet, vertex it lacks)
+        by_key = np.argsort(keys)  # sorted, the cofaces of a facet are a run
+        keys, names = keys[by_key], by_key // (degree + 2) + lo
+        first = np.searchsorted(keys, faces * n)
+        count = np.searchsorted(keys, faces * n + n) - first
+        pick = count.argmin(axis=1)  # the v to try: the cofaces of tau's rarest facet
+        first, count = first[rows, pick], count[rows, pick]
+        tau = rows.repeat(count) + lo
+        at = np.arange(count.sum()) - (np.cumsum(count) - count - first).repeat(count)
+        near = (names[at] != tau) & (G.T[:, names[at]] <= G.T[:, tau]).all(axis=0)  # a first cut
+        tau, v = tau[near], keys[at[near]] % n
+        key = (faces[tau - lo] * n + v[:, None]).T  # [i, c]: candidate c's cone face through facet i
+        at = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+        sigma, gs, gt = names[at], G.T[:, names[at]], G.T[:, None, tau]  # grades: coordinate first
+        earlier = (sigma < tau) | ((gs < gt).any(axis=0) & (not self._signed_zero(degree)))
+        ok = ((keys[at] == key) & (gs <= gt).all(axis=0) & earlier).all(axis=0)
+        return np.flatnonzero(np.bincount(tau[ok], minlength=hi) == 0)
+
+    def _signed_zero(self, degree: int) -> bool:
+        """Whether a grade of a simplex of dimension <= degree + 1 has a -0.0 coordinate."""
+        G = self.grade_array[: self.skeleton(degree)]
+        return bool(np.signbit(G[G == 0]).any())
+
+    def _same_grade_pairs_out(self, keep: np.ndarray, degree: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+        """``keep`` less the same-grade pairs (sigma, tau) of :meth:`_relations`, and the faces.
+
+        Candidates are found in numpy first, so a complex with none pays one compare. The
+        pairs are taken greedily, the columns in table order, each with the first sigma in
+        table order, again over the columns a pass changed until none has a pair."""
+        lo = self.skeleton(degree - 1)
+        top = keep[np.searchsorted(keep, lo):]
+        faces = np.array([self.boundary[t] for t in top.tolist()], dtype=np.intp).reshape(len(top), degree + 2)
+        bits = self.grade_array.view(np.uint64)
+        same = (bits[faces] == bits[top, None]).all(axis=2).any(axis=1)
+        if not same.any() or self._signed_zero(degree):
+            return keep, [self.boundary[i] for i in keep.tolist()]
+        rows = np.ascontiguousarray(bits[: self.skeleton(degree)])
+        grade = np.unique(rows.view(np.dtype((np.void, rows.itemsize * self.dim)))[:, 0],
+                          return_inverse=True)[1].tolist()  # equal ids, bit-identical grades
+        columns = {t: set(self.boundary[t]) for t in top.tolist()}
+        cofaces: dict[int, set[int]] = {}
+        for t, column in columns.items():
+            for f in column:
+                cofaces.setdefault(f, set()).add(t)
+        gone = set()
+        pending = top[same].tolist()
+        while pending:
+            changed = set()
+            for t in pending:
+                column = columns.get(t, ())  # empty once t is paired
+                sigma = min((f for f in column if grade[f] == grade[t]), default=None)
+                if sigma is None:
+                    continue
+                del columns[t]
+                for f in column:
+                    cofaces[f].discard(t)
+                rest = column - {sigma}
+                for r in cofaces.pop(sigma):  # each holds sigma, which the sum cancels
+                    columns[r] ^= column
+                    for f in rest:
+                        cofaces[f] ^= {r}
+                    changed.add(r)
+                gone.update((sigma, t))
+            pending = sorted(changed)
+        keep = np.array([i for i in keep.tolist() if i not in gone], dtype=np.intp)
+        local = dict(zip(keep.tolist(), range(len(keep))))
+        return keep, [tuple(sorted(local[f] for f in columns[i])) if i >= lo else self.boundary[i]
+                      for i in keep.tolist()]
 
     def bounding_box(self) -> tuple[Grade, Grade]:
         """Componentwise (min, max) over all grades."""

@@ -4,8 +4,10 @@ Barcodes come from plain left-to-right column reduction of the boundary
 matrix, with columns stored as integer bitmasks (xor = addition over F2).
 Homology in degree d depends only on the boundary maps of degrees d and
 d + 1, so only the columns of the d- and (d + 1)-simplices are reduced, less
-the (d + 1)-simplices that a complex drops once as sums of earlier relations
-(:meth:`MultiFilteredComplex._relations`): both cuts are exact. One engine,
+what a complex takes out once (:meth:`MultiFilteredComplex._relations`): the
+(d + 1)-simplices that are sums of earlier relations, then the pairs of a
+(d + 1)-simplex and a facet of the same grade, whose other cofaces take up the
+pair's boundary. All three cuts are exact. One engine,
 :func:`_value_pairs`, pairs value rows over those simplices. The degree-d
 pairing depends only on the order of the d- and (d + 1)-simplices, not on
 the values: that order is the cache key and the whole input of the one
@@ -169,25 +171,30 @@ def _value_pairs(M: MultiFilteredComplex, blocks: Iterable[np.ndarray], degree: 
     low of a reduced (d + 1)-column only on the order of the d-simplices and the
     (d + 1)-columns before it. A cache entry is the 2f + e indices of a pairing in the
     narrowest integer type that holds them, so that a cache of many orders stays small.
+    The rows of a block with one key share one lookup (np.unique over the keys).
     """
     keep, boundary = M._relations(degree)
-    low, mid = M.skeleton(degree - 2), M.skeleton(degree - 1)
+    # local indices: below low the (d - 1)-faces, all kept; from mid on the (d + 1)-simplices
+    low, mid = M.skeleton(degree - 2), int(np.searchsorted(keep, M.skeleton(degree - 1)))
     key_type = np.min_scalar_type(len(keep) - 1)  # the narrowest keeps large caches small
     cache: dict[bytes, np.ndarray] = {}
     finite = essential = -1
     for P in blocks:
         orders = np.argsort(P, axis=1, kind="stable").astype(key_type)
-        keys = orders[orders >= low].tobytes()  # each row's cache key, one after another
-        width = len(keys) // len(P)
+        keys = orders[orders >= low].reshape(len(P), -1)  # row r's cache key
+        # one void per row, to find the distinct keys; empty keys (no d-simplex) are all one
+        rows = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))[:, 0] if keys.size \
+            else np.zeros(len(P), "V1")
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
         entries = []
-        for r in range(len(P)):
-            entry = cache.get(key := keys[r * width : (r + 1) * width])
+        for r in first.tolist():
+            entry = cache.get(key := keys[r].tobytes())
             if entry is None:
                 born, killed, kept = _pairs(np.frombuffer(key, key_type).tolist(), boundary, low, mid, essential)
                 finite, essential = len(born), len(kept)
                 entry = cache[key] = np.array(born + killed + kept, dtype=key_type)
             entries.append(entry)
-        yield np.take_along_axis(P, np.array(entries, dtype=np.intp), axis=1), finite
+        yield np.take_along_axis(P, np.array(entries, dtype=np.intp)[inverse.reshape(-1)], axis=1), finite
 
 
 def _check_overflow(M: MultiFilteredComplex, size: int, directions: np.ndarray, offsets: np.ndarray,

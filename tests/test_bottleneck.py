@@ -377,7 +377,7 @@ class TestBlockDistances:
         return got
 
     @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 3), (1, 1), (2, 3), (3, 3), (4, 2), (4, 4),
-                                      (5, 5), (5, 6), (2, 9)])
+                                      (5, 5), (5, 6), (2, 9), (1, 18), (2, 17)])
     def test_seeded_blocks_on_both_sides_of_the_table_bound(self, a, b):
         rng = np.random.default_rng(1000 + 10 * a + b)
         for essential in (0, 1, 2):
@@ -385,8 +385,10 @@ class TestBlockDistances:
         assert _batched(a, b) == (_matching_table(a, b).size <= _BATCH_ENTRIES)
 
     def test_table_bound_splits_these_sizes(self):
-        # the sizes above fall on both sides of it
-        assert _batched(5, 5) and _batched(2, 9) and not _batched(5, 6)
+        # the sizes above fall on both sides of it: 4x4, 2x9 and 1x18 intervals have 1,672, 1,001
+        # and 361 table entries; 2x17, 5x5 and 5x6 have 5,833, 15,460 and 44,561
+        assert _batched(4, 4) and _batched(2, 9) and _batched(1, 18)
+        assert not (_batched(2, 17) or _batched(5, 5) or _batched(5, 6))
 
     def test_every_partial_matching_once(self):
         for a, b in ((0, 0), (1, 2), (3, 3), (2, 4)):

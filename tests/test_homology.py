@@ -529,6 +529,23 @@ def _holed_clique_complex(rng, n_vertices, top_dim, holes):
     return MultiFilteredComplex(2, tuple(grade.items()))
 
 
+def _same_grade_clique_complex(rng, n_vertices, top_dim, signed):
+    """Every simplex up to dimension top_dim on n_vertices. A vertex is graded in {-1, 0, 1}^2
+    and a simplex at the max of its faces, raised by 0 or 1 per coordinate one time in four, so
+    most simplices have a facet of their grade. With ``signed`` a 0 is -0.0 or 0.0, else 0.0."""
+    grade = {}
+    for k in range(1, top_dim + 2):
+        for s in combinations(range(n_vertices), k):
+            if k == 1:
+                g = rng.integers(-1, 2, size=2)
+            else:
+                g = np.max([grade[s[:i] + s[i + 1 :]] for i in range(k)], axis=0)
+                if rng.random() < 0.25:
+                    g = g + rng.integers(0, 2, size=2)
+            grade[s] = tuple(-0.0 if x == 0 and signed and rng.random() < 0.5 else float(x) for x in g)
+    return MultiFilteredComplex(2, tuple(grade.items()))
+
+
 _rngs, _holes = st.integers(0, 2**32 - 1).map(np.random.default_rng), st.sampled_from([0.0, 0.1, 0.25])
 _shapes = pytest.mark.parametrize("n_vertices, top_dim", [(3, 1), (4, 3), (5, 3), (6, 3), (6, 2), (8, 1)])
 _pruning = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -582,13 +599,45 @@ class TestPrunedRelations:
                 got = line_distances(pair.M, pair.N, lines, d)
                 assert _bits(got) == _bits(line_distances(_unpruned(pair.M), _unpruned(pair.N), lines, d))
 
+    @_shapes
+    @_pruning
+    @given(_rngs, st.booleans())
+    def test_same_grade_clique_complexes(self, n_vertices, top_dim, rng, signed):
+        M, N = (_same_grade_clique_complex(rng, n_vertices, top_dim, signed) for _ in range(2))
+        lines = _tie_heavy_lines([(0, 0), (1, -1), (-1, 1), (-0.0, 0.0)])
+        lines += sample_lines(LineGrid(4, 3), default_offset_box(M, N))
+        queries = [((a, b), (max(a, c), max(b, e))) for a, b, c, e in rng.integers(-1, 3, size=(3, 4)).tolist()]
+        for X in (M, N):
+            self._check(X, lines, range(top_dim + 2), queries)
+        for d in range(top_dim + 1):
+            got = line_distances(M, N, lines, d)
+            assert _bits(got) == _bits(line_distances(_unpruned(M), _unpruned(N), lines, d))
+
+    def test_same_grade_pairs_go_on_these_complexes(self):
+        # the complexes above without -0.0 lose most of what the cone test keeps in the top
+        # dimensions, so the comparison there is not vacuous
+        rng = np.random.default_rng(5)
+        cone = kept = 0
+        for n_vertices, top_dim in ((4, 3), (5, 3), (6, 2), (8, 1)):
+            for _ in range(5):
+                M = _same_grade_clique_complex(rng, n_vertices, top_dim, signed=False)
+                for d in range(top_dim):
+                    lo = M.skeleton(d - 2)
+                    cone += (M._cone(d) >= lo).sum()
+                    kept += (M._relations(d)[0] >= lo).sum()
+        assert kept < 0.5 * cone
+
     def test_equal_grade_tetrahedron_boundary(self):
-        # each triangle's boundary is the sum of the other three's; only the last in table order goes
+        # each triangle's boundary is the sum of the other three's: the cone test drops only the
+        # last in table order; each triangle left then pairs with an edge of its grade, (0, 1, 2)
+        # with (0, 1), and the others, summed with the paired ones, with (0, 2) and (1, 2)
         M = parse_bifiltration("bifiltration 2\n" + "".join(
             f"{len(s) - 1} {' '.join(map(str, s))} ; 0 0\n"
             for k in (1, 2, 3) for s in combinations(range(4), k)))
-        keep, _ = M._relations(1)
-        assert [M.table[i] for i in keep if len(M.table[i]) == 3] == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+        assert [M.table[i] for i in M._cone(1) if len(M.table[i]) == 3] == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+        keep, boundary = M._relations(1)
+        assert [M.table[i] for i in keep] == [(0,), (1,), (2,), (3,), (0, 3), (1, 3), (2, 3)]
+        assert boundary == [(), (), (), (), (3, 0), (3, 1), (3, 2)]
         assert rank_invariant(M, RankQuery((0, 0), (0, 0), 1)) == 0
         assert rank_invariant(M, RankQuery((0, 0), (0, 0), 2)) == 1
         self._check(M, _tie_heavy_lines([(0, 0), (1, -1)]), (0, 1, 2), [((0, 0), (0, 0))])
@@ -602,3 +651,15 @@ class TestPrunedRelations:
         assert [(iv.birth, iv.death.hex()) for iv in line_barcodes(M, [L], 0)[0]] == [
             (-1.0, "0x0.0p+0"), (-1.0, "inf")]
         self._check(M, [L], (0, 1))
+
+    def test_signed_zero_birth_keeps_its_sign(self):
+        # the edge (0, 2) has vertex 0's grade, but on the line (1, 1) + (-0.0, 0.0) vertex 0 pushes
+        # to 0.0 and vertex 2 to -0.0, and the edge kills vertex 2, the later face: pairing the edge
+        # with vertex 0 would leave vertex 2 essential, born at -0.0 instead of 0.0
+        text = "bifiltration 2\n0 0 ; -0.0 -0.0\n0 1 ; 0.0 -1\n0 2 ; -1 -0.0\n1 0 2 ; -0.0 -0.0\n"
+        M = parse_bifiltration(text)
+        L = canonicalize_line((1, 1), (-0.0, 0.0))
+        assert [(iv.birth.hex(), iv.death) for iv in line_barcodes(M, [L], 0)[0]] == [("0x0.0p+0", math.inf)] * 2
+        self._check(M, [L] + _tie_heavy_lines([(0, 0), (-0.0, 0.0)]), (0, 1))
+        # with 0.0 for -0.0 the pair goes: the sign alone keeps it
+        assert len(parse_bifiltration(text.replace("-0.0", "0.0"))._relations(0)[0]) == 2
