@@ -9,9 +9,8 @@ the line); the complex's constructor checks its structure (ValidationError).
 """
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, pairwise
 from numbers import Real
 from typing import Sequence
 
@@ -19,6 +18,8 @@ import numpy as np
 
 Grade = tuple[float, ...]
 Simplex = tuple[int, ...]
+CONE_BLOCK = 256  # the cone test makes candidates for this many simplices at a time: a fixed bound
+
 
 class ParseError(ValueError):
     """Malformed input text; carries the offending line number."""
@@ -45,26 +46,6 @@ def leq(u: Grade, v: Grade) -> bool:
 
 def sup_norm(u: Sequence[float]) -> float:
     return max(abs(x) for x in u)
-
-
-def face_indices(simplices: Sequence[Simplex]) -> list[tuple[int, ...]]:
-    """The faces of each simplex (none for a vertex), as a tuple of indices into ``simplices``.
-
-    Raises ValidationError for the first simplex listed twice, and else for
-    the first simplex with a face that is not listed.
-    """
-    index = {s: i for i, s in enumerate(simplices)}
-    if len(index) < len(simplices):
-        duplicate = next(s for i, s in enumerate(simplices) if index[s] != i)
-        raise ValidationError(f"duplicate simplex {duplicate}")
-    boundary = []
-    for simplex in simplices:
-        n = len(simplex) if len(simplex) > 1 else 0  # a vertex has no faces
-        try:
-            boundary.append(tuple(index[simplex[:i] + simplex[i + 1 :]] for i in range(n)))
-        except KeyError as exc:
-            raise ValidationError(f"simplex {simplex}: missing face {exc.args[0]}") from None
-    return boundary
 
 
 @dataclass(frozen=True)
@@ -151,56 +132,103 @@ class MultiFilteredComplex:
 
     ``simplices`` keeps input order (serialization is order-preserving).
     Validation enforces face closure, monotone grades along faces, and no
-    duplicates; missing faces are an error, never auto-completed.
+    duplicates; missing faces are an error, never auto-completed. It names
+    the first simplex in input order that fails a check of its own (grade
+    length, finite grade, a vertex, distinct sorted ids, none negative), else
+    the first duplicate, missing face or face graded above its coface, in
+    table order.
 
-    The constructor also builds the face-index table that the line engine
-    and the rank invariant read: ``table`` holds the simplices in
-    (dimension, vertex ids) order, ``boundary[i]`` the faces of ``table[i]``
-    as indices into it, and ``grade_array[i]`` its grade. In that order
-    every face comes before its cofaces, and the simplices of dimension
-    <= d + 1 are a prefix (:meth:`skeleton`).
+    The constructor also builds the arrays that the line engine and the rank
+    invariant read: ``table`` holds the simplices in (dimension, vertex ids)
+    order, ``grade_array`` their grades as an (N, dim) float64 array, and
+    ``boundary[d]`` the faces of the d-simplices as a (count_d, d + 1) intp
+    array of table indices, column j without vertex j (no columns for d = 0).
+    In that order every face comes before its cofaces, and the simplices of
+    dimension <= d + 1 are a prefix (:meth:`skeleton`).
     """
 
     dim: int
     simplices: tuple[tuple[Simplex, Grade], ...]
     table: tuple[Simplex, ...] = field(init=False, repr=False, compare=False)
-    boundary: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    boundary: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     grade_array: np.ndarray = field(init=False, repr=False, compare=False)
+    # in table order, padded: vertex ids (ranks if some id is no int64) with 0s, faces with the row
+    # itself; the input index of each row; how many simplices have dimension < k, for each k
+    _vertices: np.ndarray = field(init=False, repr=False, compare=False)
+    _faces: np.ndarray = field(init=False, repr=False, compare=False)
+    _order: np.ndarray = field(init=False, repr=False, compare=False)
+    _prefix: list[int] = field(init=False, repr=False, compare=False)
     _relation_cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("ambient dimension must be >= 1")
-        for simplex, grade in self.simplices:
-            if len(grade) != self.dim:
-                raise ValidationError(
-                    f"simplex {simplex}: grade {grade} has dimension {len(grade)}, expected {self.dim}"
-                )
-            if any(not math.isfinite(g) for g in grade):
-                raise ValidationError(f"simplex {simplex}: non-finite grade {grade}")
-            if not simplex:
-                raise ValidationError("simplex (): a simplex needs at least one vertex")
-            if tuple(simplex) != tuple(sorted(set(simplex))):
-                raise ValidationError(f"simplex {simplex}: vertex ids must be distinct and sorted")
-            if any(v < 0 for v in simplex):
-                raise ValidationError(f"simplex {simplex}: negative vertex id")
-        entries = sorted(self.simplices, key=lambda sg: (len(sg[0]), sg[0]))
-        table = tuple(s for s, _ in entries)
-        boundary = face_indices(table)
-        grades = np.array([g for _, g in entries], dtype=np.float64).reshape(len(table), self.dim)
-        face = np.array([f for fs in boundary for f in fs], dtype=np.intp)
-        coface = np.repeat(np.arange(len(table)), [len(fs) for fs in boundary])
-        bad = np.flatnonzero((grades[face] > grades[coface]).any(axis=1))
-        if len(bad):
-            (f, gf), (c, gc) = entries[face[bad[0]]], entries[coface[bad[0]]]
+        ids, grades = zip(*self.simplices) if self.simplices else ((), ())
+        size, arity = (np.fromiter(map(len, x), np.intp, len(x)) for x in (ids, grades))
+        G, V = np.fromiter(chain(*grades), np.float64, arity.sum()), np.array(flat := [*chain(*ids)])
+        if V.dtype.kind not in "iu":  # an id beyond 64 bits or not an int: ranks, 0 the least id >= 0
+            distinct, V = np.unique(np.array(flat, dtype=object).reshape(-1), return_inverse=True)
+            V = V.reshape(-1) - np.searchsorted(distinct, 0)
+        flat, V = V, np.zeros((len(ids), top := size.max(initial=1)), V.dtype)  # each simplex's ids, then 0s
+        V[np.arange(top) < size[:, None]] = flat
+        checks = [arity != self.dim, ~np.isfinite(G), size == 0,
+                  (V[:, 1:] <= V[:, :-1]) & (np.arange(1, top) < size[:, None]), V < 0]
+        if any(c.any() for c in checks):  # the first simplex that fails a check, and the first check it fails
+            checks[1] = np.bincount(np.arange(len(ids)).repeat(arity)[checks[1]], minlength=len(ids))
+            bad = np.array([c.reshape(len(ids), -1).any(axis=1) for c in checks])
+            (simplex, grade), check = self.simplices[i := int(bad.any(axis=0).argmax())], int(bad[:, i].argmax())
+            raise ValidationError((
+                f"simplex {simplex}: grade {grade} has dimension {len(grade)}, expected {self.dim}",
+                f"simplex {simplex}: non-finite grade {grade}", "simplex (): a simplex needs at least one vertex",
+                f"simplex {simplex}: vertex ids must be distinct and sorted",
+                f"simplex {simplex}: negative vertex id")[check])
+        keys = np.zeros((len(ids), top + 1, top + 1), ">u8")  # [r, 0]: simplex r as (vertices, ids)
+        keys[:, 0, 0], keys[:, 1:, 0], keys[:, 0, 1:] = size, size[:, None] - (np.arange(top) < size[:, None]), V
+        for j in range(top):  # [r, 1 + j]: its face without vertex j; past its last vertex, itself
+            keys[:, 1 + j, 1 : 1 + j], keys[:, 1 + j, 1 + j : top] = V[:, :j], V[:, j + 1 :]
+        keys = keys.view(np.dtype((np.void, 8 * (top + 1))))[..., 0]  # big-endian: bytes sort as rows do
+        order = np.argsort(keys[:, 0], kind="stable")
+        keys, prefix = keys[order], [0, *np.cumsum(np.bincount(size, minlength=2)[1:]).tolist()]
+        keys[: prefix[1], 1:] = keys[: prefix[1], :1]  # a vertex has no face: itself
+        twice = np.flatnonzero(keys[1:, 0] == keys[:-1, 0])
+        if len(twice):
+            raise ValidationError(f"duplicate simplex {ids[order[twice[0]]]}")
+        F = np.searchsorted(keys[:, 0], keys[:, 1:]).clip(max=len(ids) - 1)
+        missing = np.flatnonzero(keys[F, 0] != keys[:, 1:])
+        if len(missing):
+            simplex, j = ids[order[missing[0] // top]], missing[0] % top
+            raise ValidationError(f"simplex {simplex}: missing face {simplex[:j] + simplex[j + 1 :]}")
+        self.__dict__.update(  # frozen: no setattr
+            table=tuple(map(ids.__getitem__, order.tolist())), grade_array=G.reshape(-1, self.dim)[order],
+            boundary=tuple(F[a:b, : d + (d > 0)] for d, (a, b) in enumerate(pairwise(prefix))),
+            _vertices=V[order], _faces=F, _order=order, _prefix=prefix)
+        self._check_monotone()
+
+    def _check_monotone(self) -> None:
+        """ValidationError for the first face, in table order, graded above its coface."""
+        G, F = self.grade_array, self._faces
+        above = np.flatnonzero(G[F] > G[:, None])  # [r, j, coordinate]
+        if len(above):
+            r, j = divmod(int(above[0]) // self.dim, F.shape[1])
+            (f, gf), (c, gc) = (self.simplices[i] for i in self._order[[F[r, j], r]].tolist())
             raise ValidationError(f"non-monotone grades: face {f} at {gf} vs simplex {c} at {gc}")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "grade_array", grades)
+
+    def _with_grades(self, grades: np.ndarray) -> MultiFilteredComplex:
+        """The constructor's complex of these simplices at ``grades`` (table order), built from this
+        one's arrays: only the finite-grade and monotone-grade checks run again."""
+        X = object.__new__(MultiFilteredComplex)
+        X.__dict__.update(self.__dict__, grade_array=grades, _relation_cache={}, simplices=tuple(
+            zip((s for s, _ in self.simplices), map(tuple, grades[np.argsort(self._order)].tolist()))))
+        infinite = np.flatnonzero(~np.isfinite(grades).all(axis=1))
+        if len(infinite):
+            simplex, grade = X.simplices[self._order[infinite].min()]
+            raise ValidationError(f"simplex {simplex}: non-finite grade {grade}")
+        X._check_monotone()
+        return X
 
     def skeleton(self, degree: int) -> int:
         """Length of the table prefix that holds the simplices of dimension <= degree + 1."""
-        return bisect_right(self.table, degree + 2, key=len)
+        return self._prefix[min(max(degree + 2, 0), len(self._prefix) - 1)]
 
     def _relations(self, degree: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
         """The table indices that homology in ``degree`` >= 0 reads, ascending, and their faces:
@@ -237,27 +265,29 @@ class MultiFilteredComplex:
         faces must also come earlier in table order, every line's tie order.
         """
         lo, hi, G = self.skeleton(degree - 1), self.skeleton(degree), self.grade_array
-        faces = np.array(self.boundary[lo:hi], dtype=np.intp).reshape(hi - lo, degree + 2)
-        vertex = {s[0]: i for i, s in enumerate(self.table[: self.skeleton(-1)])}
-        n, rows = max(len(vertex), 1), np.arange(hi - lo)
-        apex = np.array([[vertex[x] for x in s] for s in self.table[lo:hi]], dtype=np.intp)
-        keys = (faces * n + apex.reshape(faces.shape)).reshape(-1)  # (facet, vertex it lacks)
+        faces = self._faces[lo:hi, : degree + 2]
+        apex = np.searchsorted(self._vertices[: self.skeleton(-1), 0], self._vertices[lo:hi, : degree + 2])
+        n, rows = max(self.skeleton(-1), 1), np.arange(hi - lo)
+        keys = (faces * n + apex).reshape(-1)  # (facet, vertex it lacks)
         by_key = np.argsort(keys)  # sorted, the cofaces of a facet are a run
         keys, names = keys[by_key], by_key // (degree + 2) + lo
         first = np.searchsorted(keys, faces * n)
         count = np.searchsorted(keys, faces * n + n) - first
         pick = count.argmin(axis=1)  # the v to try: the cofaces of tau's rarest facet
         first, count = first[rows, pick], count[rows, pick]
-        tau = rows.repeat(count) + lo
-        at = np.arange(count.sum()) - (np.cumsum(count) - count - first).repeat(count)
-        near = (names[at] != tau) & (G.T[:, names[at]] <= G.T[:, tau]).all(axis=0)  # a first cut
-        tau, v = tau[near], keys[at[near]] % n
-        key = (faces[tau - lo] * n + v[:, None]).T  # [i, c]: candidate c's cone face through facet i
-        at = np.searchsorted(keys, key).clip(max=len(keys) - 1)
-        sigma, gs, gt = names[at], G.T[:, names[at]], G.T[:, None, tau]  # grades: coordinate first
-        earlier = (sigma < tau) | ((gs < gt).any(axis=0) & (not self._signed_zero(degree)))
-        ok = ((keys[at] == key) & (gs <= gt).all(axis=0) & earlier).all(axis=0)
-        return np.flatnonzero(np.bincount(tau[ok], minlength=hi) == 0)
+        signed, dropped = self._signed_zero(degree), np.zeros(hi, bool)
+        for start in range(0, hi - lo, CONE_BLOCK):  # the candidates of CONE_BLOCK taus at a time
+            c, f = count[start : start + CONE_BLOCK], first[start : start + CONE_BLOCK]
+            tau = rows[start : start + len(c)].repeat(c) + lo
+            at = np.arange(c.sum()) - (np.cumsum(c) - c - f).repeat(c)
+            near = (names[at] != tau) & (G.T[:, names[at]] <= G.T[:, tau]).all(axis=0)  # a first cut
+            tau, v = tau[near], keys[at[near]] % n
+            key = (faces[tau - lo] * n + v[:, None]).T  # [i, c]: candidate c's cone face through facet i
+            at = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+            sigma, gs, gt = names[at], G.T[:, names[at]], G.T[:, None, tau]  # grades: coordinate first
+            earlier = (sigma < tau) | ((gs < gt).any(axis=0) & (not signed))
+            dropped[tau[((keys[at] == key) & (gs <= gt).all(axis=0) & earlier).all(axis=0)]] = True
+        return np.flatnonzero(~dropped)
 
     def _signed_zero(self, degree: int) -> bool:
         """Whether a grade of a simplex of dimension <= degree + 1 has a -0.0 coordinate."""
@@ -272,15 +302,16 @@ class MultiFilteredComplex:
         table order, again over the columns a pass changed until none has a pair."""
         lo = self.skeleton(degree - 1)
         top = keep[np.searchsorted(keep, lo):]
-        faces = np.array([self.boundary[t] for t in top.tolist()], dtype=np.intp).reshape(len(top), degree + 2)
+        faces = self._faces[top, : degree + 2]
+        tuples = [*chain.from_iterable(map(tuple, B.tolist()) for B in self.boundary[: degree + 1])]  # below lo
         bits = self.grade_array.view(np.uint64)
         same = (bits[faces] == bits[top, None]).all(axis=2).any(axis=1)
         if not same.any() or self._signed_zero(degree):
-            return keep, [self.boundary[i] for i in keep.tolist()]
+            return keep, tuples + [*map(tuple, faces.tolist())]  # the cone test keeps all below lo
         rows = np.ascontiguousarray(bits[: self.skeleton(degree)])
         grade = np.unique(rows.view(np.dtype((np.void, rows.itemsize * self.dim)))[:, 0],
                           return_inverse=True)[1].tolist()  # equal ids, bit-identical grades
-        columns = {t: set(self.boundary[t]) for t in top.tolist()}
+        columns = dict(zip(top.tolist(), map(set, faces.tolist())))
         cofaces: dict[int, set[int]] = {}
         for t, column in columns.items():
             for f in column:
@@ -307,7 +338,7 @@ class MultiFilteredComplex:
             pending = sorted(changed)
         keep = np.array([i for i in keep.tolist() if i not in gone], dtype=np.intp)
         local = dict(zip(keep.tolist(), range(len(keep))))
-        return keep, [tuple(sorted(local[f] for f in columns[i])) if i >= lo else self.boundary[i]
+        return keep, [tuple(sorted(local[f] for f in columns[i])) if i >= lo else tuples[i]
                       for i in keep.tolist()]
 
     def bounding_box(self) -> tuple[Grade, Grade]:
@@ -338,14 +369,16 @@ def parse_bifiltration(text: str) -> MultiFilteredComplex:
     Header line ``bifiltration <n>``; every following non-empty, non-comment
     line is ``<k> <k + 1 vertex ids> ; <n reals>``. '#' starts a comment line.
     """
-    entries: list[tuple[Simplex, Grade]] = []
+    ids: list[Simplex] = []
+    grades: list[Grade] = []
     ambient: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+        left, semicolon, right = raw.partition(";")
+        tokens = left.split()
+        if not (tokens or semicolon) or tokens and tokens[0][0] == "#":
+            continue  # a blank or comment line
         if ambient is None:
-            parts = stripped.split()
+            parts = raw.split()
             if len(parts) != 2 or parts[0] != "bifiltration":
                 raise ParseError("expected header 'bifiltration <n>'", lineno)
             try:
@@ -353,28 +386,25 @@ def parse_bifiltration(text: str) -> MultiFilteredComplex:
             except ValueError:
                 raise ParseError(f"bad ambient dimension {parts[1]!r}", lineno) from None
             continue
-        if ";" not in stripped:
+        if not semicolon:
             raise ParseError("expected '<k> <vertex ids> ; <grade>'", lineno)
-        left, _, right = stripped.partition(";")
         try:
-            numbers = [int(v) for v in left.split()]
-        except ValueError:
-            raise ParseError(f"bad simplex description {left.strip()!r}", lineno) from None
-        if not numbers:
-            raise ParseError("empty simplex description", lineno)
-        k, verts = numbers[0], tuple(numbers[1:])
-        if k < -1:  # -1 is the empty simplex, which the constructor rejects
-            raise ParseError(f"bad simplex dimension {k}", lineno)
-        if len(verts) != k + 1:
-            raise ParseError(f"{k}-simplex needs {k + 1} vertex ids, got {len(verts)}", lineno)
+            k, *verts = map(int, tokens)
+        except ValueError:  # no token, or one that is not an int
+            raise ParseError(f"bad simplex description {left.strip()!r}" if tokens else
+                             "empty simplex description", lineno) from None
+        if len(verts) != k + 1:  # -1 is the empty simplex, which the constructor rejects
+            raise ParseError(f"bad simplex dimension {k}" if k < -1 else
+                             f"{k}-simplex needs {k + 1} vertex ids, got {len(verts)}", lineno)
         try:
-            grade = tuple(float(x) for x in right.split())
+            grades.append(tuple(map(float, right.split())))
         except ValueError:
             raise ParseError(f"bad grade {right.strip()!r}", lineno) from None
-        entries.append((tuple(sorted(verts)), grade))
+        verts.sort()
+        ids.append(tuple(verts))
     if ambient is None:
         raise ParseError("empty input: missing 'bifiltration <n>' header")
-    return MultiFilteredComplex(ambient, tuple(entries))
+    return MultiFilteredComplex(ambient, tuple(zip(ids, grades)))
 
 
 def serialize_bifiltration(M: MultiFilteredComplex) -> str:
@@ -424,7 +454,5 @@ def diagonal_shift(M: MultiFilteredComplex, epsilon: float) -> MultiFilteredComp
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    shifted = tuple(
-        (s, tuple(c - epsilon for c in g)) for s, g in M.simplices
-    )
-    return MultiFilteredComplex(M.dim, shifted)
+    with np.errstate(over="ignore"):  # a -inf is named by the finite-grade check
+        return M._with_grades(M.grade_array - epsilon)

@@ -91,3 +91,32 @@ def repeating_floats(rng: np.random.Generator, shape, extra=()) -> np.ndarray:
     pool = [0.0, -0.0, 1.0, 0.25, -2.5, 0.1, 5e-324, 1.7976931348623157e308, -1e-300,
             *rng.normal(size=4).tolist(), *extra]
     return np.array(pool)[rng.integers(len(pool), size=shape)]
+
+
+def bifiltration_lines(rng: np.random.Generator) -> tuple[int, list[str]]:
+    """A valid bifiltration text as its ambient dimension and lines: a random
+    face-closed complex on sparse vertex ids (at times beyond 64 bits) with
+    monotone grades (ties, signed zeros), its lines shuffled, ids within a line
+    unsorted at times, uneven spacing, and comment and blank lines."""
+    dim = int(rng.integers(1, 4))
+    pool = [0, 1, 2, 3, 5, 7, 10**15, 2**63 - 1, 2**70]
+    ids = sorted(rng.choice(len(pool), size=int(rng.integers(1, 6)), replace=False).tolist())
+    grade: dict[tuple[int, ...], tuple[float, ...]] = {}
+    for k in range(1, 4):
+        for s in combinations([pool[i] for i in ids], k):
+            faces = [s[:i] + s[i + 1 :] for i in range(k)] if k > 1 else []
+            if all(f in grade for f in faces) and (k == 1 or rng.random() < 0.7):
+                low = np.max([grade[f] for f in faces], axis=0) if faces else rng.integers(-2, 3, dim) * 0.5
+                step = rng.integers(0, 3, dim) * 0.25 * (rng.random(dim) < 0.6)
+                grade[s] = tuple(-0.0 if x == 0 and rng.random() < 0.3 else float(x) for x in low + step)
+    lines = []
+    for s, g in grade.items():
+        verts = list(s) if rng.random() < 0.7 else rng.permutation(s).tolist()
+        coords = [repr(x) if rng.random() < 0.8 else format(x, "e") for x in g]
+        sep = " " if rng.random() < 0.8 else " \t "
+        lines.append(f"{len(s) - 1}{sep}{sep.join(map(str, verts))} ;{sep}{sep.join(coords)}")
+    lines = [lines[i] for i in rng.permutation(len(lines))]
+    for _ in range(int(rng.integers(0, 3))):
+        at = int(rng.integers(0, len(lines) + 1))
+        lines.insert(at, rng.choice(["", "   ", "# a comment ; 1 2", "\t#x", "#0 1 ; 2"]))
+    return dim, ["# bifiltration", f"bifiltration {dim}"] + lines

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: dense numpy Gaussian elimination
 mod 2 for homology ranks, a scalar push and a set-column reduction for
 one-parameter barcodes, and exhaustive enumeration of partial matchings
-for the bottleneck distance, and the per-line tables as json.dumps of
-their entry dicts. None of it shares code with the package.
+for the bottleneck distance, the per-line tables as json.dumps of
+their entry dicts, and a line-by-line parser with per-simplex checks for
+the text format. None of it shares code with the package.
 """
 from __future__ import annotations
 
@@ -314,3 +315,115 @@ def match_csv(result) -> str:
     for m, b, s, d in zip(result.directions.tolist(), result.offsets.tolist(), m_star, result.distances):
         rows.append(f"{' '.join(map(repr, m))},{' '.join(map(repr, b))},{s!r},{d!r}")
     return "\n".join(rows) + "\n"
+
+
+class ParseError(ValueError):
+    """A format error of :func:`parse_reference`; the message names the line."""
+
+
+class ValidationError(ValueError):
+    """A structure error of :func:`check_reference`."""
+
+
+def parse_reference(text: str) -> dict:
+    """The complex that a bifiltration text describes, parsed one line at a time
+    and then checked by :func:`check_reference`, with the package's messages."""
+    entries = []
+    ambient = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if ambient is None:
+            parts = stripped.split()
+            if len(parts) != 2 or parts[0] != "bifiltration":
+                raise ParseError(f"line {lineno}: expected header 'bifiltration <n>'")
+            try:
+                ambient = int(parts[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad ambient dimension {parts[1]!r}") from None
+            continue
+        if ";" not in stripped:
+            raise ParseError(f"line {lineno}: expected '<k> <vertex ids> ; <grade>'")
+        left, _, right = stripped.partition(";")
+        try:
+            numbers = [int(v) for v in left.split()]
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad simplex description {left.strip()!r}") from None
+        if not numbers:
+            raise ParseError(f"line {lineno}: empty simplex description")
+        k, verts = numbers[0], tuple(numbers[1:])
+        if k < -1:
+            raise ParseError(f"line {lineno}: bad simplex dimension {k}")
+        if len(verts) != k + 1:
+            raise ParseError(f"line {lineno}: {k}-simplex needs {k + 1} vertex ids, got {len(verts)}")
+        try:
+            grade = tuple(float(x) for x in right.split())
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad grade {right.strip()!r}") from None
+        entries.append((tuple(sorted(verts)), grade))
+    if ambient is None:
+        raise ParseError("empty input: missing 'bifiltration <n>' header")
+    return check_reference(ambient, tuple(entries))
+
+
+def check_reference(dim: int, simplices) -> dict:
+    """The checked complex of ``simplices`` ((vertex ids, grade) pairs): {dim, simplices,
+    table (sorted by (size, ids)), boundary (each table simplex's faces, without vertex
+    i at place i, as table indices), grades (table order)}.
+
+    One simplex at a time: grade length, finite grade, a vertex, distinct sorted ids,
+    no negative id; then a duplicate, a missing face, a face graded above its coface.
+    """
+    if dim < 1:
+        raise ValidationError("ambient dimension must be >= 1")
+    for simplex, grade in simplices:
+        if len(grade) != dim:
+            raise ValidationError(f"simplex {simplex}: grade {grade} has dimension {len(grade)}, expected {dim}")
+        if any(not math.isfinite(g) for g in grade):
+            raise ValidationError(f"simplex {simplex}: non-finite grade {grade}")
+        if not simplex:
+            raise ValidationError("simplex (): a simplex needs at least one vertex")
+        if tuple(simplex) != tuple(sorted(set(simplex))):
+            raise ValidationError(f"simplex {simplex}: vertex ids must be distinct and sorted")
+        if any(v < 0 for v in simplex):
+            raise ValidationError(f"simplex {simplex}: negative vertex id")
+    entries = sorted(simplices, key=lambda sg: (len(sg[0]), sg[0]))
+    table = tuple(s for s, _ in entries)
+    index = {s: i for i, s in enumerate(table)}
+    if len(index) < len(table):
+        raise ValidationError(f"duplicate simplex {next(s for i, s in enumerate(table) if index[s] != i)}")
+    boundary = []
+    for simplex in table:
+        faces = [simplex[:i] + simplex[i + 1 :] for i in range(len(simplex))] if len(simplex) > 1 else []
+        for face in faces:
+            if face not in index:
+                raise ValidationError(f"simplex {simplex}: missing face {face}")
+        boundary.append(tuple(index[face] for face in faces))
+    for c, faces in enumerate(boundary):
+        for f in faces:
+            if any(a > b for a, b in zip(entries[f][1], entries[c][1])):
+                (fs, gf), (cs, gc) = entries[f], entries[c]
+                raise ValidationError(f"non-monotone grades: face {fs} at {gf} vs simplex {cs} at {gc}")
+    return {"dim": dim, "simplices": tuple(simplices), "table": table, "boundary": boundary,
+            "grades": [g for _, g in entries]}
+
+
+def perturb_reference(dim: int, simplices, epsilon: float, seed: int):
+    """The perturbed simplices and certified epsilon of a seeded grade perturbation: each
+    grade plus its own uniform draw from [-epsilon, epsilon]^dim (drawn in input order),
+    then one simplex at a time in table order the componentwise max with its faces'
+    results (Python's max, which keeps the first of equal values)."""
+    rng = np.random.default_rng(seed)
+    jittered = {s: tuple(float(g + d) for g, d in zip(grade, rng.uniform(-epsilon, epsilon, size=dim)))
+                for s, grade in simplices}
+    ref = check_reference(dim, simplices)
+    maxima = []
+    for simplex, faces in zip(ref["table"], ref["boundary"]):
+        g = jittered[simplex]
+        for f in faces:
+            g = tuple(map(max, g, maxima[f]))
+        maxima.append(g)
+    fixed = dict(zip(ref["table"], maxima))
+    certified = max((max(abs(a - b) for a, b in zip(fixed[s], g)) for s, g in simplices), default=0.0)
+    return tuple((s, fixed[s]) for s, _ in simplices), certified

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persline import (
     InadmissibleLineError,
@@ -16,9 +18,10 @@ from persline import (
     restrict,
     serialize_bifiltration,
 )
+from persline import LineGrid, line_barcodes, perturb_grades, sample_lines
 from persline.complexes import _line_arrays, push_values
-from generators import random_bifiltered_complex, random_canonical_line
-from oracles import canonical_line, push_to_line
+from generators import bifiltration_lines, random_bifiltered_complex, random_canonical_line
+from oracles import canonical_line, check_reference, parse_reference, perturb_reference, push_to_line
 
 TWO_VERTEX_EDGE = "bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 1 1\n"
 
@@ -312,3 +315,226 @@ class TestScalarFiltration:
     def test_non_finite_entry_rejected(self, value):
         with pytest.raises(ValidationError, match=r"simplex \(1,\): non-finite grade"):
             ScalarFiltration((((0,), 0.0), ((1,), value)))
+
+
+def _simplex_rows(lines):
+    return [i for i, x in enumerate(lines) if ";" in x and not x.lstrip().startswith("#")]
+
+
+def _edit(rng, lines, change):
+    """``lines`` with one simplex line (one with at least ``change``'s needs) rewritten as
+    change(rng, k, ids, coords) -> (k, ids, coords), or unchanged when there is none."""
+    rows = [i for i in _simplex_rows(lines) if change.needs <= len(lines[i].partition(";")[0].split()) - 1]
+    if not rows:
+        return lines
+    i = rows[int(rng.integers(len(rows)))]
+    left, _, right = lines[i].partition(";")
+    k, *ids = left.split()
+    k, ids, coords = change(rng, k, ids, right.split())
+    return lines[:i] + [f"{k} {' '.join(ids)} ; {' '.join(coords)}"] + lines[i + 1 :]
+
+
+def _change(needs):
+    def wrap(f):
+        f.needs = needs
+        return f
+    return wrap
+
+
+@_change(2)
+def _repeat_id(rng, k, ids, coords):
+    return k, [ids[0], *ids[:-1]], coords
+
+
+@_change(1)
+def _negative_id(rng, k, ids, coords):
+    j = int(rng.integers(len(ids)))
+    return k, ids[:j] + [f"-1{ids[j]}"] + ids[j + 1 :], coords
+
+
+@_change(1)
+def _bad_id(rng, k, ids, coords):
+    return k, ids[:-1] + [rng.choice(["x", "1.5", "0x1"])], coords
+
+
+@_change(1)
+def _bad_grade(rng, k, ids, coords):
+    return k, ids, coords[:-1] + [rng.choice(["1..0", "e", "--1", "1,5"])]
+
+
+@_change(1)
+def _non_finite(rng, k, ids, coords):
+    j = int(rng.integers(len(coords)))
+    return k, ids, coords[:j] + [rng.choice(["nan", "inf", "-inf", "NaN", "-Infinity"])] + coords[j + 1 :]
+
+
+@_change(1)
+def _grade_length(rng, k, ids, coords):
+    return k, ids, coords[1:] if rng.random() < 0.5 else coords + ["0.5"]
+
+
+@_change(1)
+def _raise_grade(rng, k, ids, coords):  # above a coface's, if it has one
+    return k, ids, [f"1{c}" if c[:1].isdigit() else c for c in coords]
+
+
+@_change(1)
+def _bad_count(rng, k, ids, coords):
+    return rng.choice([str(int(k) + 1), str(int(k) - 1), "-3"]), ids, coords
+
+
+def _drop_line(rng, lines):  # a missing face, if the simplex has a coface
+    rows = _simplex_rows(lines)
+    return [x for i, x in enumerate(lines) if i != rows[int(rng.integers(len(rows)))]] if rows else lines
+
+
+def _duplicate_line(rng, lines):
+    rows = _simplex_rows(lines)
+    j = int(rng.integers(len(lines) + 1))
+    return lines[:j] + [lines[rows[int(rng.integers(len(rows)))]]] + lines[j:] if rows else lines
+
+
+def _mangle_line(rng, lines):
+    """A line without ';', an empty description, a bad header, or none."""
+    i = int(rng.integers(1, len(lines)))
+    bad = rng.choice(["0 1 2", " ; 1 2", "bifiltration x", "bifiltratio 2", "-1 ; 0"])
+    return lines[:i] + [bad] + lines[i + 1 :]
+
+
+_MUTATIONS = {
+    "drop a face": _drop_line,
+    "duplicate a line": _duplicate_line,
+    "mangle a line": _mangle_line,
+    **{name: (lambda change: lambda rng, lines: _edit(rng, lines, change))(change) for name, change in (
+        ("repeat an id", _repeat_id), ("negative id", _negative_id), ("bad id", _bad_id),
+        ("bad grade", _bad_grade), ("non-finite grade", _non_finite), ("grade length", _grade_length),
+        ("face above coface", _raise_grade), ("vertex count", _bad_count))},
+}
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _bits(grades):
+    return [tuple(float(x).hex() for x in g) for g in grades]
+
+
+def _assert_same_complex(M, ref):
+    assert (M.dim, M.table) == (ref["dim"], ref["table"])
+    assert [s for s, _ in M.simplices] == [s for s, _ in ref["simplices"]]
+    assert _bits(g for _, g in M.simplices) == _bits(g for _, g in ref["simplices"])
+    assert [tuple(f) for B in M.boundary for f in B.tolist()] == ref["boundary"]
+    assert _bits(M.grade_array.tolist()) == _bits(ref["grades"])
+
+
+class TestParseOracle:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1).map(np.random.default_rng),
+           st.lists(st.sampled_from(sorted(_MUTATIONS)), max_size=2))
+    def test_parser_and_constructor_equal_the_reference(self, rng, mutations):
+        # a valid text, or one with one or two faults: the earlier fault must win
+        dim, lines = bifiltration_lines(rng)
+        for name in mutations:
+            lines = _MUTATIONS[name](rng, lines)
+        text = "\n".join(lines) + "\n"
+        got, want = _outcome(parse_bifiltration, text), _outcome(parse_reference, text)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_complex(got, want)
+
+    @pytest.mark.parametrize("name, message", [
+        ("drop a face", "missing face"), ("duplicate a line", "duplicate simplex"),
+        ("mangle a line", "expected '<k> <vertex ids> ; <grade>'"), ("repeat an id", "distinct and sorted"),
+        ("negative id", "negative vertex id"), ("bad id", "bad simplex description"), ("bad grade", "bad grade"),
+        ("non-finite grade", "non-finite grade"), ("grade length", "has dimension"),
+        ("face above coface", "non-monotone grades"), ("vertex count", "vertex ids, got"),
+    ])
+    def test_each_mutation_makes_its_error_on_these_seeds(self, name, message):
+        # the oracle test above is not vacuous: each fault shows up as the error it should
+        messages = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            dim, lines = bifiltration_lines(rng)
+            messages.append(str(_outcome(parse_reference, "\n".join(_MUTATIONS[name](rng, lines)))))
+        assert any(message in m for m in messages)
+
+    @pytest.mark.parametrize("simplices", [
+        (((0,), (0.0,)), ((), (0.0,))),
+        (((1,), (0.0,)), ((0, 0), (1.0,)), ((2,), (math.nan,))),
+        (((3, 1), (0.0, 0.0, 0.0)), ((0,), (math.inf,))),
+        (((0,), (1, 2)), ((1,), (0, 0)), ((0, 1), (0.5, 3))),
+        (((0,), (0.0,)), ((0,), (1.0,)), ((0, 2), (1.0,))),
+        (((-1,), (0.0,)), ((0, 0), (0.0,))),
+        (((2**70,), (0.0,)), ((0, 2**70), (1.0,))),
+        (),
+    ])
+    def test_library_constructor_equals_the_reference(self, simplices):
+        got = _outcome(lambda s: MultiFilteredComplex(len(s[0][1]) if s else 1, s), simplices)
+        want = _outcome(lambda s: check_reference(len(s[0][1]) if s else 1, s), simplices)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_complex(got, want)
+
+    @pytest.mark.parametrize("ids", [(0, 10**15, 2**70), (3, 10**15, 2**63 - 1), (1, 2**63, 2**64 - 1),
+                                     (5, 2**63, 2**64 + 1)])
+    def test_sparse_and_huge_ids_parse_as_a_dense_relabelling(self, ids):
+        def text(vertex):
+            a, b, c = map(str, vertex)
+            return (f"bifiltration 2\n1 {b} {c} ; 1 2\n0 {c} ; 0 1\n0 {a} ; 0.5 0\n0 {b} ; 1 0\n"
+                    f"1 {a} {c} ; 1 1\n1 {a} {b} ; 1 0.5\n2 {c} {a} {b} ; 2 2\n")
+        M, D = parse_bifiltration(text(ids)), parse_bifiltration(text((0, 1, 2)))
+        dense = dict(zip(ids, range(3)))
+        assert [tuple(map(dense.get, s)) for s in M.table] == list(D.table)
+        _assert_same_complex(M, parse_reference(text(ids)))
+        lines = sample_lines(LineGrid(4, 3), ((0.0, 0.0), (2.0, 2.0)))
+        for degree in (0, 1):
+            assert line_barcodes(M, lines, degree) == line_barcodes(D, lines, degree)
+
+
+class TestDerivedComplexes:
+    """diagonal_shift and perturb_grades build their complexes from M's checked arrays."""
+
+    def test_equal_the_constructors_complex(self):
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            dim, lines = bifiltration_lines(rng)
+            M = parse_bifiltration("\n".join(lines))
+            eps = float(rng.choice([0.0, 0.25, 1.5]))
+            pair = perturb_grades(M, eps, int(rng.integers(100)))
+            for X in (diagonal_shift(M, eps), pair.N):
+                _assert_same_complex(X, check_reference(X.dim, X.simplices))
+                Y = MultiFilteredComplex(X.dim, X.simplices)
+                assert X.table == Y.table and X.grade_array.tobytes() == Y.grade_array.tobytes()
+                assert all(np.array_equal(a, b) for a, b in zip(X.boundary, Y.boundary))
+                assert len(X.boundary) == len(Y.boundary) and X._relation_cache == {}
+
+    def test_equal_the_reference_shift_and_perturbation(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            dim, lines = bifiltration_lines(rng)
+            M = parse_bifiltration("\n".join(lines))
+            eps, seed = float(rng.choice([0.0, 0.1, 0.25, 2.0])), int(rng.integers(1000))
+            shifted = tuple((s, tuple(c - eps for c in g)) for s, g in M.simplices)
+            assert _bits(g for _, g in diagonal_shift(M, eps).simplices) == _bits(g for _, g in shifted)
+            pair = perturb_grades(M, eps, seed)
+            want, certified = perturb_reference(dim, M.simplices, eps, seed)
+            assert [s for s, _ in pair.N.simplices] == [s for s, _ in want]
+            assert _bits(g for _, g in pair.N.simplices) == _bits(g for _, g in want)
+            assert pair.epsilon.hex() == certified.hex()
+
+    def test_shift_to_minus_infinity_is_a_non_finite_grade(self):
+        M = parse_bifiltration("bifiltration 2\n0 0 ; 0 1\n0 1 ; -1e308 0\n1 0 1 ; 0 1\n")
+        with pytest.raises(ValidationError, match=r"^simplex \(1,\): non-finite grade \(-inf, -1e\+308\)$"):
+            diagonal_shift(M, 1e308)
+
+    def test_perturbation_to_infinity_is_a_non_finite_grade(self):
+        M = parse_bifiltration("bifiltration 1\n0 0 ; 1.7976931348623157e308\n")
+        with pytest.raises(ValidationError, match="non-finite grade"):
+            for seed in range(20):  # some draw moves the grade up
+                perturb_grades(M, 1e300, seed)

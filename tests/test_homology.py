@@ -27,6 +27,7 @@ from persline import (
     sample_lines,
     shift_pair,
 )
+import persline.complexes
 import persline.homology
 from persline.bottleneck import _split, _splits
 from persline.complexes import _line_arrays
@@ -509,7 +510,8 @@ def _unpruned(M):
     """A copy of M whose homology reads every simplex of dimension <= degree + 1."""
     X = MultiFilteredComplex(M.dim, M.simplices)
     for d in range(_max_dim(M) + 3):
-        X._relation_cache[d] = np.arange(X.skeleton(d)), X.boundary[: X.skeleton(d)]
+        faces = [tuple(f) for B in X.boundary[: d + 2] for f in B.tolist()]
+        X._relation_cache[d] = np.arange(X.skeleton(d)), faces
     return X
 
 
@@ -626,6 +628,23 @@ class TestPrunedRelations:
                     cone += (M._cone(d) >= lo).sum()
                     kept += (M._relations(d)[0] >= lo).sum()
         assert kept < 0.5 * cone
+
+    def test_cone_blocks_keep_what_one_block_keeps(self, monkeypatch):
+        # the candidates made CONE_BLOCK taus at a time: the same keep for every block size
+        rng = np.random.default_rng(23)
+        complexes = [_holed_clique_complex(rng, n, top, 0.1) for n, top in ((6, 3), (7, 2), (9, 1))]
+        complexes += [_same_grade_clique_complex(rng, n, top, signed) for n, top in ((6, 3), (8, 2))
+                      for signed in (False, True)]
+        monkeypatch.setattr(persline.complexes, "CONE_BLOCK", 10**9)
+        whole = [[M._cone(d) for d in range(3)] for M in complexes]
+        dropped = sum(M.skeleton(d) - len(keep) for M, keeps in zip(complexes, whole)
+                      for d, keep in enumerate(keeps))
+        assert dropped > 100  # not vacuous
+        for block in (1, 2, 5, 64):
+            monkeypatch.setattr(persline.complexes, "CONE_BLOCK", block)
+            for M, keeps in zip(complexes, whole):
+                for d, keep in enumerate(keeps):
+                    assert np.array_equal(M._cone(d), keep)
 
     def test_equal_grade_tetrahedron_boundary(self):
         # each triangle's boundary is the sum of the other three's: the cone test drops only the

@@ -14,6 +14,9 @@ the 9-simplex ``gen.tiny_complex(default_rng(0), 9)`` and its perturbed copy
 ``verify-external --grid 16x8`` with that construction. At degree 1 on the
 n = 40 complex M, ``verify-external --grid 16x8 --epsilon 0.05`` runs with
 ``--construction shift`` and with ``--construction perturb --seed 0``.
+The ``rank`` cases take the rank invariant at degree 1 of that n = 25 or 40
+complex M (one file, no grid) from u = (0.31, 0.31) to v = (0.32, 0.32): parsing,
+validation and the relation cuts are most of such a run.
 The ``bottleneck`` cases match two barcodes of 200 or 1,000 finite degree-0
 intervals per side, drawn one side after the other from ``default_rng(0)``:
 spread (births uniform on [0, 10], lengths uniform on [0, 3]) and equal-birth
@@ -59,6 +62,8 @@ CASES["rips40-verify-shift-H1"] = ("rips40", ["verify-external", "--construction
                                               "--epsilon", repr(EPSILON)], 1)
 CASES["rips40-verify-perturb-H1"] = ("rips40", ["verify-external", "--construction", "perturb",
                                                 "--epsilon", repr(EPSILON), "--seed", "0"], 1)
+CASES.update({f"rips{n}-rank-H1": (f"rips{n}", ["rank", "--u", "0.31,0.31", "--v", "0.32,0.32"], 1)
+              for n in (25, 40)})
 CHILD = """
 import contextlib, hashlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -160,10 +165,10 @@ def main() -> int:
             if pair not in files:
                 files[pair] = write_pair(workdir, pair)
             names, size = files[pair]
-            inputs = names[:1] if command[0] == "verify-external" else names
-            argv = [command[0], "--input", *inputs, *command[1:]]
+            one = command[0] in ("verify-external", "rank")
+            argv = [command[0], "--input", *names[: 1 if one else 2], *command[1:]]
             if degree is not None:
-                argv += ["--grid", GRID, "--degree", str(degree)]
+                argv += ["--grid", GRID] * (command[0] != "rank") + ["--degree", str(degree)]
             record["cases"][name] = {**size, **run_case(src, workdir, argv)}
             case = record["cases"][name]
             print(f"{name}: {case['wall_s']:.3f} s, {case['peak_rss_mb']:.1f} MB peak", flush=True)
