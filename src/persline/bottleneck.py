@@ -1,4 +1,4 @@
-"""Exact bottleneck distance between barcodes.
+"""Exact bottleneck distance between barcodes; the feasibility test at a delta stays private.
 
 Matched intervals pay the sup-norm gap of their endpoints; unmatched finite
 intervals may be deleted to the diagonal at half their length; essential
@@ -290,18 +290,6 @@ def _finite_distance(A: _Side, B: _Side, lower: float | None = None) -> float:
     pairs = sorted(_bracket_costs(A, B, lo, hi) | _bracket_costs(B, A, lo, hi))
     k, _, _ = _first_feasible(A, B, pairs, match_a, match_b)
     return pairs[k] if k < len(pairs) else hi
-
-
-def feasible(A: Barcode, B: Barcode, delta: float) -> bool:
-    """Decide whether a partial matching exists with all costs <= delta:
-    matched pairs (of one degree) within delta in sup norm (essential ones by
-    birth alone), every unmatched interval finite with half its length <= delta."""
-    for ess_a, fin_a, ess_b, fin_b in _split(A, B):
-        if (ess_a or ess_b) and _essential_distance(ess_a, ess_b) > delta:
-            return False
-        if not _finite_feasible(fin_a, fin_b, delta, [-1] * len(fin_b), [-1] * len(fin_a)):
-            return False
-    return True
 
 
 def bottleneck_distance(A: Barcode, B: Barcode) -> float:

@@ -182,7 +182,7 @@ def run(argv: list[str]) -> int:
                 except (OSError, ValueError) as exc:
                     raise CliError(f"{path}: {exc}") from None
             d = bottleneck_distance(*rows)
-            _emit(strict_dumps({"distance": d}), args.output)
+            _emit(f'{{"distance": {strict_dumps(d)}}}', args.output)
             return EXIT_OK
 
         if args.command == "rank":

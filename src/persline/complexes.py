@@ -248,6 +248,7 @@ class MultiFilteredComplex:
         """
         if degree < 0:
             raise ValueError(f"degree {degree} is negative")
+        degree = min(degree, len(self._prefix) - 1)  # top dimension + 1: all degrees above read alike
         if degree not in self._relation_cache:
             self._relation_cache[degree] = self._same_grade_pairs_out(self._cone(degree), degree)
         return self._relation_cache[degree]
@@ -342,11 +343,10 @@ class MultiFilteredComplex:
                       for i in keep.tolist()]
 
     def bounding_box(self) -> tuple[Grade, Grade]:
-        """Componentwise (min, max) over all grades."""
+        """Componentwise (min, max) over all grades, as floats, read from ``grade_array``."""
         if not self.simplices:
             raise ValidationError("empty complex has no bounding box")
-        columns = list(zip(*(g for _, g in self.simplices)))
-        return tuple(map(min, columns)), tuple(map(max, columns))
+        return tuple(self.grade_array.min(axis=0).tolist()), tuple(self.grade_array.max(axis=0).tolist())
 
 
 @dataclass(frozen=True)

@@ -243,19 +243,14 @@ def rank_invariant(M: MultiFilteredComplex, q: RankQuery) -> int:
     return int(((values[:f] == 0) & (values[f : 2 * f] == 2)).sum() + (values[2 * f :] == 0).sum())
 
 
-def strict_dumps(payload) -> str:
-    """Strict JSON text: an infinite float is written as null; NaN raises ValueError.
-
-    Payloads without a non-finite float, nearly all of them, are dumped
-    directly; only when that raises is the payload walked for infinities.
-    The sign of an infinity is not kept: only a stability report's margin
-    can be -inf, and its globalPass (false) tells it from +inf. The per-line
-    tables' rows are written by :func:`_table`, to the same bytes.
-    """
-    try:
-        return json.dumps(payload, allow_nan=False)
-    except ValueError:
-        return json.dumps(_inf_to_null(payload), allow_nan=False)
+def strict_dumps(value) -> str:
+    """Strict JSON text of one value: an infinite float is null, NaN raises ValueError, and anything
+    else is json.dumps(value, allow_nan=False), which walks no dict or list for infinities. The sign
+    of an infinity is not kept: only a stability report's margin can be -inf, and its globalPass
+    (false) tells it from +inf. :func:`_table` writes each float cell of the per-line tables so."""
+    if isinstance(value, float) and math.isinf(value):
+        return "null"
+    return json.dumps(value, allow_nan=False)
 
 
 def _table(row: str, floats: Iterable[Sequence[float]], *texts: Iterable[str], strict: bool = True,
@@ -277,25 +272,15 @@ def _table(row: str, floats: Iterable[Sequence[float]], *texts: Iterable[str], s
     return sep.join(map(row.__mod__, zip(*cells, *texts)))
 
 
-def _inf_to_null(value):
-    if isinstance(value, float):
-        return None if math.isinf(value) else value
-    if isinstance(value, dict):
-        return {k: _inf_to_null(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_inf_to_null(v) for v in value]
-    return value
-
-
 def barcode_to_json(barcode: Barcode) -> str:
-    """JSON array of {degree, birth, death}, death null for infinity.
+    """JSON array of {degree, birth, death}, an infinite endpoint (an essential death) null.
 
     Sorted by (degree, birth, death) so equal barcodes serialize identically.
     """
     ordered = sorted(barcode, key=lambda iv: (iv.degree, iv.birth, iv.death))
-    return strict_dumps(
-        [{"degree": iv.degree, "birth": iv.birth, "death": iv.death} for iv in ordered]
-    )
+    null = lambda x: None if x in (math.inf, -math.inf) else x
+    return strict_dumps([{"degree": iv.degree, "birth": null(iv.birth), "death": null(iv.death)}
+                         for iv in ordered])
 
 
 def _barcode_rows(text: str) -> list[tuple[float, float, int]]:

@@ -38,6 +38,8 @@ from .homology import _line_values, _table, strict_dumps
 
 _DEDUP_DECIMALS = 9
 _BOX_PAD = 0.1
+# _grid peaks near 120 B per raw line and parameter: 4 GB at the cap in 2 parameters, 6 GB in 3
+_MAX_GRID_LINES = 2**24  # raw lines, before dedup; 16x8 in 3 parameters samples 2,097,152
 
 
 @dataclass(frozen=True)
@@ -179,15 +181,16 @@ def matching_distance_lb(
 ) -> MatchResult:
     """Max of per-line distances over the sampled grid (a matching-distance lower bound)."""
     box = default_offset_box(M, N)
+    lines = grid.direction_steps ** (M.dim if M.dim > 2 else 1) * grid.offset_steps ** M.dim \
+        + len(grid.extra_lines)
+    if lines > _MAX_GRID_LINES:  # the user's grid, checked before sampling: a usage error, not a defect
+        raise ValueError(f"grid {grid.direction_steps}x{grid.offset_steps} in {M.dim} parameters: "
+                         f"its {lines} lines exceed the cap of {_MAX_GRID_LINES}")
     try:
         directions, offsets = _grid(grid, box)
     except InadmissibleLineError as exc:  # a line of the grid, not one the user gave
         raise ValueError(f"grades in the boxes {M.bounding_box()} and {N.bounding_box()}, "
                          f"padded to the {exc}") from None
-    except MemoryError:  # the user's grid, too large: a usage error, not a defect
-        lines = len(_sample_directions(M.dim, grid.direction_steps)) * grid.offset_steps ** M.dim
-        raise ValueError(f"grid {grid.direction_steps}x{grid.offset_steps} in {M.dim} parameters: "
-                         f"its {lines + len(grid.extra_lines)} lines do not fit in memory") from None
     distances = tuple(_distances(M, N, directions, offsets, degree))
     return MatchResult(max(distances), directions, offsets, distances)
 

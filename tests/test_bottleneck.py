@@ -9,11 +9,10 @@ from persline import Interval, bottleneck_distance
 import persline.bottleneck
 from persline.bottleneck import (
     _BATCH_ENTRIES, _HALL_ROOTS, _batched, _block_distances, _certified, _finite_feasible,
-    _matching_table, _nearest_bound, _split_distance, _splits, feasible,
+    _matching_table, _nearest_bound, _split_distance, _splits,
 )
-from persline.homology import strict_dumps
 from generators import random_barcode
-from oracles import brute_force_bottleneck, delete_cost, pair_cost
+from oracles import brute_force_bottleneck, delete_cost, pair_cost, strict_json
 
 INF = math.inf
 
@@ -56,23 +55,30 @@ class TestCosts:
 
 
 class TestFeasible:
+    # a matching with every cost <= delta exists exactly when delta reaches the distance,
+    # so each case puts its delta on one side of the library's and the oracle's distance
+
     def test_delete_single_interval(self):
-        assert feasible((Interval(0, 1, 0),), (), 0.5)
+        A = (Interval(0, 1, 0),)
+        assert bottleneck_distance(A, ()) <= 0.5
+        assert brute_force_bottleneck(A, ()) <= 0.5
 
     def test_delete_too_expensive(self):
-        assert not feasible((Interval(0, 1, 0),), (), 0.4)
-
-    def test_essential_pair(self):
-        assert feasible((Interval(0, INF, 0),), (Interval(1, INF, 0),), 1.0)
+        A = (Interval(0, 1, 0),)
+        assert bottleneck_distance(A, ()) > 0.4
+        assert brute_force_bottleneck(A, ()) > 0.4
 
     def test_essential_cannot_be_deleted(self):
-        assert not feasible((Interval(0, INF, 0),), (), 100.0)
+        A = (Interval(0, INF, 0),)
+        assert bottleneck_distance(A, ()) > 100.0
+        assert bottleneck_distance((), A) > 100.0
+        assert brute_force_bottleneck(A, ()) > 100.0
 
     def test_intervals_of_different_degrees_do_not_match(self):
         A, B = (Interval(0, 4, 0),), (Interval(0, 4, 1),)
-        assert feasible(A, A, 0.0)
-        assert not feasible(A, B, 1.9)
-        assert feasible(A, B, 2.0)
+        assert bottleneck_distance(A, A) <= 0.0
+        assert not bottleneck_distance(A, B) <= 1.9
+        assert bottleneck_distance(A, B) <= 2.0
 
 
 class TestBottleneckDistance:
@@ -82,6 +88,9 @@ class TestBottleneckDistance:
 
     def test_delete_to_diagonal(self):
         assert bottleneck_distance((Interval(0, 1, 0),), ()) == 0.5
+
+    def test_essential_pair_matches_at_birth_gap(self):
+        assert bottleneck_distance((Interval(0, INF, 0),), (Interval(1, INF, 0),)) == 1.0
 
     def test_essential_and_deletion_mix(self):
         A = (Interval(0, INF, 0), Interval(0, 1, 0))
@@ -135,7 +144,7 @@ class TestBottleneckDistance:
         # is the pair cost a2-b2 = 1.0, inside the candidates 0.875 to 1.5.
         A = (Interval(1.0, 4.0, 0), Interval(1.25, 3.75, 0))
         B = (Interval(1.75, 3.5, 0), Interval(2.25, 3.75, 0))
-        assert not feasible(A, B, 0.75)
+        assert brute_force_bottleneck(A, B) > 0.75
         assert bottleneck_distance(A, B) == bottleneck_distance(B, A) == 1.0
 
     def test_lower_bound_infeasible_on_b_side_only(self):
@@ -143,7 +152,7 @@ class TestBottleneckDistance:
         # covered, but all three of B's are longer and all need A's first one.
         A = (Interval(2.25, 5.0, 0), Interval(2.75, 3.5, 0))
         B = (Interval(2.0, 4.75, 0), Interval(3.0, 5.25, 0), Interval(3.0, 6.0, 0))
-        assert not feasible(A, B, 1.0)
+        assert brute_force_bottleneck(A, B) > 1.0
         assert bottleneck_distance(A, B) == 1.25
         assert brute_force_bottleneck(A, B) == 1.25
 
@@ -164,8 +173,7 @@ class TestBottleneckDistance:
     def test_search_above_an_infeasible_lower_bound(self, A, B, lower, expected):
         A = tuple(Interval(b, d, 0) for b, d in A)
         B = tuple(Interval(b, d, 0) for b, d in B)
-        assert not feasible(A, B, lower)
-        assert feasible(A, B, expected)
+        assert brute_force_bottleneck(A, B) > lower
         assert bottleneck_distance(A, B) == bottleneck_distance(B, A) == expected
         assert brute_force_bottleneck(A, B) == expected
 
@@ -261,18 +269,12 @@ class TestBottleneckProperties:
             assert bottleneck_distance(A, C) <= ab + bc
 
     @_property
-    @given(_barcodes, _barcodes, _quarter)
-    def test_feasible_exactly_from_the_distance(self, A, B, delta):
-        assert feasible(A, B, delta) == (delta >= bottleneck_distance(A, B))
-
-    @_property
-    @given(_graded_barcodes, _graded_barcodes, _quarter)
-    def test_degrees_apart_equal_exhaustive_oracle(self, A, B, delta):
+    @given(_graded_barcodes, _graded_barcodes)
+    def test_degrees_apart_equal_exhaustive_oracle(self, A, B):
         per_degree = [brute_force_bottleneck([iv for iv in A if iv.degree == g],
                                              [iv for iv in B if iv.degree == g])
                       for g in {iv.degree for iv in A + B}]
         assert bottleneck_distance(A, B) == max(per_degree, default=0.0)
-        assert feasible(A, B, delta) == (delta >= bottleneck_distance(A, B))
 
 
 def _nearby_barcodes(rng, n):
@@ -410,7 +412,7 @@ class TestBlockDistances:
         rng = np.random.default_rng(7)
         A, B = _block(rng, 5, 2, 1), _block(rng, 5, 2, 2)
         got = self._check(A, 2, B, 2)
-        assert strict_dumps(got) == "[null, null, null, null, null]"
+        assert strict_json(got) == "[null, null, null, null, null]"
 
     def test_essential_gap_overflow_raises_as_per_line(self):
         A, B = np.array([[0.0, 1.0, -1e308]]), np.array([[1e308]])
@@ -494,7 +496,7 @@ class TestBlockDistances:
     def test_differing_essential_counts_are_infinite_past_the_table_bound(self):
         rng = np.random.default_rng(8)
         A, B = _block(rng, 5, 6, 1), _block(rng, 5, 6, 2)
-        assert strict_dumps(_block_distances(A, 6, B, 6).tolist()) == "[null, null, null, null, null]"
+        assert strict_json(_block_distances(A, 6, B, 6).tolist()) == "[null, null, null, null, null]"
         assert [_split_distance(*p, *q) for p, q in zip(_splits(A, 6), _splits(B, 6))] == [INF] * 5
 
     def test_essential_gap_overflow_raises_as_per_line_past_the_table_bound(self):

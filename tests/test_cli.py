@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 import persline.bottleneck
 import persline.cli
 import persline.homology
-import persline.matching
 from persline import (
     Interval, Line, barcode_to_json, bottleneck_distance, line_distances, parse_bifiltration,
     serialize_bifiltration,
 )
 from persline.cli import run
-from persline.homology import strict_dumps
 from generators import random_bifiltered_complex
+from oracles import strict_json
 
 TWO_VERTEX_EDGE = "bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 1 1\n"
 
@@ -225,7 +224,7 @@ def test_bottleneck_command_agrees_with_the_library(tmp_path, A, B):
     b.write_text(barcode_to_json(B))
     assert run(["bottleneck", "--input", str(a), str(b), "--output", str(out)]) == 0
     d = bottleneck_distance(A, B)
-    assert out.read_text() == strict_dumps({"distance": d}) + "\n"
+    assert out.read_text() == strict_json({"distance": d}) + "\n"
     per_degree = [bottleneck_distance([iv for iv in A if iv.degree == g],
                                       [iv for iv in B if iv.degree == g])
                   for g in {iv.degree for iv in A + B}]
@@ -534,23 +533,19 @@ class TestExitCodes:
                         "--grid", grid, "--degree", "0"]) == 2
             assert_one_error_line(capsys.readouterr())
 
-    def test_grid_too_large_for_memory_is_usage_error(self, fixture_complex, tmp_path, capsys,
-                                                      monkeypatch):
-        # numpy raises MemoryError for an array it cannot allocate; the patch raises it
-        # before anything is allocated
-        def no_memory(*args):
-            raise MemoryError("Unable to allocate 402. GiB for an array with shape (27000000000, 2)")
-
-        monkeypatch.setattr(persline.matching, "_canonical_form", no_memory)
+    def test_grid_too_large_for_memory_is_usage_error(self, fixture_complex, tmp_path, capsys):
+        # the raw line count is checked against the cap before anything is sampled
         other = tmp_path / "N.bif"
         other.write_text("bifiltration 2\n0 0 ; 1 1\n")
         for argv in (["matchdist", "--input", fixture_complex, str(other)],
                      ["verify-external", "--input", fixture_complex, "--construction", "shift",
                       "--epsilon", "0.1"]):
-            assert run([*argv, "--grid", "30x20", "--degree", "0"]) == 2
-            captured = capsys.readouterr()
-            assert_one_error_line(captured)
-            assert "grid 30x20 in 2 parameters: its 12000 lines do not fit in memory" in captured.err
+            for grid, lines in (("1x1000000000", 10**18), ("1000000000x1", 10**9)):
+                assert run([*argv, "--grid", grid, "--degree", "0"]) == 2
+                captured = capsys.readouterr()
+                assert_one_error_line(captured)
+                assert f"grid {grid} in 2 parameters: its {lines} lines exceed the cap of 16777216\n" \
+                    in captured.err
 
     def test_unwritable_output_is_usage_error(self, fixture_complex, tmp_path, capsys):
         out = tmp_path / "missing" / "bars.json"
@@ -608,6 +603,23 @@ class TestDegreeAboveDimension:
                     "--line", "1,1:0,0", "--line2", "1,0.5:0,0", "--degree", "1"])
         assert code == 0
         assert strict_loads(capsys.readouterr().out)["entries"][0]["lhs"] == 0.0
+
+    @pytest.mark.parametrize("degree", [str(2**63 - 2), str(10**20)])
+    @pytest.mark.parametrize("command", ["barcode", "rank", "matchdist", "verify-external", "verify-internal"])
+    def test_huge_degree_answers_as_dimension_plus_one(self, fixture_complex, capsys, command, degree):
+        # such a degree once overflowed the cone test's int64 arithmetic: exit 3
+        argv = {
+            "barcode": ["barcode", "--input", fixture_complex, "--line", "1,1:0,0"],
+            "rank": ["rank", "--input", fixture_complex, "--u", "0,0", "--v", "2,2"],
+            "matchdist": ["matchdist", "--input", fixture_complex, fixture_complex, "--grid", "2x2"],
+            "verify-external": ["verify-external", "--input", fixture_complex, "--construction", "shift",
+                                "--epsilon", "0.25", "--grid", "2x2"],
+            "verify-internal": ["verify-internal", "--input", fixture_complex, "--line", "1,1:0,0",
+                                "--line2", "1,0.5:0,0"],
+        }[command]
+        expected = run(argv + ["--degree", "2"]), capsys.readouterr()
+        assert expected[0] == 0 and expected[1].err == ""
+        assert (run(argv + ["--degree", degree]), capsys.readouterr()) == expected
 
     @pytest.mark.parametrize("command", ["barcode", "matchdist", "verify-external"])
     def test_negative_degree_is_usage_error(self, fixture_complex, capsys, command):

@@ -31,7 +31,7 @@ import persline.complexes
 import persline.homology
 from persline.bottleneck import _split, _splits
 from persline.complexes import _line_arrays
-from persline.homology import LINE_BLOCK, _line_values
+from persline.homology import LINE_BLOCK, _line_values, strict_dumps
 from generators import random_bifiltered_complex, random_canonical_line, random_scalar_filtration
 from oracles import homology_dim, induced_rank, push_to_line, scalar_barcode, scalar_rank
 
@@ -284,6 +284,22 @@ class TestBarcodeJson:
             ' {"degree": 0, "birth": 0.0, "death": 2.0},'
             ' {"degree": 1, "birth": 1.0, "death": null}]'
         )
+
+    def test_infinite_endpoints_are_null_and_the_rest_as_json_dumps_writes_them(self):
+        bars = (Interval(-math.inf, math.inf, 0), Interval(0, 10**20, 1), Interval(np.float64(0.5), 2, 1))
+        assert barcode_to_json(bars) == (
+            '[{"degree": 0, "birth": null, "death": null},'
+            ' {"degree": 1, "birth": 0, "death": 100000000000000000000},'
+            ' {"degree": 1, "birth": 0.5, "death": 2}]'
+        )
+
+    def test_strict_dumps_writes_one_value(self):
+        # an infinity is null, whatever its sign; NaN raises, as does a list or dict holding an infinity
+        values = (math.inf, -math.inf, np.float64(-math.inf), 1.5, 3, True, None, "a")
+        assert [strict_dumps(x) for x in values] == ["null", "null", "null", "1.5", "3", "true", "null", '"a"']
+        for bad in (math.nan, [math.inf], {"distance": math.inf}):
+            with pytest.raises(ValueError):
+                strict_dumps(bad)
 
 
 def _max_dim(M):

@@ -33,7 +33,9 @@ case's own. The best of REPEAT (3) wall times is kept, with the
 largest peak. The results, with the commit of the tree that ``--src``
 lies in and the machine, are stored under ``--label`` in ``--out`` (default
 ``BENCH_scale.json`` at the checkout root); runs under other labels in that
-file are kept. The file records; it gates nothing.
+file are kept. The tool gates nothing; the tier-1 workflow compares each
+case's exit code and stdout sha256 with the newest committed run that holds
+the case.
 """
 from __future__ import annotations
 
