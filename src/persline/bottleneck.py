@@ -49,15 +49,15 @@ their columns, the larger of that and the sorted essential births' gap;
 whole block (:func:`_certified`) and only the lines it leaves are searched in
 split form (:func:`_splits`), starting from their bound. The pass drops the
 zero-length pairs, takes per line the max over both sides of min(diag(p),
-min_q cost(p, q)), and checks Hall's condition at it on each side: every set
-S of roots (diag > the bound) has at least |S| partners at cost <= the bound,
-by a subset table over bitmasks. By Hall's theorem one matching then covers
-each side's roots, so by Mendelsohn-Dulmage (reduction 3) the bound is
-feasible: it is the distance. A failed condition, more than _HALL_ROOTS roots
-or more than 63 partners sends the line on. The paths agree bit for bit:
+min_q cost(p, q)), and looks for a matching at it on each side that covers
+the roots (diag > the bound) along pairs of cost <= the bound (:func:`_covered`,
+greedy). If both are found, by Mendelsohn-Dulmage (reduction 3) the bound is
+feasible: it is the distance. A line where either is not found goes on, so
+the greedy test need only be sound. The paths agree bit for bit:
 
 - the pass computes the floats that :func:`_nearest_bound` and :func:`_covers`
-  compare, so its bound is theirs, and its Hall test decides their test at it;
+  compare, so its bound is theirs, and a cover it finds proves their test
+  passes at it;
 - a zero-length pair is never a root (it is deleted at +0.0), and pairing it
   with p costs at least diag(p) (as below): more than the bound if p is a
   root, and never less than p's own min(diag(p), ...);
@@ -96,15 +96,10 @@ from .homology import Barcode
 # them, of b + 1 columns each.
 _BATCH_ENTRIES = 2_000
 # Bounds of the pass that certifies a line's lower bound (_certified). Its
-# largest temporaries, the (lines, a', b') pair costs and adjacency and the
-# (lines, 2**R) table of neighbourhoods, hold at most _PASS_ENTRIES entries of
-# at most 8 bytes each (512 KiB), lines taken a chunk at a time; a block whose
-# single line has more pair costs goes line by line. A line with more than
-# _HALL_ROOTS roots on a side, or whose roots there have more than 63 partners
-# (the value bits of an int64), is left to the per-line search.
+# largest temporaries, the (lines, a', b') pair costs and adjacency, hold at
+# most _PASS_ENTRIES entries of at most 8 bytes each (512 KiB), lines taken a
+# chunk at a time; a block whose single line has more pair costs goes line by line.
 _PASS_ENTRIES = 1 << 16
-_HALL_ROOTS = 10
-_BYTE_BITS = np.array([bin(k).count("1") for k in range(256)], dtype=np.uint8)
 _ESSENTIAL_OVERFLOW = "two matched essential births differ by more than the largest float"
 _Side = list[tuple[float, float, float]]  # finite (birth, death, half the length), sorted
 
@@ -390,42 +385,27 @@ def _live(X: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return births, deaths, diag
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each entry of an unsigned integer array."""
-    return _BYTE_BITS[x.view(np.uint8)].reshape(*x.shape, x.itemsize).sum(axis=-1, dtype=np.uint8)
-
-
-def _hall(adjacent: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Per row, whether every set S of its roots (rows, p) has at least |S| partners
-    in ``adjacent`` (rows, p, q): Hall's condition, so one matching covers the roots.
-    False also where the test is not run (see _HALL_ROOTS)."""
-    count = roots.sum(axis=1)
-    near = (adjacent & roots[:, :, None]).any(axis=1)
-    ok = count == 0
-    rows = np.flatnonzero((count > 0) & (count <= _HALL_ROOTS) & (near.sum(axis=1) <= 63))
-    if not len(rows):
-        return ok
-    R, count = int(count[rows].max()), count[rows, None]
-    near = near[rows].astype(np.int64)
-    bits = near << (np.cumsum(near, axis=1) - near)  # each partner its own bit
-    first = np.argsort(~roots[rows], axis=1, kind="stable")[:, :R, None]  # the roots, then others
-    masks = (np.take_along_axis(adjacent[rows], first, 1) * bits[:, None, :]).sum(axis=2)
-    masks = masks.astype(np.min_scalar_type(int(masks.max())))  # the fewest bytes to count
-    subsets = np.arange(1 << R, dtype=np.uint16)  # S by bits; a row with k roots owns those < 2**k
-    step = max(1, _PASS_ENTRIES >> R)
-    for start in range(0, len(rows), step):
-        chunk = masks[start : start + step]
-        table = np.zeros((len(chunk), 1 << R), dtype=masks.dtype)  # N(S) by bits
-        for k in range(R):
-            np.bitwise_or(table[:, : 1 << k], chunk[:, k, None], out=table[:, 1 << k : 2 << k])
-        short = (_popcount(table) < _popcount(subsets)) & (subsets < 1 << count[start : start + step])
-        ok[rows[start : start + step]] = ~short.any(axis=1)
+def _covered(adjacent: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Per row, whether a greedy matching in ``adjacent`` (rows, p, q) covers the row's
+    roots (rows, p): the roots in order of fewest partners, each takes the free partner
+    that the fewest roots share. A matching found proves the cover; False can also
+    mean that the greedy order missed one."""
+    near = adjacent & roots[:, :, None]
+    shared, count = near.sum(axis=1), roots.sum(axis=1)
+    order = np.argsort(np.where(roots, near.sum(axis=2), adjacent.shape[2] + 1), axis=1, kind="stable")
+    free, ok, rows = np.ones_like(shared, dtype=bool), np.ones(len(roots), dtype=bool), np.arange(len(roots))
+    for k in range(int(count.max(initial=0))):
+        open_ = adjacent[rows, order[:, k]] & free
+        pick = np.where(open_, shared, adjacent.shape[1] + 1).argmin(axis=1)
+        found, root = open_[rows, pick], k < count
+        free[rows[root & found], pick[root & found]] = False
+        ok &= found | ~root
     return ok
 
 
 def _certified(A: np.ndarray, a: int, B: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per row, the finite parts' lower bound (reduction 2), and whether Hall's condition
-    holds at it on both sides, so that it is their distance (see the module docstring).
+    """Per row, the finite parts' lower bound (reduction 2), and whether a cover of the
+    roots is found at it on both sides, so that it is their distance (see the module docstring).
     None if one row's pair costs exceed _PASS_ENTRIES."""
     births_a, deaths_a, diag_a = _live(A, a)
     births_b, deaths_b, diag_b = _live(B, b)
@@ -444,8 +424,8 @@ def _certified(A: np.ndarray, a: int, B: np.ndarray, b: int) -> tuple[np.ndarray
                          np.minimum(db, cost.min(axis=1, initial=math.inf)).max(axis=1, initial=0.0))
         adjacent = cost <= low[:, None, None]
         lower[rows] = low
-        settled[rows] = (_hall(adjacent, da > low[:, None])
-                         & _hall(adjacent.transpose(0, 2, 1), db > low[:, None]))
+        settled[rows] = (_covered(adjacent, da > low[:, None])
+                         & _covered(adjacent.transpose(0, 2, 1), db > low[:, None]))
     return lower, settled
 
 

@@ -113,6 +113,11 @@ def _grid(grid: LineGrid, box: tuple[Grade, Grade]) -> tuple[np.ndarray, np.ndar
     lo, hi = box
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"degenerate offset box: min {lo} exceeds max {hi}")
+    n = len(lo)
+    lines = grid.direction_steps ** (n if n > 2 else 1) * grid.offset_steps**n + len(grid.extra_lines)
+    if lines > _MAX_GRID_LINES:  # the user's grid, checked before sampling: a usage error, not a defect
+        raise ValueError(f"grid {grid.direction_steps}x{grid.offset_steps} in {n} parameters: "
+                         f"its {lines} lines exceed the cap of {_MAX_GRID_LINES}")
     # every offset, the last axis fastest: itertools.product's order
     axes = np.meshgrid(*(_axis_samples(a, b, grid.offset_steps) for a, b in zip(lo, hi)), indexing="ij")
     raw_o = np.stack(axes, axis=-1).reshape(-1, len(lo))
@@ -181,11 +186,6 @@ def matching_distance_lb(
 ) -> MatchResult:
     """Max of per-line distances over the sampled grid (a matching-distance lower bound)."""
     box = default_offset_box(M, N)
-    lines = grid.direction_steps ** (M.dim if M.dim > 2 else 1) * grid.offset_steps ** M.dim \
-        + len(grid.extra_lines)
-    if lines > _MAX_GRID_LINES:  # the user's grid, checked before sampling: a usage error, not a defect
-        raise ValueError(f"grid {grid.direction_steps}x{grid.offset_steps} in {M.dim} parameters: "
-                         f"its {lines} lines exceed the cap of {_MAX_GRID_LINES}")
     try:
         directions, offsets = _grid(grid, box)
     except InadmissibleLineError as exc:  # a line of the grid, not one the user gave

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: dense numpy Gaussian elimination
 mod 2 for homology ranks, a scalar push and a set-column reduction for
-one-parameter barcodes, and exhaustive enumeration of partial matchings
-for the bottleneck distance, the per-line tables as json.dumps of
+one-parameter barcodes, exhaustive enumeration of partial matchings
+for the bottleneck distance and of injective maps for a matching that
+covers given vertices, the per-line tables as json.dumps of
 their entry dicts, and a line-by-line parser with per-simplex checks for
 the text format. None of it shares code with the package.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -267,6 +268,15 @@ def brute_force_bottleneck(A, B) -> float:
         return best
 
     return search(0, set(), 0.0)
+
+
+def coverable(adjacent, roots) -> bool:
+    """Whether one matching covers every root: some injective map sends each p with
+    roots[p] to a q with adjacent[p][q]. Every injective map of the roots is tried."""
+    need = [p for p, root in enumerate(roots) if root]
+    partners = range(len(adjacent[0]) if adjacent else 0)
+    return any(all(adjacent[p][q] for p, q in zip(need, image))
+               for image in permutations(partners, len(need)))
 
 
 def strict_json(payload) -> str:

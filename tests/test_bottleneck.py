@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from persline import Interval, bottleneck_distance
 import persline.bottleneck
 from persline.bottleneck import (
-    _BATCH_ENTRIES, _HALL_ROOTS, _batched, _block_distances, _certified, _finite_feasible,
+    _BATCH_ENTRIES, _batched, _block_distances, _certified, _covered, _finite_feasible,
     _matching_table, _nearest_bound, _split_distance, _splits,
 )
 from generators import random_barcode
-from oracles import brute_force_bottleneck, delete_cost, pair_cost, strict_json
+from oracles import brute_force_bottleneck, coverable, delete_cost, pair_cost, strict_json
 
 INF = math.inf
 
@@ -342,12 +342,37 @@ def _rows(values, finite):
             + [Interval(b, INF, 0) for b in row[2 * finite :]] for row in values.tolist()]
 
 
+def _rootless(adjacent, roots):
+    """A ``_covered`` that covers only rows without roots: every other line is searched."""
+    return ~roots.any(axis=1)
+
+
 def _pairs(*rows):
     """A block of rows of (birth, death) pairs, no essential ones, each padded with
     zero-length (9, 9) pairs to the longest and to at least 6: past the table bound."""
     width = max(6, *(len(row) for row in rows))
     rows = [list(row) + [(9.0, 9.0)] * (width - len(row)) for row in rows]
     return np.array([[b for b, _ in row] + [d for _, d in row] for row in rows]), width
+
+
+class TestCovered:
+    """The greedy cover test of the certified pass is sound: a row it covers has a
+    matching that covers its roots, by trying every injective map of the roots."""
+
+    def test_covers_only_rows_that_a_matching_covers(self):
+        rng, coverable_rows, covered_rows = np.random.default_rng(31), 0, 0
+        for _ in range(300):
+            rows, p, q = int(rng.integers(1, 5)), int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            adjacent = rng.random((rows, p, q)) < rng.uniform(0.1, 0.7)
+            roots = rng.random((rows, p)) < rng.uniform(0.2, 1.0)
+            got, some = _covered(adjacent, roots).tolist(), roots.any(axis=1).tolist()
+            want = [coverable(adj.tolist(), r.tolist()) for adj, r in zip(adjacent, roots)]
+            # covered only where a matching covers the roots, so uncovered where none does
+            assert not any(g and not w for g, w in zip(got, want))
+            assert all(g for g, s in zip(got, some) if not s)  # no roots: covered
+            coverable_rows += sum(w and s for w, s in zip(want, some))
+            covered_rows += sum(g and s for g, s in zip(got, some))
+        assert covered_rows > 0.9 * coverable_rows > 100  # the greedy order rarely misses one
 
 
 class TestBlockDistances:
@@ -437,7 +462,7 @@ class TestBlockDistances:
         assert [x.hex() for x in lower.tolist()] == [h for h, _ in search]
         assert all(feasible_at for ok, (_, feasible_at) in zip(settled, search) if ok)
         for name, value in (("_PASS_ENTRIES", 1 << 16), ("_PASS_ENTRIES", 1 << 10),
-                            ("_HALL_ROOTS", 0), ("_PASS_ENTRIES", 0)):
+                            ("_covered", _rootless), ("_PASS_ENTRIES", 0)):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(persline.bottleneck, name, value)
                 assert [x.hex() for x in _block_distances(A, a, B, b).tolist()] == want
@@ -463,23 +488,20 @@ class TestBlockDistances:
         assert self._check_pass(A, a, B, b) == ([False, True], [False, True])
         assert _block_distances(A, a, B, b).tolist() == [2.0, 0.125]
 
-    def test_rows_over_the_root_cap_go_per_line(self):
+    def test_rows_with_many_roots_are_settled_at_their_bound(self):
         # k-th interval of A matched to the k-th of B at 0.25, every interval a root
-        rows = [[(k, k + 4.0) for k in range(n)] for n in (_HALL_ROOTS, _HALL_ROOTS + 1)]
+        rows = [[(k, k + 4.0) for k in range(n)] for n in (10, 11, 25)]
         A, a = _pairs(*rows)
         B, b = _pairs(*[[(x + 0.25, y) for x, y in row] for row in rows])
-        assert self._check_pass(A, a, B, b) == ([True, False], [True, True])
-        assert _block_distances(A, a, B, b).tolist() == [0.25, 0.25]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(persline.bottleneck, "_HALL_ROOTS", _HALL_ROOTS + 1)
-            assert _certified(A, a, B, b)[1].tolist() == [True, True]
+        assert self._check_pass(A, a, B, b) == ([True] * 3, [True] * 3)
+        assert _block_distances(A, a, B, b).tolist() == [0.25] * 3
 
-    def test_rows_whose_roots_have_more_than_63_partners_go_per_line(self):
+    def test_a_root_with_64_partners_is_settled_at_its_bound(self):
         # (100, 102) alone sets the bound 1.0; the one root (0, 3) has every interval
         # of B as a partner, and none of them is a root
         A, a = _pairs([(0.0, 3.0), (100.0, 102.0)], [(0.0, 3.0), (100.0, 102.0)])
         B, b = _pairs(*[[(0.5 + k / 1024, 2.5 - k / 1024) for k in range(n)] for n in (63, 64)])
-        assert self._check_pass(A, a, B, b) == ([True, False], [True, True])
+        assert self._check_pass(A, a, B, b) == ([True, True], [True, True])
         assert _block_distances(A, a, B, b).tolist() == [1.0, 1.0]
 
     def test_rows_without_live_pairs_and_signed_zeros(self):

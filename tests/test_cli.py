@@ -711,17 +711,18 @@ def test_pinned_output_bytes(tmp_path, capsys):
     assert got == PINNED_OUTPUT_SHA1
 
 
-# (table bound, root cap): every block past the table bound, its lower bound certified
-# where it can be; past it with a root cap of 0, so every line with a root goes to the
-# per-line search; every block on the table
-_PATHS = {"certified": (0, persline.bottleneck._HALL_ROOTS), "per-line": (0, 0),
-          "batched": (10**9, 0)}
+# (table bound, cover test): every block past the table bound, its lower bound certified
+# where it can be; past it with a cover test that covers only rows without roots, so every
+# line with a root goes to the per-line search; every block on the table
+_PATHS = {"certified": (0, persline.bottleneck._covered),
+          "per-line": (0, lambda adjacent, roots: ~roots.any(axis=1)),
+          "batched": (10**9, persline.bottleneck._covered)}
 
 
 def _take_path(monkeypatch, path):
-    entries, roots = _PATHS[path]
+    entries, covered = _PATHS[path]
     monkeypatch.setattr(persline.bottleneck, "_BATCH_ENTRIES", entries)
-    monkeypatch.setattr(persline.bottleneck, "_HALL_ROOTS", roots)
+    monkeypatch.setattr(persline.bottleneck, "_covered", covered)
 
 
 @pytest.mark.parametrize("path", sorted(_PATHS))

@@ -54,6 +54,16 @@ class TestSampleLines:
         with pytest.raises(ValueError, match="degenerate"):
             sample_lines(LineGrid(2, 2), ((1.0, 0.0), (0.0, 1.0)))
 
+    def test_grid_over_the_cap_raises_before_sampling(self, monkeypatch):
+        def sampled(*args):
+            raise AssertionError("a grid over the cap was sampled")
+
+        monkeypatch.setattr(persline.matching, "_axis_samples", sampled)
+        monkeypatch.setattr(persline.matching, "_sample_directions", sampled)
+        with pytest.raises(ValueError, match=r"^grid 1x1000000000 in 2 parameters: its 1000000000000000000 "
+                                             r"lines exceed the cap of 16777216$"):
+            sample_lines(LineGrid(1, 10**9), UNIT_BOX)
+
     def test_extra_lines_appended(self):
         extra = canonicalize_line((1, 0.25), (3, -3))
         lines = sample_lines(LineGrid(2, 2, extra_lines=(extra,)), UNIT_BOX)
