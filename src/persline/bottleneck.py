@@ -298,15 +298,9 @@ def bottleneck_distance(A: Barcode, B: Barcode) -> float:
 
 
 def _split_distance(ess_a: list[float], fin_a: _Side, ess_b: list[float], fin_b: _Side) -> float:
-    parts = []
-    if ess_a or ess_b:
-        parts.append(_essential_distance(ess_a, ess_b))
-        if math.isinf(parts[0]):
-            return math.inf
-    if fin_a or fin_b:
-        parts.append(_finite_distance(fin_a, fin_b))
+    gap = _essential_distance(ess_a, ess_b)  # each part of two empty sides is 0.0
     # Integer endpoints (from hand-written JSON) still give a float.
-    return float(max(parts, default=0.0))
+    return gap if gap == math.inf else float(max(gap, _finite_distance(fin_a, fin_b)))
 
 
 def _batched(a: int, b: int) -> bool:

@@ -39,11 +39,6 @@ class InadmissibleLineError(ValueError):
     """Line direction has a non-positive component."""
 
 
-def leq(u: Grade, v: Grade) -> bool:
-    """Componentwise u <= v."""
-    return all(a <= b for a, b in zip(u, v))
-
-
 def sup_norm(u: Sequence[float]) -> float:
     return max(abs(x) for x in u)
 
@@ -57,7 +52,7 @@ class Line:
     max_i m_i = 1 and the offset slid along the line so that its coordinates
     sum to zero. m_star = min_i m_i is the weight used by the matching
     distance. A parameterization whose canonical form is not finite is
-    rejected.
+    rejected. Only :meth:`_set_fields` sets the fields.
     """
 
     direction: Grade
@@ -80,9 +75,7 @@ class Line:
             raise InadmissibleLineError(
                 f"direction {tuple(self.direction)} and offset {tuple(self.offset)} have no finite canonical form"
             )
-        object.__setattr__(self, "direction", tuple(m[0].tolist()))
-        object.__setattr__(self, "offset", tuple(b[0].tolist()))
-        object.__setattr__(self, "m_star", min(self.direction))
+        self._set_fields(m[0].tolist(), b[0].tolist())
 
     @property
     def dim(self) -> int:
@@ -90,6 +83,11 @@ class Line:
 
     def point_at(self, s: float) -> Grade:
         return tuple(s * m + b for m, b in zip(self.direction, self.offset))
+
+    def _set_fields(self, m: list[float], b: list[float]) -> Line:
+        """This line, its fields set from the canonical rows m and b as they are (frozen: no setattr)."""
+        self.__dict__.update(direction=tuple(m), offset=tuple(b), m_star=min(m))
+        return self
 
 
 def _canonical_form(raw_m: np.ndarray, raw_o: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,12 +116,9 @@ def _line_arrays(lines: Sequence[Line], dim: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _canonical_lines(directions: np.ndarray, offsets: np.ndarray) -> list[Line]:
-    """The ``Line`` of each row of canonical line arrays, its values kept: Line(m, b) would
-    canonicalize again, which may move b by a rounding."""
-    lines = [object.__new__(Line) for _ in range(len(directions))]
-    for L, m, b in zip(lines, directions.tolist(), offsets.tolist()):
-        L.__dict__.update(direction=tuple(m), offset=tuple(b), m_star=min(m))
-    return lines
+    """The ``Line`` of each row of canonical line arrays, its values kept by :meth:`Line._set_fields`:
+    Line(m, b) would canonicalize again, which may move b by a rounding."""
+    return [object.__new__(Line)._set_fields(m, b) for m, b in zip(directions.tolist(), offsets.tolist())]
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .complexes import (
     ScalarFiltration,
     _canonical_lines,
     _line_arrays,
-    leq,
     push_values,
 )
 
@@ -144,15 +143,19 @@ def _line_values(M: MultiFilteredComplex, directions: np.ndarray, offsets: np.nd
     Overflow (ValueError naming the first simplex and line, in line order) is looked for only on
     the lines where the push of the componentwise min grade of M's simplices of dimension <=
     degree + 1 is -inf or that of their max +inf: pushes are monotone, so elsewhere every push,
-    of dropped relations too, is finite. Every line is checked before the first block is yielded.
+    of dropped relations too, is finite. Those flagged lines are pushed one at a time, in line
+    order, all before the first block is yielded.
     """
     if directions.shape[1] != M.dim:
         raise ValueError(f"complex dimension {M.dim} != line dimension {directions.shape[1]}")
-    grades, size = M.grade_array[M._relations(degree)[0]], M.skeleton(degree)
-    G = M.grade_array[:size]
+    grades, G = M.grade_array[M._relations(degree)[0]], M.grade_array[: M.skeleton(degree)]
     ends = push_values(np.vstack((G.min(axis=0, initial=math.inf), G.max(axis=0, initial=-math.inf))),
                        directions, offsets)
-    _check_overflow(M, size, directions, offsets, ~((ends[:, 0] > -math.inf) & (ends[:, 1] < math.inf)))
+    flagged = ~((ends[:, 0] > -math.inf) & (ends[:, 1] < math.inf))
+    for m, b in zip(directions[flagged, None], offsets[flagged, None]):  # (1, n) each, in line order
+        bad = np.flatnonzero(~np.isfinite(push_values(G, m, b)))
+        if len(bad):
+            raise ValueError(f"simplex {M.table[bad[0]]}: push onto {_canonical_lines(m, b)[0]} overflows")
     yield from _value_pairs(M, (push_values(grades, directions[s : s + LINE_BLOCK], offsets[s : s + LINE_BLOCK])
                                 for s in range(0, len(directions), LINE_BLOCK)), degree)
 
@@ -197,20 +200,6 @@ def _value_pairs(M: MultiFilteredComplex, blocks: Iterable[np.ndarray], degree: 
         yield np.take_along_axis(P, np.array(entries, dtype=np.intp)[inverse.reshape(-1)], axis=1), finite
 
 
-def _check_overflow(M: MultiFilteredComplex, size: int, directions: np.ndarray, offsets: np.ndarray,
-                    rows: np.ndarray) -> None:
-    """ValueError for the first line among ``rows`` (a mask) onto which the push of
-    one of M's first ``size`` simplices overflows, naming the first such simplex."""
-    at = np.flatnonzero(rows)
-    for start in range(0, len(at), LINE_BLOCK):
-        lines = at[start : start + LINE_BLOCK]
-        bad = np.argwhere(~np.isfinite(push_values(M.grade_array[:size], directions[lines], offsets[lines])))
-        if len(bad):
-            k, i = lines[bad[0][0]], bad[0][1]
-            L = _canonical_lines(directions[k : k + 1], offsets[k : k + 1])[0]
-            raise ValueError(f"simplex {M.table[i]}: push onto {L} overflows")
-
-
 @dataclass(frozen=True)
 class RankQuery:
     """Query for the rank of the transition map H(K_u) -> H(K_v), u <= v."""
@@ -223,7 +212,7 @@ class RankQuery:
         for name, g in (("u", self.u), ("v", self.v)):
             if any(math.isnan(x) for x in g):
                 raise ValueError(f"grade {name} {g} has a NaN coordinate")
-        if not leq(self.u, self.v):
+        if not all(a <= b for a, b in zip(self.u, self.v)):
             raise ValueError(f"rank query requires u <= v, got u={self.u}, v={self.v}")
 
 

@@ -9,7 +9,7 @@ from persline import Interval, bottleneck_distance
 import persline.bottleneck
 from persline.bottleneck import (
     _BATCH_ENTRIES, _batched, _block_distances, _certified, _covered, _finite_feasible,
-    _matching_table, _nearest_bound, _split_distance, _splits,
+    _matching_table, _nearest_bound, _split, _split_distance, _splits,
 )
 from generators import random_barcode
 from oracles import brute_force_bottleneck, coverable, delete_cost, pair_cost, strict_json
@@ -113,6 +113,22 @@ class TestBottleneckDistance:
 
     def test_empty_barcodes(self):
         assert bottleneck_distance((), ()) == 0
+
+    @pytest.mark.parametrize("A, B, expected", [
+        ([(0, INF, 0)], [(3, INF, 0)], 3.0),  # essential part only
+        ([(0, 4, 0)], [], 2.0),  # finite part only
+        ([(0, INF, 0), (0, 4, 0)], [(0, INF, 0)], 2.0),  # both
+        ([(2**60, INF, 0)], [(2**60 + 1, INF, 0)], 1.0),  # float64 endpoints would give 0.0
+    ], ids=["essential", "finite", "both", "exact-integer-gap"])
+    def test_integer_endpoints_give_a_float(self, A, B, expected):
+        (parts,) = _split(A, B)
+        d = _split_distance(*parts)
+        assert type(d) is float and d == expected
+        assert type(bottleneck_distance(A, B)) is float
+
+    def test_empty_sides_give_a_float_zero(self):
+        d = _split_distance([], [], [], [])
+        assert type(d) is float and d == 0.0
 
     def test_intervals_match_only_within_a_degree(self):
         # the same interval in degrees 0 and 1: both are deleted

@@ -20,6 +20,7 @@ from persline import (
     serialize_bifiltration,
 )
 from persline.cli import run
+from persline.complexes import push_values
 from generators import random_bifiltered_complex
 from oracles import strict_json
 
@@ -432,6 +433,20 @@ class TestOverflowAtTheFloatRange:
         assert_one_error_line(captured)
         assert "simplex (0, 1, 2)" in captured.err and "overflows" in captured.err
 
+    def test_flagged_line_without_an_overflowing_push_answers(self, tmp_path, capsys):
+        # the push of the componentwise min grade (-1e308, -1e308) is -inf, so the line is looked
+        # at for overflow, but neither vertex's own push overflows
+        text = "bifiltration 2\n0 0 ; -1e308 -9e307\n0 1 ; 0 -1e308\n"
+        L = Line((1.0, 1e-300), (9e307, -9e307))
+        corner = push_values(np.array([[-1e308, -1e308]]), np.array([L.direction]), np.array([L.offset]))
+        assert corner[0, 0] == -math.inf
+        m = tmp_path / "M.bif"
+        m.write_text(text)
+        assert run_unwarned(["barcode", "--input", str(m), "--line=1,1e-300:9e307,-9e307",
+                             "--degree", "0"]) == 0
+        assert capsys.readouterr().out == ('[{"degree": 0, "birth": -9e+307, "death": null}, '
+                                           '{"degree": 0, "birth": 0.0, "death": null}]\n')
+
     @pytest.mark.parametrize("grade", ["0 1", "0 0"])
     def test_direction_underflow_is_inadmissible(self, tmp_path, capsys, grade):
         # 1e-308 / 1e308 rounds to 0: no canonical direction with every component > 0
@@ -799,6 +814,8 @@ EDGE_FILES = {
     "edge": TWO_VERTEX_EDGE,
     "far": "bifiltration 2\n0 0 ; 1e308 -1e308\n0 1 ; -1e308 1e308\n1 0 1 ; 1e308 1e308\n",
     "tiny": "bifiltration 2\n0 0 ; 5e-324 -5e-324\n0 1 ; 1e-300 0\n1 0 1 ; 1e-160 1e-160\n",
+    "no-face": "bifiltration 2\n0 0 ; 0 0\n1 0 1 ; 1 1\n",
+    "face-above": "bifiltration 2\n0 0 ; 0 0\n0 1 ; 2 0\n1 0 1 ; 1 1\n",
 }
 _edge = st.sampled_from(EDGE)
 _vector = st.tuples(_edge, _edge).map(",".join)
@@ -806,7 +823,9 @@ _vector = st.tuples(_edge, _edge).map(",".join)
 _direction = st.tuples(*[st.sampled_from(("1", "5e-324", "1e-300", "1e-160", "1e308"))] * 2)
 _line = st.tuples(_direction.map(",".join), _vector).map(":".join)
 _file = st.sampled_from(sorted(EDGE_FILES)).map("@".__add__)
-_degree = st.sampled_from(["0", "1", "3"])
+# -1 is a usage error; from 2**63 - 2 on, degree + 2 leaves int64, and any degree above the
+# dimension answers as dimension + 1 does
+_degree = st.sampled_from(["0", "1", "3", "-1", str(2**63 - 2), str(2**70)])
 _rows = st.lists(st.tuples(_edge, st.one_of(st.none(), _edge)), max_size=3)
 # argv with "@name" for the file EDGE_FILES[name], "@A"/"@B" for barcode JSON of the two row lists
 _edge_ops = st.one_of(
@@ -832,8 +851,8 @@ _edge_ops = st.one_of(
 @example((["verify-internal", "--input", "@vertex", "--line=1e-160,5e-324:0,0",
            "--line2=5e-324,1e-160:0,0", "--degree", "0"], [], []))
 def test_edge_values_are_answers_or_usage_errors(tmp_path, op):
-    """Every command on edge values exits 0, 1 or 2, never 3, with no warning, and
-    prints strict JSON when it succeeds."""
+    """Every command on edge values exits 0, 1 (verify-* only) or 2, never 3, with no warning;
+    it prints strict JSON when it succeeds and one error line on exit 2."""
     argv, rows_a, rows_b = op
     fresh = Path(tempfile.mkdtemp(dir=tmp_path))  # new files: truncating old ones is slow on some disks
     for name, text in EDGE_FILES.items():
@@ -846,7 +865,9 @@ def test_edge_values_are_answers_or_usage_errors(tmp_path, op):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run_unwarned(argv)
-    assert code in (0, 1, 2), err.getvalue()
+    assert code in (0, 1, 2) and (code != 1 or argv[0].startswith("verify-")), err.getvalue()
     assert "Warning" not in err.getvalue()
-    if code != 2 and "csv" not in argv:
+    if code == 2:
+        assert err.getvalue().startswith("persline: error:") and err.getvalue().count("\n") == 1, err.getvalue()
+    elif "csv" not in argv:
         strict_loads(out.getvalue())

@@ -19,7 +19,7 @@ from persline import (
     serialize_bifiltration,
 )
 from persline import LineGrid, line_barcodes, perturb_grades, sample_lines
-from persline.complexes import _line_arrays, push_values
+from persline.complexes import _canonical_form, _canonical_lines, _line_arrays, push_values
 from generators import bifiltration_lines, random_bifiltered_complex, random_canonical_line
 from oracles import canonical_line, check_reference, parse_reference, perturb_reference, push_to_line
 
@@ -138,6 +138,28 @@ class TestCanonicalizeLine:
         assert Line((1, 1, 1), (0.1, 0.2, 0.3)).offset[0] == 0.1 - 0.6000000000000001 / 3
         # integer components are floats first: 2**53 + 1.0 rounds to 2**53, as in the grid
         assert Line((1, 1, 1), (2**53, 1, 1)) == Line((1.0, 1.0, 1.0), (2.0**53, 1.0, 1.0))
+
+    def test_constructor_sets_the_fields_of_the_canonical_rows(self):
+        # Line(raw_m, raw_b) and _canonical_lines of _canonical_form's rows set the same fields,
+        # bit for bit (repr shows -0.0 and m_star)
+        rng = np.random.default_rng(29)
+        directions = [1, 2, 7, 5e-324, 2.5e-310, 0.5, 3.0]
+        offsets = [0, -3, 5, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.25, -1.5]
+        kept = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            raw_m = [directions[i] if i < len(directions) else float(rng.uniform(0.1, 3.0))
+                     for i in rng.integers(0, len(directions) + 2, n).tolist()]
+            raw_b = [offsets[i] if i < len(offsets) else float(rng.uniform(-2.0, 2.0))
+                     for i in rng.integers(0, len(offsets) + 2, n).tolist()]
+            m, b, finite = _canonical_form(np.array([raw_m], np.float64), np.array([raw_b], np.float64))
+            if not finite[0]:  # a subnormal component divided by a larger one underflows to 0
+                with pytest.raises(InadmissibleLineError, match="no finite canonical form"):
+                    Line(raw_m, raw_b)
+                continue
+            assert repr(Line(raw_m, raw_b)) == repr(_canonical_lines(m, b)[0]), (raw_m, raw_b)
+            kept += 1
+        assert kept > 150
 
     @pytest.mark.parametrize("raw_m, raw_b", [((), ()), ((1, 1), ("0.5", 0)), (("1", 1), (0, 0)),
                                               ((1, 1), (None, 0))])

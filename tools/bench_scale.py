@@ -30,12 +30,22 @@ printed. The peak is ``VmHWM`` from ``/proc/self/status``, where there is
 one: ``ru_maxrss`` also holds this tool's own peak, carried into the child
 at the exec, and the rips inputs the tool generates raise that above a tiny
 case's own. The best of REPEAT (3) wall times is kept, with the
-largest peak. The results, with the commit of the tree that ``--src``
+largest peak, and every run's time is kept too (``runs_s``); each case's
+summary line prints the min (the best), median and max of ``runs_s``.
+The results, with the commit of the tree that ``--src``
 lies in and the machine, are stored under ``--label`` in ``--out`` (default
 ``BENCH_scale.json`` at the checkout root); runs under other labels in that
 file are kept. The tool gates nothing; the tier-1 workflow compares each
 case's exit code and stdout sha256 with the newest committed run that holds
 the case.
+
+One invocation cannot tell a change of 20 % from noise on a shared machine:
+in one recorded pair, cases whose code had not changed moved by up to 30 %.
+To compare two trees, run the cases in question at least 8 times for each,
+alternating the two checkouts (parent, change, parent, ...; ``--src`` names
+the tree, ``--out`` a scratch file and ``--label`` the invocation), and report
+each side's median of the best times with its quartiles. A gain holds when the change is faster in nearly every
+pair and its median lies outside the parent's quartiles.
 """
 from __future__ import annotations
 
@@ -43,6 +53,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -173,7 +184,10 @@ def main() -> int:
                 argv += ["--grid", GRID] * (command[0] != "rank") + ["--degree", str(degree)]
             record["cases"][name] = {**size, **run_case(src, workdir, argv)}
             case = record["cases"][name]
-            print(f"{name}: {case['wall_s']:.3f} s, {case['peak_rss_mb']:.1f} MB peak", flush=True)
+            runs_s = case["runs_s"]
+            print(f"{name}: {case['wall_s']:.3f} s best (min) of {len(runs_s)} runs, median "
+                  f"{statistics.median(runs_s):.3f}, max {max(runs_s):.3f} s, "
+                  f"{case['peak_rss_mb']:.1f} MB peak", flush=True)
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else {}
     runs[label] = record
     args.out.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
