@@ -319,9 +319,9 @@ def _matching_table(a: int, b: int) -> np.ndarray:
     indices into a cost row [a*b pair costs, (i, j) at i*b + j | a deletions |
     b deletions | 0.0]: its pairs, the deletions of the unmatched, then 0.0.
 
-    Built on first use and kept between calls, the package's one cache besides
-    ``cli.build_parser``: at most 16 tables (every size pair up to 3x3) of at
-    most _BATCH_ENTRIES intp entries, 256 KB in all."""
+    Built on first use and kept between calls, as ``cli.build_parser`` is and, per complex,
+    ``MultiFilteredComplex._relation_cache``: at most 16 tables (every size pair up to
+    3x3) of at most _BATCH_ENTRIES intp entries, 256 KB in all."""
     rows, zero = [], a * b + a + b
     for k in range(min(a, b) + 1):
         for I in combinations(range(a), k):

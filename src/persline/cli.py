@@ -214,11 +214,9 @@ def run(argv: list[str]) -> int:
                 pair = perturb_grades(M, args.epsilon, args.seed)
             d, o = _parse_grid(args.grid)
             report = verify_rank_stability(pair, LineGrid(d, o), args.degree)
-        elif args.command == "verify-internal":
+        else:  # verify-internal: argparse admits no other command
             M, L, Lp = _load_complex(args.input), _parse_line(args.line), _parse_line(args.line2)
             report = verify_internal_stability(M, L, Lp, args.degree)
-        else:
-            raise CliError(f"unknown command {args.command!r}")
         _emit(report_to_json(report), args.output)
         return EXIT_OK if report.global_pass else EXIT_VERIFY_FAIL
     except (CliError, ValueError) as exc:  # ParseError and the other input errors are ValueErrors

@@ -230,16 +230,17 @@ class MultiFilteredComplex:
         a (degree + 1)-simplex's as indices into that list, any other's into the table; cached.
 
         Two exact cuts, in turn. The cone test (:meth:`_cone`) drops (degree + 1)-simplices
-        whose boundaries are sums of earlier kept ones. Then, until nothing changes, a kept
+        whose boundaries are sums of earlier kept ones. Then, in one pass in table order, a kept
         (degree + 1)-simplex tau is paired with a degree-simplex sigma in its current boundary
         of bit-identical grade: every other kept column rho that holds sigma becomes d(rho) +
         d(tau), and sigma and tau go. They enter at the same grade, so at each grade both or
         neither are in, and this is Gaussian elimination of an invertible entry there: a
         filtered quasi-isomorphism (an acyclic partial matching, as in Allili, Kaczynski, Landi
         and Masoni 2017), so homology maps, ranks and line barcodes stay but for zero-length
-        pairs. With a -0.0 grade coordinate, whether a birth or death at 0 is 0.0 or -0.0 may
-        hang on which column kills which class, so such a complex is not paired (the cone test
-        then keeps table order too).
+        pairs. One pass leaves no pair (:meth:`_same_grade_pairs_out`). With a -0.0 grade
+        coordinate, whether a birth or death at 0 is 0.0 or -0.0 may hang on which column kills
+        which class, so such a complex is not paired (the cone test then keeps table order too),
+        and in a paired one bit-identical grades are equal grades.
         """
         if degree < 0:
             raise ValueError(f"degree {degree} is negative")
@@ -294,8 +295,10 @@ class MultiFilteredComplex:
         """``keep`` less the same-grade pairs (sigma, tau) of :meth:`_relations`, and the faces.
 
         Candidates are found in numpy first, so a complex with none pays one compare. The
-        pairs are taken greedily, the columns in table order, each with the first sigma in
-        table order, again over the columns a pass changed until none has a pair."""
+        pairs are taken greedily in one pass, the columns in table order, each with the first
+        sigma in table order. Every entry of a column is graded <= it (its faces are, and a sum
+        adds tau's, <= g(tau) = g(sigma)), so a column with no facet of its own grade takes in
+        only entries of a tau strictly below it, never gains one, and a second pass finds none."""
         lo = self.skeleton(degree - 1)
         top = keep[np.searchsorted(keep, lo):]
         faces = self._faces[top, : degree + 2]
@@ -312,26 +315,18 @@ class MultiFilteredComplex:
         for t, column in columns.items():
             for f in column:
                 cofaces.setdefault(f, set()).add(t)
-        gone = set()
-        pending = top[same].tolist()
-        while pending:
-            changed = set()
-            for t in pending:
-                column = columns.get(t, ())  # empty once t is paired
-                sigma = min((f for f in column if grade[f] == grade[t]), default=None)
-                if sigma is None:
-                    continue
-                del columns[t]
-                for f in column:
-                    cofaces[f].discard(t)
-                rest = column - {sigma}
-                for r in cofaces.pop(sigma):  # each holds sigma, which the sum cancels
-                    columns[r] ^= column
-                    for f in rest:
-                        cofaces[f] ^= {r}
-                    changed.add(r)
-                gone.update((sigma, t))
-            pending = sorted(changed)
+        gone = set()  # a paired tau stays in columns and cofaces: only gone tells it is out
+        for t in top[same].tolist():
+            column = columns[t]
+            sigma = min((f for f in column if grade[f] == grade[t]), default=None)
+            if sigma is None:
+                continue
+            gone.update((sigma, t))
+            rest = column - {sigma}
+            for r in cofaces.pop(sigma) - gone:  # each kept column that holds sigma: the sum cancels it
+                columns[r] ^= column
+                for f in rest:
+                    cofaces[f] ^= {r}
         keep = np.array([i for i in keep.tolist() if i not in gone], dtype=np.intp)
         local = dict(zip(keep.tolist(), range(len(keep))))
         return keep, [tuple(sorted(local[f] for f in columns[i])) if i >= lo else tuples[i]

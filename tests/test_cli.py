@@ -239,10 +239,13 @@ class TestRank:
         assert json.loads(capsys.readouterr().out) == 1
 
     def test_incomparable_corners_usage_error(self, fixture_complex, capsys):
-        for u, v in [("1,0", "0,1"), ("2,2", "0,0")]:
+        for u, v, message in [("1,0", "0,1", "requires u <= v"), ("2,2", "0,0", "requires u <= v"),
+                              ("a,b", "1,1", "bad vector 'a,b'")]:
             code = run(["rank", "--input", fixture_complex, "--u", u, "--v", v, "--degree", "0"])
             assert code == 2
-            assert_one_error_line(capsys.readouterr())
+            captured = capsys.readouterr()
+            assert_one_error_line(captured)
+            assert message in captured.err
 
     @pytest.mark.parametrize("u, v", [("0", "2,2"), ("0,0,0", "2,2,2"), ("0,0", "2")])
     def test_grade_of_wrong_length_usage_error(self, fixture_complex, capsys, u, v):
@@ -535,18 +538,24 @@ class TestExitCodes:
         assert captured.err.endswith("bad.bif: line 2: bad simplex dimension -2\n")
 
     def test_inadmissible_line(self, fixture_complex, capsys):
-        for line in ["1,0:0,0", "0,1:0,0"]:
+        for line, message in [("1,0:0,0", "non-positive component"), ("0,1:0,0", "non-positive component"),
+                              ("1,1", "bad line '1,1'"), ("1,1:0", "direction and offset dimensions differ")]:
             assert run(["barcode", "--input", fixture_complex, "--line", line,
                         "--degree", "0"]) == 2
-            assert_one_error_line(capsys.readouterr())
+            captured = capsys.readouterr()
+            assert_one_error_line(captured)
+            assert message in captured.err
 
     def test_bad_grid(self, fixture_complex, tmp_path, capsys):
         other = tmp_path / "N.bif"
         other.write_text("bifiltration 2\n0 0 ; 1 1\n")
-        for grid in ["bogus", "0x3"]:
+        for grid, message in [("bogus", "expected '<directions>x<offsets>'"), ("0x3", "must be >= 1"),
+                              ("ax2", "expected integers")]:
             assert run(["matchdist", "--input", fixture_complex, str(other),
                         "--grid", grid, "--degree", "0"]) == 2
-            assert_one_error_line(capsys.readouterr())
+            captured = capsys.readouterr()
+            assert_one_error_line(captured)
+            assert message in captured.err
 
     def test_grid_too_large_for_memory_is_usage_error(self, fixture_complex, tmp_path, capsys):
         # the raw line count is checked against the cap before anything is sampled
@@ -816,6 +825,8 @@ EDGE_FILES = {
     "tiny": "bifiltration 2\n0 0 ; 5e-324 -5e-324\n0 1 ; 1e-300 0\n1 0 1 ; 1e-160 1e-160\n",
     "no-face": "bifiltration 2\n0 0 ; 0 0\n1 0 1 ; 1 1\n",
     "face-above": "bifiltration 2\n0 0 ; 0 0\n0 1 ; 2 0\n1 0 1 ; 1 1\n",
+    "empty": "bifiltration 2\n",
+    "blank": "",
 }
 _edge = st.sampled_from(EDGE)
 _vector = st.tuples(_edge, _edge).map(",".join)

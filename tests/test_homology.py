@@ -633,16 +633,22 @@ class TestPrunedRelations:
 
     def test_same_grade_pairs_go_on_these_complexes(self):
         # the complexes above without -0.0 lose most of what the cone test keeps in the top
-        # dimensions, so the comparison there is not vacuous
+        # dimensions, so the comparison there is not vacuous; and the one pass leaves no kept
+        # (d + 1)-simplex with a face of its own grade, bit for bit (a fixed point)
         rng = np.random.default_rng(5)
         cone = kept = 0
         for n_vertices, top_dim in ((4, 3), (5, 3), (6, 2), (8, 1)):
             for _ in range(5):
                 M = _same_grade_clique_complex(rng, n_vertices, top_dim, signed=False)
+                bits = M.grade_array.view(np.uint64)
                 for d in range(top_dim):
                     lo = M.skeleton(d - 2)
                     cone += (M._cone(d) >= lo).sum()
-                    kept += (M._relations(d)[0] >= lo).sum()
+                    keep, faces = M._relations(d)
+                    kept += (keep >= lo).sum()
+                    for i, local in zip(keep.tolist(), faces):
+                        if i >= M.skeleton(d - 1):  # its faces index keep
+                            assert not (bits[keep[list(local)]] == bits[i]).all(axis=1).any()
         assert kept < 0.5 * cone
 
     def test_cone_blocks_keep_what_one_block_keeps(self, monkeypatch):

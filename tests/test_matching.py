@@ -184,6 +184,9 @@ class TestPerLineDistance:
     def test_shifted_vertex_on_diagonal(self):
         L = canonicalize_line((1, 1), (0, 0))
         assert line_distances(ONE_VERTEX_ORIGIN, ONE_VERTEX_ONES, [L], 0)[0] == 1
+        # the lines are checked against M; N of another dimension fails its own check
+        with pytest.raises(ValueError, match="complex dimension 3 != line dimension 2"):
+            line_distances(ONE_VERTEX_ORIGIN, parse_bifiltration("bifiltration 3\n0 0 ; 1 1 1"), [L], 0)
 
     def test_shifted_vertex_on_weighted_line(self):
         # pushes are 0 and max(1, 1/0.5) = 2; weight m_star = 0.5

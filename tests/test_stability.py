@@ -32,6 +32,8 @@ class TestPerturbGrades:
         pair = perturb_grades(TWO_VERTEX_EDGE, 0.0, seed=1)
         assert pair.N == pair.M
         assert pair.epsilon == 0
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            perturb_grades(TWO_VERTEX_EDGE, -1.0, 0)
 
     def test_certified_epsilon_within_request(self):
         rng = np.random.default_rng(127)
