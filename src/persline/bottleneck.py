@@ -44,16 +44,17 @@ does not depend on the order, so every block of a call takes one path. If
 the table of partial matchings of a with b is small (:func:`_batched`), each
 one's cost is read off one (lines, a*b + a + b + 1) array of pair and
 deletion costs, and the distance is the min over matchings of the max over
-their columns, the larger of that and the sorted essential births' gap;
-+inf when e != e'. Else the lower bound of reduction 2 is certified for the
-whole block (:func:`_certified`) and only the lines it leaves are searched in
-split form (:func:`_splits`), starting from their bound. The pass drops the
-zero-length pairs, takes per line the max over both sides of min(diag(p),
-min_q cost(p, q)), and looks for a matching at it on each side that covers
-the roots (diag > the bound) along pairs of cost <= the bound (:func:`_covered`,
-greedy). If both are found, by Mendelsohn-Dulmage (reduction 3) the bound is
-feasible: it is the distance. A line where either is not found goes on, so
-the greedy test need only be sound. The paths agree bit for bit:
+their columns, the larger of that and the sorted essential births' gap; +inf
+when e != e'. Else the lower bound of reduction 2 is certified for the whole
+block (:func:`_certified`) and only the lines it leaves are searched in split
+form (:func:`_splits`), starting from their bound; past _PASS_ENTRIES, all are
+searched line by line with no bound. The pass drops the zero-length pairs,
+takes per line the max over both sides of min(diag(p), min_q cost(p, q)), and
+looks for a matching at it on each side that covers the roots (diag > the
+bound) along pairs of cost <= the bound (:func:`_covered`, greedy). If both are
+found, by Mendelsohn-Dulmage (reduction 3) the bound is feasible: it is the
+distance. A line where either is not found goes on, so the greedy test need
+only be sound. The paths agree bit for bit:
 
 - the pass computes the floats that :func:`_nearest_bound` and :func:`_covers`
   compare, so its bound is theirs, and a cover it finds proves their test
@@ -65,10 +66,10 @@ the greedy test need only be sound. The paths agree bit for bit:
   costs that the threshold search compares (it tests the rounded endpoint
   differences against delta, and a cost is one of them, exactly halved for a
   deletion);
-- the zero-length pairs the split form drops change no value, rounding
-  included: a pair (c, c) is deleted at +0.0, and matching it to q costs
-  max(fl|c - b_q|, fl|c - d_q|) >= fl(d_q - b_q) / 2, by monotone rounding
-  and exact scaling by 2, so deleting q instead is no worse;
+- the pairs with death <= birth that the split forms drop change no value,
+  rounding included: none is a root (death < birth is only in library rows),
+  and matching (b, d) to q costs max(fl|b - b_q|, fl|d - d_q|) >= diag(q) by
+  monotone rounding and exact scaling by 2, so deleting q instead is no worse;
 - a deletion costs |death - birth| / 2, so a pair with birth 0.0 and death
   -0.0 costs +0.0, and every cost, so every distance, is >= +0.0.
 """
@@ -95,10 +96,10 @@ from .homology import Barcode
 # outside. The matchings alone do not bound it: 1 and b intervals have b + 1 of
 # them, of b + 1 columns each.
 _BATCH_ENTRIES = 2_000
-# Bounds of the pass that certifies a line's lower bound (_certified). Its
-# largest temporaries, the (lines, a', b') pair costs and adjacency, hold at
-# most _PASS_ENTRIES entries of at most 8 bytes each (512 KiB), lines taken a
-# chunk at a time; a block whose single line has more pair costs goes line by line.
+# Bounds of the pass that certifies a line's lower bound (_certified). Its largest
+# temporaries, the (lines, a', b') pair costs and adjacency, hold at most _PASS_ENTRIES
+# entries of at most 8 bytes each (512 KiB), lines taken a chunk at a time; a block
+# whose single line has more pair costs is searched line by line with no bound.
 _PASS_ENTRIES = 1 << 16
 _ESSENTIAL_OVERFLOW = "two matched essential births differ by more than the largest float"
 _Side = list[tuple[float, float, float]]  # finite (birth, death, half the length), sorted
@@ -113,25 +114,12 @@ def _split(A: Iterable, B: Iterable) -> list[tuple[list[float], _Side, list[floa
             parts = split.get(degree) or split.setdefault(degree, ([], [], [], []))
             if math.isinf(death):
                 parts[at].append(birth)
-            else:
+            elif death > birth:
                 parts[at + 1].append((birth, death, (death - birth) / 2.0))
     for parts in split.values():
         for part in parts:
             part.sort()
     return list(split.values())
-
-
-def _essential_distance(births_a: list[float], births_b: list[float]) -> float:
-    """Bottleneck optimum of the essential parts: births matched in sorted order; +inf if counts differ."""
-    if len(births_a) != len(births_b):
-        return math.inf
-    gap = max((abs(x - y) for x, y in zip(births_a, births_b)), default=0.0)
-    try:  # float() of an integer too large for a float raises OverflowError
-        if float(gap) < math.inf:
-            return gap
-    except OverflowError:
-        pass
-    raise ValueError(_ESSENTIAL_OVERFLOW)
 
 
 def _outward(Q: _Side, x: float) -> tuple[range, range]:
@@ -298,9 +286,18 @@ def bottleneck_distance(A: Barcode, B: Barcode) -> float:
 
 
 def _split_distance(ess_a: list[float], fin_a: _Side, ess_b: list[float], fin_b: _Side) -> float:
-    gap = _essential_distance(ess_a, ess_b)  # each part of two empty sides is 0.0
+    """One degree's distance from its :func:`_split` parts, essential births matched in sorted order."""
+    if len(ess_a) != len(ess_b):
+        return math.inf
+    gap = max((abs(x - y) for x, y in zip(ess_a, ess_b)), default=0.0)  # 0.0 for two empty sides
+    try:  # float() of an integer too large for a float raises OverflowError
+        fits = float(gap) < math.inf
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise ValueError(_ESSENTIAL_OVERFLOW)
     # Integer endpoints (from hand-written JSON) still give a float.
-    return gap if gap == math.inf else float(max(gap, _finite_distance(fin_a, fin_b)))
+    return float(max(gap, _finite_distance(fin_a, fin_b)))
 
 
 def _batched(a: int, b: int) -> bool:
@@ -429,20 +426,17 @@ def _block_distances(A: np.ndarray, a: int, B: np.ndarray, b: int) -> np.ndarray
     A row holds a barcode's a finite births, their a deaths in the same order
     and its essential births; so does B's with b. One pass over the matching
     table, or the certified lower bound with the per-line search for the rows it
-    leaves, by the size of that table (see the module docstring). An essential
-    gap that overflows raises ValueError.
+    leaves (all, with no bound, if _certified returns None), by the size of that
+    table (see the module docstring). An essential gap that overflows raises ValueError.
     """
     if A.shape[1] - 2 * a != B.shape[1] - 2 * b:  # the essential counts differ
         return np.full(len(A), math.inf)
     gap = _essential_gaps(A[:, 2 * a :], B[:, 2 * b :])  # the essential part first, as in _split_distance
     if _batched(a, b):
         return np.maximum(gap, _table_distances(A, a, B, b))
-    certified = _certified(A, a, B, b)
-    if certified is None:
-        return np.array([_split_distance(*p, *q) for p, q in zip(_splits(A, a), _splits(B, b))])
-    lower, settled = certified
-    out = np.maximum(gap, lower)
+    lower, settled = _certified(A, a, B, b) or (None, np.zeros(len(A), dtype=bool))
+    out = gap.copy() if lower is None else np.maximum(gap, lower)
     rest = np.flatnonzero(~settled)
     for r, (_, fin_a), (_, fin_b) in zip(rest, _splits(A[rest], a), _splits(B[rest], b)):
-        out[r] = max(gap[r], _finite_distance(fin_a, fin_b, float(lower[r])))
+        out[r] = max(gap[r], _finite_distance(fin_a, fin_b, None if lower is None else float(lower[r])))
     return out

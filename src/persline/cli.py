@@ -85,14 +85,20 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise CliError(f"bad grid {text!r}: expected integers") from None
 
 
-def _load_complex(path: str):
+def _read(path: str) -> str:
+    """The text of the UTF-8 file at ``path``; a CliError naming it if it cannot be read or decoded."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
+def _load_complex(path: str):
     try:
-        return parse_bifiltration(text)
+        return parse_bifiltration(_read(path))
     except (ParseError, ValidationError) as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -177,9 +183,8 @@ def run(argv: list[str]) -> int:
             rows = []  # (birth, death, degree) per interval: no Interval is built
             for path in args.input:
                 try:
-                    with open(path, encoding="utf-8") as fh:
-                        rows.append(_barcode_rows(fh.read()))
-                except (OSError, ValueError) as exc:
+                    rows.append(_barcode_rows(_read(path)))
+                except ValueError as exc:  # a CliError from _read is no ValueError: it passes as it is
                     raise CliError(f"{path}: {exc}") from None
             d = bottleneck_distance(*rows)
             _emit(f'{{"distance": {strict_dumps(d)}}}', args.output)

@@ -197,20 +197,15 @@ class MultiFilteredComplex:
             table=tuple(map(ids.__getitem__, order.tolist())), grade_array=G.reshape(-1, self.dim)[order],
             boundary=tuple(F[a:b, : d + (d > 0)] for d, (a, b) in enumerate(pairwise(prefix))),
             _vertices=V[order], _faces=F, _order=order, _prefix=prefix)
-        self._check_monotone()
-
-    def _check_monotone(self) -> None:
-        """ValidationError for the first face, in table order, graded above its coface."""
-        G, F = self.grade_array, self._faces
-        above = np.flatnonzero(G[F] > G[:, None])  # [r, j, coordinate]
+        above = np.flatnonzero(self.grade_array[F] > self.grade_array[:, None])  # [r, j, coordinate]
         if len(above):
             r, j = divmod(int(above[0]) // self.dim, F.shape[1])
-            (f, gf), (c, gc) = (self.simplices[i] for i in self._order[[F[r, j], r]].tolist())
+            (f, gf), (c, gc) = (self.simplices[i] for i in order[[F[r, j], r]].tolist())
             raise ValidationError(f"non-monotone grades: face {f} at {gf} vs simplex {c} at {gc}")
 
     def _with_grades(self, grades: np.ndarray) -> MultiFilteredComplex:
         """The constructor's complex of these simplices at ``grades`` (table order), built from this
-        one's arrays: only the finite-grade and monotone-grade checks run again."""
+        one's arrays. Only the finite-grade check runs: a shift or a face-maxima perturbation is monotone."""
         X = object.__new__(MultiFilteredComplex)
         X.__dict__.update(self.__dict__, grade_array=grades, _relation_cache={}, simplices=tuple(
             zip((s for s, _ in self.simplices), map(tuple, grades[np.argsort(self._order)].tolist()))))
@@ -218,7 +213,6 @@ class MultiFilteredComplex:
         if len(infinite):
             simplex, grade = X.simplices[self._order[infinite].min()]
             raise ValidationError(f"simplex {simplex}: non-finite grade {grade}")
-        X._check_monotone()
         return X
 
     def skeleton(self, degree: int) -> int:

@@ -541,6 +541,8 @@ class TestBlockDistances:
         A, B = np.hstack((np.zeros((1, 12)), [[-1e308]])), np.hstack((np.ones((1, 12)), [[1e308]]))
         with pytest.raises(ValueError, match="largest float") as per_line:
             _split_distance(*next(_splits(A, 6)), *next(_splits(B, 6)))
-        with pytest.raises(ValueError, match="largest float") as certified:
-            _block_distances(A, 6, B, 6)
-        assert str(certified.value) == str(per_line.value)
+        for entries in (1 << 16, 0):  # the certified pass, and every row searched with no bound
+            with pytest.MonkeyPatch.context() as patch, pytest.raises(ValueError, match="largest float") as block:
+                patch.setattr(persline.bottleneck, "_PASS_ENTRIES", entries)
+                _block_distances(A, 6, B, 6)
+            assert str(block.value) == str(per_line.value)

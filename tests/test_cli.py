@@ -505,7 +505,21 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert run(["barcode", "--input", "/nonexistent.bif", "--line", "1,1:0,0",
                     "--degree", "0"]) == 2
-        assert "/nonexistent.bif" in capsys.readouterr().err
+        assert capsys.readouterr().err == "persline: error: /nonexistent.bif: No such file or directory\n"
+        assert run(["bottleneck", "--input", "/nonexistent.json", "/nonexistent.json"]) == 2
+        assert capsys.readouterr().err == "persline: error: /nonexistent.json: No such file or directory\n"
+
+    def test_undecodable_file_is_named(self, tmp_path, capsys):
+        bad, good = tmp_path / "bad.bif", tmp_path / "good.bif"
+        bad.write_bytes(b"\xff")
+        good.write_text(TWO_VERTEX_EDGE)
+        for argv in (["barcode", "--input", str(bad), "--line", "1,1:0,0", "--degree", "0"],
+                     ["matchdist", "--input", str(good), str(bad), "--degree", "0"]):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert_one_error_line(captured)
+            assert captured.err == (f"persline: error: {bad}: 'utf-8' codec can't decode byte 0xff "
+                                    "in position 0: invalid start byte\n")
 
     def test_parse_error_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.bif"

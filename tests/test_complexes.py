@@ -527,7 +527,7 @@ class TestDerivedComplexes:
         for _ in range(60):
             dim, lines = bifiltration_lines(rng)
             M = parse_bifiltration("\n".join(lines))
-            eps = float(rng.choice([0.0, 0.25, 1.5]))
+            eps = float(rng.choice([0.0, 5e-324, 0.25, 1.5, 1e300]))
             pair = perturb_grades(M, eps, int(rng.integers(100)))
             for X in (diagonal_shift(M, eps), pair.N):
                 _assert_same_complex(X, check_reference(X.dim, X.simplices))

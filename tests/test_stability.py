@@ -21,7 +21,7 @@ from persline import (
 )
 from persline.stability import VERIFY_TOL, StabilityReport
 from generators import random_bifiltered_complex, random_canonical_line, repeating_floats
-from oracles import push_to_line, report_json, scalar_barcode
+from oracles import check_reference, push_to_line, report_json, scalar_barcode
 
 TWO_VERTEX_EDGE = parse_bifiltration("bifiltration 2\n0 0 ; 0 0\n0 1 ; 0 0\n1 0 1 ; 1 1\n")
 DIAGONAL = canonicalize_line((1, 1), (0, 0))
@@ -45,8 +45,9 @@ class TestPerturbGrades:
 
     def test_output_monotone_and_close(self):
         pair = perturb_grades(TWO_VERTEX_EDGE, 0.1, seed=42)
+        check_reference(pair.N.dim, pair.N.simplices)  # monotone: the construction checks no face again
         grades_m = dict(pair.M.simplices)
-        grades_n = dict(pair.N.simplices)  # construction validates monotonicity
+        grades_n = dict(pair.N.simplices)
         for s, g in grades_m.items():
             assert max(abs(a - b) for a, b in zip(g, grades_n[s])) <= 0.1 + 1e-12
 
