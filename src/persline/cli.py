@@ -15,7 +15,7 @@ import math
 import sys
 
 from .bottleneck import bottleneck_distance
-from .complexes import Line, ParseError, ValidationError, parse_bifiltration
+from .complexes import Line, parse_bifiltration
 from .homology import (
     RankQuery,
     _barcode_rows,
@@ -44,15 +44,11 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-class CliError(Exception):
-    """Input or usage error mapped to exit code 2."""
-
-
 def _parse_vector(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(","))
     except ValueError:
-        raise CliError(f"bad vector {text!r}: expected comma-separated reals") from None
+        raise ValueError(f"bad vector {text!r}: expected comma-separated reals") from None
 
 
 def _attach_grades(argv: list[str]) -> list[str]:
@@ -70,7 +66,7 @@ def _attach_grades(argv: list[str]) -> list[str]:
 
 def _parse_line(text: str) -> Line:
     if ":" not in text:
-        raise CliError(f"bad line {text!r}: expected 'm1,...,mn:b1,...,bn'")
+        raise ValueError(f"bad line {text!r}: expected 'm1,...,mn:b1,...,bn'")
     m_text, _, b_text = text.partition(":")
     return Line(_parse_vector(m_text), _parse_vector(b_text))
 
@@ -78,29 +74,23 @@ def _parse_line(text: str) -> Line:
 def _parse_grid(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
-        raise CliError(f"bad grid {text!r}: expected '<directions>x<offsets>'")
+        raise ValueError(f"bad grid {text!r}: expected '<directions>x<offsets>'")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError:
-        raise CliError(f"bad grid {text!r}: expected integers") from None
+        raise ValueError(f"bad grid {text!r}: expected integers") from None
 
 
-def _read(path: str) -> str:
-    """The text of the UTF-8 file at ``path``; a CliError naming it if it cannot be read or decoded."""
+def _load(path: str, parse):
+    """``parse`` of the text of the UTF-8 file at ``path``; a ValueError naming the file if it
+    cannot be read, decoded or parsed."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return parse(fh.read())
     except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
-def _load_complex(path: str):
-    try:
-        return parse_bifiltration(_read(path))
-    except (ParseError, ValidationError) as exc:
-        raise CliError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # UnicodeDecodeError, ParseError, ValidationError and a bad barcode
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -113,7 +103,7 @@ def _emit(text: str, output: str | None) -> None:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError(f"{output}: {exc.strerror or exc}") from None
+        raise ValueError(f"{output}: {exc.strerror or exc}") from None
 
 
 @functools.cache
@@ -129,25 +119,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--line", required=True, help="m1,...,mn:b1,...,bn (canonicalized)")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--output")
 
     p = sub.add_parser("bottleneck", help="bottleneck distance between two barcode JSON files")
     p.add_argument("--input", nargs=2, required=True, metavar=("A", "B"))
-    p.add_argument("--output")
 
     p = sub.add_parser("rank", help="rank invariant of the transition map H(K_u) -> H(K_v)")
     p.add_argument("--input", required=True)
     p.add_argument("--u", required=True, help="u1,...,un (u1 may be negative)")
     p.add_argument("--v", required=True, help="v1,...,vn (v1 may be negative)")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--output")
 
     p = sub.add_parser("matchdist", help="sampled matching-distance lower bound")
     p.add_argument("--input", nargs=2, required=True, metavar=("M", "N"))
     p.add_argument("--grid", default="16x8", help="<directions>x<offsets>")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--output")
 
     p = sub.add_parser("verify-external", help="check the weighted per-line stability bound")
     p.add_argument("--input", required=True)
@@ -156,75 +142,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="required for --construction perturb")
     p.add_argument("--grid", default="16x8", help="<directions>x<offsets>")
     p.add_argument("--degree", type=int, default=0)
-    p.add_argument("--output")
 
     p = sub.add_parser("verify-internal", help="check the eta bound between two line restrictions")
     p.add_argument("--input", required=True)
     p.add_argument("--line", required=True)
     p.add_argument("--line2", required=True)
     p.add_argument("--degree", type=int, default=0)
-    p.add_argument("--output")
 
+    for p in sub.choices.values():  # last, so it ends every usage line
+        p.add_argument("--output")
     return parser
 
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_grades(argv))
+    code = EXIT_OK
     try:
         if args.command == "barcode":
-            M = _load_complex(args.input)
+            M = _load(args.input, parse_bifiltration)
             L = _parse_line(args.line)
-            barcode = line_barcodes(M, [L], args.degree)[0]
-            _emit(barcode_to_json(barcode), args.output)
-            return EXIT_OK
-
-        if args.command == "bottleneck":
-            rows = []  # (birth, death, degree) per interval: no Interval is built
-            for path in args.input:
-                try:
-                    rows.append(_barcode_rows(_read(path)))
-                except ValueError as exc:  # a CliError from _read is no ValueError: it passes as it is
-                    raise CliError(f"{path}: {exc}") from None
-            d = bottleneck_distance(*rows)
-            _emit(f'{{"distance": {strict_dumps(d)}}}', args.output)
-            return EXIT_OK
-
-        if args.command == "rank":
-            M = _load_complex(args.input)
+            text = barcode_to_json(line_barcodes(M, [L], args.degree)[0])
+        elif args.command == "bottleneck":
+            # (birth, death, degree) per interval: no Interval is built
+            A, B = (_load(path, _barcode_rows) for path in args.input)
+            text = f'{{"distance": {strict_dumps(bottleneck_distance(A, B))}}}'
+        elif args.command == "rank":
+            M = _load(args.input, parse_bifiltration)
             q = RankQuery(_parse_vector(args.u), _parse_vector(args.v), args.degree)
-            _emit(strict_dumps(rank_invariant(M, q)), args.output)
-            return EXIT_OK
-
-        if args.command == "matchdist":
-            M = _load_complex(args.input[0])
-            N = _load_complex(args.input[1])
+            text = strict_dumps(rank_invariant(M, q))
+        elif args.command == "matchdist":
+            M, N = (_load(path, parse_bifiltration) for path in args.input)
             d, o = _parse_grid(args.grid)
             result = matching_distance_lb(M, N, LineGrid(d, o), args.degree)
             text = match_result_to_csv(result) if args.format == "csv" else match_result_to_json(result)
-            _emit(text, args.output)
-            return EXIT_OK
-
-        if args.command == "verify-external":
-            M = _load_complex(args.input)
-            if not 0 <= args.epsilon < math.inf:
-                raise CliError(f"--epsilon must be a finite number >= 0, got {args.epsilon}")
-            if args.construction == "shift":
-                pair = shift_pair(M, args.epsilon)
+        else:  # verify-external or verify-internal: argparse admits no other command
+            M = _load(args.input, parse_bifiltration)
+            if args.command == "verify-external":
+                if not 0 <= args.epsilon < math.inf:
+                    raise ValueError(f"--epsilon must be a finite number >= 0, got {args.epsilon}")
+                if args.construction == "shift":
+                    pair = shift_pair(M, args.epsilon)
+                else:
+                    if args.seed is None:
+                        raise ValueError("--seed is required for --construction perturb")
+                    if args.seed < 0:
+                        raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
+                    pair = perturb_grades(M, args.epsilon, args.seed)
+                d, o = _parse_grid(args.grid)
+                report = verify_rank_stability(pair, LineGrid(d, o), args.degree)
             else:
-                if args.seed is None:
-                    raise CliError("--seed is required for --construction perturb")
-                if args.seed < 0:
-                    raise CliError(f"--seed must be an integer >= 0, got {args.seed}")
-                pair = perturb_grades(M, args.epsilon, args.seed)
-            d, o = _parse_grid(args.grid)
-            report = verify_rank_stability(pair, LineGrid(d, o), args.degree)
-        else:  # verify-internal: argparse admits no other command
-            M, L, Lp = _load_complex(args.input), _parse_line(args.line), _parse_line(args.line2)
-            report = verify_internal_stability(M, L, Lp, args.degree)
-        _emit(report_to_json(report), args.output)
-        return EXIT_OK if report.global_pass else EXIT_VERIFY_FAIL
-    except (CliError, ValueError) as exc:  # ParseError and the other input errors are ValueErrors
+                L, Lp = _parse_line(args.line), _parse_line(args.line2)
+                report = verify_internal_stability(M, L, Lp, args.degree)
+            text = report_to_json(report)
+            code = EXIT_OK if report.global_pass else EXIT_VERIFY_FAIL
+        _emit(text, args.output)
+        return code
+    except ValueError as exc:  # ParseError and the other input errors are ValueErrors
         print(f"persline: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # the CLI boundary: anything else is a defect, not a verdict

@@ -275,7 +275,10 @@ def barcode_to_json(barcode: Barcode) -> str:
 def _barcode_rows(text: str) -> list[tuple[float, float, int]]:
     """Barcode JSON as (birth, death, degree) rows, death inf for null. A bad item
     raises ValueError naming it; types are checked before any arithmetic."""
-    items = json.loads(text)
+    try:
+        items = json.loads(text)
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(items, list):
         raise ValueError("expected a JSON array of intervals")
     try:

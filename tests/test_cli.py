@@ -195,6 +195,7 @@ class TestBottleneck:
         ('[{"degree": 0, "birth": "1", "death": 2.0}]',
          "bad interval Interval(birth='1', death=2.0, degree=0): degree must be an int >= 0; "
          "birth and death numbers, not booleans"),
+        pytest.param("[" * 100_000, "JSON nested too deeply", id="nested-past-the-recursion-limit"),
     ])
     def test_malformed_item_is_named(self, tmp_path, capsys, text, message):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -502,31 +503,40 @@ class TestOverflowAtTheFloatRange:
 
 
 class TestExitCodes:
-    def test_missing_file(self, capsys):
-        assert run(["barcode", "--input", "/nonexistent.bif", "--line", "1,1:0,0",
-                    "--degree", "0"]) == 2
-        assert capsys.readouterr().err == "persline: error: /nonexistent.bif: No such file or directory\n"
-        assert run(["bottleneck", "--input", "/nonexistent.json", "/nonexistent.json"]) == 2
-        assert capsys.readouterr().err == "persline: error: /nonexistent.json: No such file or directory\n"
-
-    def test_undecodable_file_is_named(self, tmp_path, capsys):
-        bad, good = tmp_path / "bad.bif", tmp_path / "good.bif"
-        bad.write_bytes(b"\xff")
-        good.write_text(TWO_VERTEX_EDGE)
-        for argv in (["barcode", "--input", str(bad), "--line", "1,1:0,0", "--degree", "0"],
-                     ["matchdist", "--input", str(good), str(bad), "--degree", "0"]):
-            assert run(argv) == 2
-            captured = capsys.readouterr()
-            assert_one_error_line(captured)
-            assert captured.err == (f"persline: error: {bad}: 'utf-8' codec can't decode byte 0xff "
-                                    "in position 0: invalid start byte\n")
-
-    def test_parse_error_names_file_and_line(self, tmp_path, capsys):
-        bad = tmp_path / "bad.bif"
-        bad.write_text("bifiltration 2\ngarbage\n")
-        assert run(["barcode", "--input", str(bad), "--line", "1,1:0,0", "--degree", "0"]) == 2
-        err = capsys.readouterr().err
-        assert "bad.bif" in err and "line 2" in err
+    @pytest.mark.parametrize("command, slot", [
+        ("barcode", 0), ("rank", 0), ("bottleneck", 0), ("bottleneck", 1), ("matchdist", 0),
+        ("matchdist", 1), ("verify-external", 0), ("verify-internal", 0),
+    ])
+    @pytest.mark.parametrize("content", ["missing", "undecodable", "malformed"])
+    def test_every_input_names_its_file(self, tmp_path, capsys, command, slot, content):
+        barcodes = command == "bottleneck"
+        good = tmp_path / "good"
+        good.write_text("[]" if barcodes else TWO_VERTEX_EDGE)
+        bad = tmp_path / "bad"
+        if content == "undecodable":
+            bad.write_bytes(b"\xff")
+        elif content == "malformed":
+            bad.write_text("{}" if barcodes else "bifiltration 2\ngarbage\n")
+        reason = {
+            "missing": "No such file or directory",
+            "undecodable": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            "malformed": "expected a JSON array of intervals" if barcodes
+            else "line 2: expected '<k> <vertex ids> ; <grade>'",
+        }[content]
+        inputs = [str(good), str(good)] if command in ("bottleneck", "matchdist") else [str(good)]
+        inputs[slot] = str(bad)
+        rest = {
+            "barcode": ["--line", "1,1:0,0", "--degree", "0"],
+            "rank": ["--u", "0,0", "--v", "1,1", "--degree", "0"],
+            "bottleneck": [],
+            "matchdist": ["--degree", "0"],
+            "verify-external": ["--construction", "shift", "--epsilon", "0.1"],
+            "verify-internal": ["--line", "1,1:0,0", "--line2", "1,0.5:0,0"],
+        }[command]
+        assert run([command, "--input", *inputs, *rest]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"persline: error: {bad}: {reason}\n"
 
     @pytest.mark.parametrize("text", [
         pytest.param("bifiltration 0\n", id="ambient-dimension-0"),
@@ -602,6 +612,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "persline: internal error: RuntimeError: boom second line\n"
+
+    @pytest.mark.parametrize("command, usage", [
+        ([], "[-h] {barcode,bottleneck,rank,matchdist,verify-external,verify-internal} ..."),
+        (["barcode"], "barcode [-h] --input INPUT --line LINE --degree DEGREE [--output OUTPUT]"),
+        (["bottleneck"], "bottleneck [-h] --input A B [--output OUTPUT]"),
+        (["rank"], "rank [-h] --input INPUT --u U --v V --degree DEGREE [--output OUTPUT]"),
+        (["matchdist"], "matchdist [-h] --input M N [--grid GRID] --degree DEGREE "
+                        "[--format {json,csv}] [--output OUTPUT]"),
+        (["verify-external"], "verify-external [-h] --input INPUT --construction {shift,perturb} "
+                              "--epsilon EPSILON [--seed SEED] [--grid GRID] [--degree DEGREE] "
+                              "[--output OUTPUT]"),
+        (["verify-internal"], "verify-internal [-h] --input INPUT --line LINE --line2 LINE2 "
+                              "[--degree DEGREE] [--output OUTPUT]"),
+    ], ids=["persline", "barcode", "bottleneck", "rank", "matchdist", "verify-external", "verify-internal"])
+    def test_usage_line(self, capsys, command, usage):
+        # whitespace collapsed, so the terminal width (COLUMNS) that wraps it does not matter
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "-h"])
+        assert exc.value.code == 0
+        first_block = capsys.readouterr().out.split("\n\n")[0]
+        assert " ".join(first_block.split()) == f"usage: persline {usage}"
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

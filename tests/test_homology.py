@@ -258,6 +258,7 @@ class TestBarcodeJson:
     @pytest.mark.parametrize("text", [
         "{}", "null", '[{"degree": "0", "birth": 0, "death": 1}]',
         '[{"degree": 0, "birth": false, "death": 1}]',
+        pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),  # json raises RecursionError
     ])
     def test_mistyped_json_raises_value_error(self, text):
         with pytest.raises(ValueError):
