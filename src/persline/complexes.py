@@ -101,6 +101,21 @@ def _canonical_form(raw_m: np.ndarray, raw_o: np.ndarray) -> tuple[np.ndarray, n
     return m, b, (raw_m > 0).all(axis=1) & (m > 0).all(axis=1) & np.isfinite(b).all(axis=1)
 
 
+def _face_error(ids: Sequence[Simplex]) -> str:
+    """The message of the first duplicate, else of the first missing face, in table order, for
+    simplices (distinct sorted ids each) that must hold one or the other: fewer than 2**k - 1 of
+    them though one has k vertices. The constructor's rule, one simplex at a time. A simplex
+    before the first with a missing face has all its faces, so at most log2(count + 1) vertices:
+    the walk costs about count * log2(count + 1)**2 + k**2 id comparisons."""
+    table = sorted(map(tuple, ids), key=lambda s: (len(s), s))
+    twice = next((a for a, b in pairwise(table) if a == b), None)
+    if twice is not None:
+        return f"duplicate simplex {twice}"
+    present = set(table)
+    return next(f"simplex {s}: missing face {s[:j] + s[j + 1 :]}" for s in table
+                for j in range(len(s) if len(s) > 1 else 0) if s[:j] + s[j + 1 :] not in present)
+
+
 def canonicalize_line(raw_direction: Sequence[float], raw_offset: Sequence[float]) -> Line:
     """The line {s*raw_direction + raw_offset} in canonical form: ``Line(raw_direction, raw_offset)``."""
     return Line(raw_direction, raw_offset)
@@ -177,6 +192,10 @@ class MultiFilteredComplex:
                 f"simplex {simplex}: non-finite grade {grade}", "simplex (): a simplex needs at least one vertex",
                 f"simplex {simplex}: vertex ids must be distinct and sorted",
                 f"simplex {simplex}: negative vertex id")[check])
+        # a valid complex with a simplex of k vertices holds its 2**k - 1 faces: checked before
+        # the keys, top + 1 rows of top + 1 ids for every simplex, are built
+        if len(ids) < 2 ** int(size.max(initial=0)) - 1:
+            raise ValidationError(_face_error(ids))
         keys = np.zeros((len(ids), top + 1, top + 1), ">u8")  # [r, 0]: simplex r as (vertices, ids)
         keys[:, 0, 0], keys[:, 1:, 0], keys[:, 0, 1:] = size, size[:, None] - (np.arange(top) < size[:, None]), V
         for j in range(top):  # [r, 1 + j]: its face without vertex j; past its last vertex, itself

@@ -42,9 +42,9 @@ from .complexes import (
     push_values,
 )
 
-# lines whose push values are held at once: bounds the temporaries of
-# line_barcodes to a few (LINE_BLOCK, N) arrays however many lines there are
-LINE_BLOCK = 128
+# push entries (lines x kept simplices) in one block: bounds the line engine's push, sort and
+# gather arrays however many lines there are (:func:`_block_lines`)
+_BLOCK_ENTRIES = 1 << 14
 
 
 class Interval(NamedTuple):
@@ -135,10 +135,18 @@ def line_barcodes(M: MultiFilteredComplex, lines: Sequence[Line], degree: int) -
             for row in map(np.ndarray.tolist, values)]  # a row at a time: a block of floats is large
 
 
-def _line_values(M: MultiFilteredComplex, directions: np.ndarray, offsets: np.ndarray, degree: int
-                 ) -> Iterator[tuple[np.ndarray, int]]:
+def _block_lines(degree: int, *complexes: MultiFilteredComplex) -> int:
+    """Lines per block for the line engine in ``degree`` on each of ``complexes``: _BLOCK_ENTRIES
+    over the most simplices one of them keeps (at least 16), and at least one. So a block holds
+    at most 1,024 lines, and 128 lines at 128 kept simplices; one size serves every complex."""
+    return max(1, _BLOCK_ENTRIES // max(16, *(len(X._relations(degree)[0]) for X in complexes)))
+
+
+def _line_values(M: MultiFilteredComplex, directions: np.ndarray, offsets: np.ndarray, degree: int,
+                 block: int | None = None) -> Iterator[tuple[np.ndarray, int]]:
     """:func:`_value_pairs` of M's push values onto the lines of the (k, n) canonical line
-    arrays ``directions`` and ``offsets``, LINE_BLOCK lines at a time; row r is line r's.
+    arrays ``directions`` and ``offsets``, ``block`` lines at a time (by default M's
+    :func:`_block_lines`); row r is line r's.
 
     Overflow (ValueError naming the first simplex and line, in line order) is looked for only on
     the lines where the push of the componentwise min grade of M's simplices of dimension <=
@@ -149,6 +157,7 @@ def _line_values(M: MultiFilteredComplex, directions: np.ndarray, offsets: np.nd
     if directions.shape[1] != M.dim:
         raise ValueError(f"complex dimension {M.dim} != line dimension {directions.shape[1]}")
     grades, G = M.grade_array[M._relations(degree)[0]], M.grade_array[: M.skeleton(degree)]
+    block = block or _block_lines(degree, M)
     ends = push_values(np.vstack((G.min(axis=0, initial=math.inf), G.max(axis=0, initial=-math.inf))),
                        directions, offsets)
     flagged = ~((ends[:, 0] > -math.inf) & (ends[:, 1] < math.inf))
@@ -156,8 +165,8 @@ def _line_values(M: MultiFilteredComplex, directions: np.ndarray, offsets: np.nd
         bad = np.flatnonzero(~np.isfinite(push_values(G, m, b)))
         if len(bad):
             raise ValueError(f"simplex {M.table[bad[0]]}: push onto {_canonical_lines(m, b)[0]} overflows")
-    yield from _value_pairs(M, (push_values(grades, directions[s : s + LINE_BLOCK], offsets[s : s + LINE_BLOCK])
-                                for s in range(0, len(directions), LINE_BLOCK)), degree)
+    yield from _value_pairs(M, (push_values(grades, directions[s : s + block], offsets[s : s + block])
+                                for s in range(0, len(directions), block)), degree)
 
 
 def _value_pairs(M: MultiFilteredComplex, blocks: Iterable[np.ndarray], degree: int

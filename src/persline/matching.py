@@ -13,8 +13,11 @@ with one row per line, from sampling to output; its ``Line`` objects
 The per-line distances run a block of lines at a time, M's and N's in
 lockstep: each block's barcodes are two arrays of push values, used and
 dropped before the next block, while both pairing caches, compact index
-arrays, live for the call. ``bottleneck._block_distances`` matches each pair
-of blocks and chooses how (the ``bottleneck`` docstring has both paths).
+arrays, live for the call. Both blocks have one size, the most lines that
+keep each array within ``homology._BLOCK_ENTRIES`` push values (one line at
+least): a small pair runs its whole grid as one block.
+``bottleneck._block_distances`` matches each pair of blocks and chooses how
+(the ``bottleneck`` docstring has both paths).
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from .complexes import (
     _canonical_lines,
     _line_arrays,
 )
-from .homology import _line_values, _table, strict_dumps
+from .homology import _block_lines, _line_values, _table, strict_dumps
 
 _DEDUP_DECIMALS = 9
 _BOX_PAD = 0.1
@@ -171,10 +174,11 @@ def line_distances(
 def _distances(M: MultiFilteredComplex, N: MultiFilteredComplex, directions: np.ndarray,
                offsets: np.ndarray, degree: int) -> list[float]:
     """:func:`line_distances` of canonical line arrays, a block of lines at a time,
-    M's and N's in lockstep. Every push of M is checked for overflow before N's
-    first, as when all of M's lines ran first."""
-    m_star, out = directions.min(axis=1), []
-    blocks = zip(_line_values(M, directions, offsets, degree), _line_values(N, directions, offsets, degree))
+    M's and N's in lockstep, so in blocks of one size, set by the one that keeps more
+    simplices. Every push of M is checked for overflow before N's first, as when all of
+    M's lines ran first."""
+    m_star, out, block = directions.min(axis=1), [], _block_lines(degree, M, N)
+    blocks = zip(*(_line_values(X, directions, offsets, degree, block) for X in (M, N)))
     for (values_m, a), (values_n, b) in blocks:
         s = m_star[len(out) : len(out) + len(values_m)]
         out += (_block_distances(values_m, a, values_n, b) * s).tolist()

@@ -153,7 +153,7 @@ def verify_internal_stability(M: MultiFilteredComplex, L: Line, Lp: Line, degree
     directions, offsets = _line_arrays([L, Lp], M.dim)
     # the componentwise max grade: past it every sublevel set is the full complex
     bound = eta_bound(L, Lp, M.bounding_box()[1])
-    values, f = next(_line_values(M, directions, offsets, degree))  # two lines: one block
+    values, f = next(_line_values(M, directions, offsets, degree, 2))  # both lines in one block
     lhs = float(_block_distances(values[:1], f, values[1:], f)[0])
     return StabilityReport("internal", "eta", bound.eta, directions[1:], offsets[1:], (lhs,))
 

@@ -838,7 +838,7 @@ def test_push_overflow_of_m_is_named_before_n_s(monkeypatch):
     message = r"simplex \(0,\): push onto Line\(direction=\(1\.0, 1e-300\).* overflows"
     with pytest.raises(ValueError, match=message):
         line_distances(M, N, lines, 0)
-    monkeypatch.setattr(persline.homology, "LINE_BLOCK", 1)
+    monkeypatch.setattr(persline.homology, "_BLOCK_ENTRIES", 1)  # one line per block
     with pytest.raises(ValueError, match=message):
         line_distances(M, N, lines, 0)
     with pytest.raises(ValueError, match=r"simplex \(5,\): push onto Line\(direction=\(1e-300"):

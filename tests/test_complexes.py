@@ -1,4 +1,9 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from persline import (
     restrict,
     serialize_bifiltration,
 )
+import persline
 from persline import LineGrid, line_barcodes, perturb_grades, sample_lines
 from persline.complexes import _canonical_form, _canonical_lines, _line_arrays, push_values
 from generators import bifiltration_lines, random_bifiltered_complex, random_canonical_line
@@ -517,6 +523,45 @@ class TestParseOracle:
         lines = sample_lines(LineGrid(4, 3), ((0.0, 0.0), (2.0, 2.0)))
         for degree in (0, 1):
             assert line_barcodes(M, lines, degree) == line_barcodes(D, lines, degree)
+
+
+class TestFaceCount:
+    """Fewer than 2**k - 1 simplices, one of them of k vertices: a face is missing. The constructor
+    says so before it builds face keys k + 1 ids wide for every simplex, with the same message."""
+
+    def test_a_huge_simplex_is_a_usage_error_in_bounded_memory(self, tmp_path):
+        # the face keys of these 10,001 simplices, 3,001 x 3,001 ids each, would take 671 GiB
+        path = tmp_path / "M.bif"
+        path.write_text("bifiltration 2\n" + "".join(f"0 {v} ; 0 0\n" for v in range(10_000))
+                        + "2999 " + " ".join(map(str, range(3000))) + " ; 1 1\n")
+        src = os.path.dirname(os.path.dirname(persline.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = ["barcode", "--input", str(path), "--line", "1,1:0,0", "--degree", "0"]
+        child = subprocess.run([sys.executable, "-c", "from persline.cli import main; main()", *argv],
+                               capture_output=True, text=True, env=env, timeout=120,
+                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)))
+        assert child.returncode == 2
+        face = f"simplex {tuple(range(3000))}: missing face {tuple(range(1, 3000))}"
+        assert child.stderr == f"persline: error: {path}: {face}\n"
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1).map(np.random.default_rng))
+    def test_the_first_duplicate_or_missing_face_in_table_order(self, rng):
+        # every face of a simplex of 4 to 7 of 9 vertices, and a few other simplices; then some
+        # faces dropped and, at times, one simplex listed twice
+        top = tuple(sorted(rng.choice(9, size=int(rng.integers(4, 8)), replace=False).tolist()))
+        faces = [f for k in range(1, len(top)) for f in combinations(top, k)]
+        others = [f for k in (1, 2, 3) for f in combinations(range(9), k) if rng.random() < 0.03]
+        kept = [f for f in faces if rng.random() < 0.8] or faces[1:]
+        simplices = sorted({*kept, *others, top}, key=lambda _: rng.random())
+        if rng.random() < 0.3:
+            simplices.insert(int(rng.integers(len(simplices) + 1)), simplices[int(rng.integers(len(simplices)))])
+        simplices = tuple((s, (0.0, 0.0)) for s in simplices)
+        if len(simplices) >= 2 ** len(top) - 1:
+            return
+        got, want = _outcome(lambda s: MultiFilteredComplex(2, s), simplices), _outcome(
+            lambda s: check_reference(2, s), simplices)
+        assert got == want and got[0] == "ValidationError"
 
 
 class TestDerivedComplexes:

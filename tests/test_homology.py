@@ -1,5 +1,7 @@
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,18 +22,22 @@ from persline import (
     default_offset_box,
     line_barcodes,
     line_distances,
+    matching_distance_lb,
     parse_bifiltration,
     perturb_grades,
     rank_invariant,
     restrict,
     sample_lines,
+    serialize_bifiltration,
     shift_pair,
+    verify_internal_stability,
 )
 import persline.complexes
 import persline.homology
 from persline.bottleneck import _split, _splits
+from persline.cli import run
 from persline.complexes import _line_arrays
-from persline.homology import LINE_BLOCK, _line_values, strict_dumps
+from persline.homology import _line_values, strict_dumps
 from generators import random_bifiltered_complex, random_canonical_line, random_scalar_filtration
 from oracles import homology_dim, induced_rank, push_to_line, scalar_barcode, scalar_rank
 
@@ -397,10 +403,12 @@ class TestLineBarcodes:
         M = parse_bifiltration(SIGNED_ZERO)
         self._check(M, _tie_heavy_lines([(0, 0), (-0.0, 0.0)]), (0, 1))
 
-    def test_more_lines_than_one_block(self):
+    def test_more_lines_than_one_block(self, monkeypatch):
+        # a budget of 128 lines at 16 kept simplices or fewer: these lines cross two block boundaries
+        monkeypatch.setattr(persline.homology, "_BLOCK_ENTRIES", 128 * 16)
         rng = np.random.default_rng(73)
         M = _clique_complex(rng, 5, 2, levels=4)
-        lines = [random_canonical_line(rng) for _ in range(2 * LINE_BLOCK + 7)]
+        lines = [random_canonical_line(rng) for _ in range(2 * 128 + 7)]
         self._check(M, lines, (0, 1))
 
     def test_pairing_cache_keys_both_dimensions(self):
@@ -563,6 +571,76 @@ def _same_grade_clique_complex(rng, n_vertices, top_dim, signed):
                     g = g + rng.integers(0, 2, size=2)
             grade[s] = tuple(-0.0 if x == 0 and signed and rng.random() < 0.5 else float(x) for x in g)
     return MultiFilteredComplex(2, tuple(grade.items()))
+
+
+def _pushed_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """The (lines, kept simplices) shape of every block that the line engine pushes from now on."""
+    shapes, value_pairs = [], persline.homology._value_pairs
+    monkeypatch.setattr(persline.homology, "_value_pairs", lambda M, blocks, degree: value_pairs(
+        M, (shapes.append(P.shape) or P for P in blocks), degree))
+    return shapes
+
+
+class TestLineBlocks:
+    """A block holds _BLOCK_ENTRIES push entries (lines x kept simplices, at least 16 kept), one
+    line at least; M's and N's blocks have one size, set by the larger. No value depends on it."""
+
+    @staticmethod
+    def _small_and_large():
+        # kept in degree 1: 3 of M's and 52 of N's simplices; the kept counts differ by over 10x
+        M = parse_bifiltration(TWO_VERTEX_EDGE)
+        N = _clique_complex(np.random.default_rng(1), 10, 2, levels=6)
+        kept = [len(X._relations(1)[0]) for X in (M, N)]
+        assert 10 * kept[0] <= kept[1] and kept[1] > 16
+        return M, N, kept[1]
+
+    def test_lockstep_blocks_are_sized_by_the_larger_complex(self, monkeypatch):
+        M, N, most = self._small_and_large()
+        shapes = _pushed_blocks(monkeypatch)
+        for X, Y in ((M, N), (N, M)):
+            shapes.clear()
+            k = len(matching_distance_lb(X, Y, LineGrid(16, 8), 1).distances)
+            size = persline.homology._BLOCK_ENTRIES // most
+            rows = [min(size, k - s) for s in range(0, k, size)]
+            assert len(rows) > 1
+            assert [r for r, _ in shapes] == [r for r in rows for _ in (X, Y)]  # X's then Y's, in turn
+
+    def test_small_complexes_push_each_complex_in_one_block(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "M.bif"  # nine simplices: a filled triangle, an edge and a vertex
+        path.write_text("bifiltration 2\n0 0 ; 0 0\n0 1 ; 1 0\n0 2 ; 0 1\n0 3 ; 2 2\n1 0 1 ; 1 1\n"
+                        "1 0 2 ; 1 2\n1 1 2 ; 2 1\n1 0 3 ; 3 2\n2 0 1 2 ; 2 2\n")
+        shapes = _pushed_blocks(monkeypatch)
+        argv = ["verify-external", "--input", str(path), "--construction", "perturb", "--epsilon", "0.1",
+                "--seed", "0", "--grid", "16x8"]
+        assert run(argv) == 0
+        lines = len(json.loads(capsys.readouterr().out)["entries"])
+        assert lines > 128 and [r for r, _ in shapes] == [lines, lines]
+
+    def test_one_line_blocks_change_nothing(self, monkeypatch, tmp_path, capsys):
+        M, N, _ = self._small_and_large()
+        rng = np.random.default_rng(5)
+        lines = [random_canonical_line(rng) for _ in range(9)] + sample_lines(
+            LineGrid(4, 3), default_offset_box(M, N))
+        paths = [str(tmp_path / name) for name in ("M.bif", "N.bif")]
+        for p, X in zip(paths, (M, N)):
+            Path(p).write_text(serialize_bifiltration(X))
+
+        def outputs():
+            out = []
+            for d in (0, 1):
+                out += [_bits([[iv[:2] for iv in b] for b in line_barcodes(X, lines, d)]) for X in (M, N)]
+                out += [_bits(line_distances(X, Y, lines, d)) for X, Y in ((M, N), (N, M))]
+                r = verify_internal_stability(N, lines[0], lines[1], d)
+                out.append(_bits([r.bound, *r.lhs]))
+                run(["matchdist", "--input", *paths, "--grid", "4x3", "--degree", str(d)])
+                out.append(capsys.readouterr().out)
+            return out
+
+        want = outputs()
+        monkeypatch.setattr(persline.homology, "_BLOCK_ENTRIES", 1)
+        shapes = _pushed_blocks(monkeypatch)
+        assert outputs() == want
+        assert {r for r, _ in shapes} == {1, 2}  # 2: verify_internal_stability's pair, one block
 
 
 _rngs, _holes = st.integers(0, 2**32 - 1).map(np.random.default_rng), st.sampled_from([0.0, 0.1, 0.25])
