@@ -179,13 +179,13 @@ class MultiFilteredComplex:
         if V.dtype.kind not in "iu":  # an id beyond 64 bits or not an int: ranks, 0 the least id >= 0
             distinct, V = np.unique(np.array(flat, dtype=object).reshape(-1), return_inverse=True)
             V = V.reshape(-1) - np.searchsorted(distinct, 0)
-        flat, V = V, np.zeros((len(ids), top := size.max(initial=1)), V.dtype)  # each simplex's ids, then 0s
-        V[np.arange(top) < size[:, None]] = flat
-        checks = [arity != self.dim, ~np.isfinite(G), size == 0,
-                  (V[:, 1:] <= V[:, :-1]) & (np.arange(1, top) < size[:, None]), V < 0]
-        if any(c.any() for c in checks):  # the first simplex that fails a check, and the first check it fails
-            checks[1] = np.bincount(np.arange(len(ids)).repeat(arity)[checks[1]], minlength=len(ids))
-            bad = np.array([c.reshape(len(ids), -1).any(axis=1) for c in checks])
+        owner = np.arange(len(ids)).repeat(size)  # the simplex of each id in V
+        checks = [arity != self.dim, ~np.isfinite(G), size == 0,  # per simplex, grade coordinate, id
+                  (V[1:] <= V[:-1]) & (owner[1:] == owner[:-1]), V < 0]
+        if np.concatenate(checks).any():  # the first simplex that fails a check, and the first check it fails
+            for k, of in ((1, np.arange(len(ids)).repeat(arity)), (3, owner[1:]), (4, owner)):
+                checks[k] = np.bincount(of[checks[k]], minlength=len(ids))
+            bad = np.array([c.astype(bool) for c in checks])
             (simplex, grade), check = self.simplices[i := int(bad.any(axis=0).argmax())], int(bad[:, i].argmax())
             raise ValidationError((
                 f"simplex {simplex}: grade {grade} has dimension {len(grade)}, expected {self.dim}",
@@ -193,9 +193,11 @@ class MultiFilteredComplex:
                 f"simplex {simplex}: vertex ids must be distinct and sorted",
                 f"simplex {simplex}: negative vertex id")[check])
         # a valid complex with a simplex of k vertices holds its 2**k - 1 faces: checked before
-        # the keys, top + 1 rows of top + 1 ids for every simplex, are built
+        # anything of top ids per simplex is built (the padded ids, top + 1 keys of top + 1 ids)
         if len(ids) < 2 ** int(size.max(initial=0)) - 1:
             raise ValidationError(_face_error(ids))
+        flat, V = V, np.zeros((len(ids), top := size.max(initial=1)), V.dtype)  # each simplex's ids, then 0s
+        V[np.arange(top) < size[:, None]] = flat
         keys = np.zeros((len(ids), top + 1, top + 1), ">u8")  # [r, 0]: simplex r as (vertices, ids)
         keys[:, 0, 0], keys[:, 1:, 0], keys[:, 0, 1:] = size, size[:, None] - (np.arange(top) < size[:, None]), V
         for j in range(top):  # [r, 1 + j]: its face without vertex j; past its last vertex, itself

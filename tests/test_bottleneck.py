@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from persline import Interval, bottleneck_distance
 import persline.bottleneck
 from persline.bottleneck import (
-    _BATCH_ENTRIES, _batched, _block_distances, _certified, _covered, _finite_feasible,
-    _matching_table, _nearest_bound, _split, _split_distance, _splits,
+    _BATCH_ENTRIES, _HALL_WIDTH, _batched, _bisected, _block_distances, _certified, _covered,
+    _finite_distance, _finite_feasible, _hall, _matching_table, _nearest_bound, _split,
+    _split_distance, _splits,
 )
 from generators import random_barcode
 from oracles import brute_force_bottleneck, coverable, delete_cost, pair_cost, strict_json
@@ -399,7 +400,8 @@ class TestBlockDistances:
     Past the table bound, the certified pass's lower bound is the search's first
     candidate bit for bit, it settles a row exactly when the search accepts that
     candidate (where its caps let it test), and every value equals the search's as
-    float hex: with the pass on, in small chunks, capped to 0 roots and switched off."""
+    float hex: with the pass on, in small chunks, settling no row with a root (so
+    each is bisected), with every unsettled row searched line by line, and switched off."""
 
     @staticmethod
     def _check(A, a, B, b):
@@ -432,6 +434,16 @@ class TestBlockDistances:
         # and 361 table entries; 2x17, 5x5 and 5x6 have 5,833, 15,460 and 44,561
         assert _batched(4, 4) and _batched(2, 9) and _batched(1, 18)
         assert not (_batched(2, 17) or _batched(5, 5) or _batched(5, 6))
+
+    def test_table_chunks_change_no_bit(self):
+        # a 4x4 block has 209 matchings: 16 lines a chunk, and a last chunk of 8
+        rng = np.random.default_rng(17)
+        A, B = _block(rng, 200, 4, 1), _block(rng, 200, 4, 1)
+        whole = [x.hex() for x in _block_distances(A, 4, B, 4).tolist()]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(persline.bottleneck, "_PASS_ENTRIES", 209 * 16)
+            assert [x.hex() for x in _block_distances(A, 4, B, 4).tolist()] == whole
+        assert _batched(4, 4) and _matching_table(4, 4).shape[1] == 209
 
     def test_every_partial_matching_once(self):
         for a, b in ((0, 0), (1, 2), (3, 3), (2, 4)):
@@ -478,7 +490,7 @@ class TestBlockDistances:
         assert [x.hex() for x in lower.tolist()] == [h for h, _ in search]
         assert all(feasible_at for ok, (_, feasible_at) in zip(settled, search) if ok)
         for name, value in (("_PASS_ENTRIES", 1 << 16), ("_PASS_ENTRIES", 1 << 10),
-                            ("_covered", _rootless), ("_PASS_ENTRIES", 0)):
+                            ("_covered", _rootless), ("_HALL_WIDTH", 0), ("_PASS_ENTRIES", 0)):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(persline.bottleneck, name, value)
                 assert [x.hex() for x in _block_distances(A, a, B, b).tolist()] == want
@@ -546,3 +558,103 @@ class TestBlockDistances:
                 patch.setattr(persline.bottleneck, "_PASS_ENTRIES", entries)
                 _block_distances(A, 6, B, 6)
             assert str(block.value) == str(per_line.value)
+
+
+class TestHall:
+    """Hall's test is exact: it accepts a row exactly when one matching covers its roots."""
+
+    def test_equals_an_exhaustive_matching(self):
+        rng, verdicts = np.random.default_rng(41), []
+        for _ in range(300):
+            rows, p, q = int(rng.integers(1, 5)), int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            adjacent = rng.random((rows, p, q)) < rng.uniform(0.1, 0.7)
+            roots = rng.random((rows, p)) < rng.uniform(0.2, 1.0)
+            masks = (adjacent * (1 << np.arange(q, dtype=np.uint64))).sum(axis=2, dtype=np.uint64)
+            got = _hall(masks, roots).tolist()
+            assert got == [coverable(adj.tolist(), r.tolist()) for adj, r in zip(adjacent, roots)]
+            verdicts += got
+        assert 0.2 < np.mean(verdicts) < 0.8  # covers found and missed
+
+    @pytest.mark.parametrize("roots, want", [
+        ([True] * 3, False),  # three roots on two partners: only the full set is short
+        ([True] * 3 + [False], False),  # the same with a non-root
+        ([True, False, False], True),  # non-roots need no partner
+        ([False] * 3, True),
+    ])
+    def test_sets_of_roots(self, roots, want):
+        masks = np.array([[0b011, 0b011, 0b011, 0][: len(roots)]], dtype=np.uint64)
+        assert _hall(masks, np.array([roots])).tolist() == [want]
+
+
+@st.composite
+def _hall_blocks(draw):
+    """A block of 1 to 3 rows for the bisection: p and q finite pairs a side, each from 1 to
+    _HALL_WIDTH, and 0 to 2 essential births, on the quarter grid (ties everywhere, a ninth
+    of the pairs zero-length)."""
+    rows, e = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+
+    def side(width):
+        grid = st.lists(st.lists(_quarter, min_size=width, max_size=width), min_size=rows, max_size=rows)
+        births, lengths = np.array(draw(grid)).reshape(rows, width), np.array(draw(grid)).reshape(rows, width)
+        return np.hstack((births, births + lengths, np.array(draw(
+            st.lists(st.lists(_quarter, min_size=e, max_size=e), min_size=rows, max_size=rows))).reshape(rows, e)))
+
+    p, q = draw(st.integers(1, _HALL_WIDTH)), draw(st.integers(1, _HALL_WIDTH))
+    return side(p), p, side(q), q
+
+
+class TestBisected:
+    """Every row that the bisection settles equals the per-line search from the same lower
+    bound bit for bit, sign included, in any chunk size; through _block_distances with every
+    row left to it, each equals the search's distance. Rows past its width go line by line."""
+
+    @staticmethod
+    def _search(A, a, B, b, lower):
+        return [_finite_distance(fin_a, fin_b, float(low))
+                for (_, fin_a), (_, fin_b), low in zip(_splits(A, a), _splits(B, b), lower)]
+
+    def _check(self, A, a, B, b):
+        lower, _ = _certified(A, a, B, b)
+        want = self._search(A, a, B, b, lower)
+        got = _bisected(A, a, B, b, lower).tolist()
+        assert got == want and [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(persline.bottleneck, "_PASS_ENTRIES", 1 << 8)  # a row or two a chunk
+            assert [x.hex() for x in _bisected(A, a, B, b, lower).tolist()] == [x.hex() for x in want]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(persline.bottleneck, "_BATCH_ENTRIES", 0)  # past the table bound
+            patch.setattr(persline.bottleneck, "_covered", _rootless)  # no row settled at its bound
+            split = [_split_distance(*x, *y).hex() for x, y in zip(_splits(A, a), _splits(B, b))]
+            assert [x.hex() for x in _block_distances(A, a, B, b).tolist()] == split
+        return lower.tolist(), got
+
+    @_property
+    @given(_hall_blocks())
+    def test_equals_the_search_from_the_bound(self, block):
+        self._check(*block)
+
+    def test_a_row_the_greedy_cover_misses_is_settled_at_its_bound(self):
+        A, a = _pairs([(0.75, 2.25), (0.5, 2.5), (0.25, 1.5)])
+        B, b = _pairs([(0.0, 2.0), (0.5, 1.75), (1.0, 2.75)])
+        lower, settled = _certified(A, a, B, b)
+        assert settled.tolist() == [False]  # the greedy order misses the cover that exists
+        assert self._check(A, a, B, b) == ([0.5], [0.5])
+
+    def test_seeded_rows_above_their_bound(self):
+        # tie-heavy rows of 8 live pairs a side, as on function-Rips H0 blocks
+        rng, above = np.random.default_rng(53), 0
+        for essential in (0, 1):
+            A, B = _block(rng, 48, 8, essential), _block(rng, 48, 8, essential)
+            lower, got = self._check(A, 8, B, 8)
+            above += sum(g > low for g, low in zip(got, lower))
+        assert 10 < above < 96  # rows above their bound, and rows at it
+
+    def test_rows_past_the_width_go_line_by_line(self):
+        rng = np.random.default_rng(59)
+
+        def live(width):  # 4 rows of ``width`` pairs, none zero-length
+            births = rng.integers(0, 9, (4, width)) / 4
+            return np.hstack((births, births + rng.integers(1, 9, (4, width)) / 4)), width
+
+        assert _bisected(*live(_HALL_WIDTH + 1), *live(_HALL_WIDTH + 1), np.zeros(4)) is None
+        assert _bisected(*live(_HALL_WIDTH), *live(_HALL_WIDTH), np.zeros(4)) is not None

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -543,6 +544,20 @@ class TestFaceCount:
         assert child.returncode == 2
         face = f"simplex {tuple(range(3000))}: missing face {tuple(range(1, 3000))}"
         assert child.stderr == f"persline: error: {path}: {face}\n"
+
+    def test_a_huge_simplex_is_checked_before_ids_are_padded(self):
+        # the same 139 KB input in-process: its ids padded to 3,000 a simplex would take 229 MiB,
+        # each check mask at that width 29 MiB; the parsed text itself takes a few MiB
+        text = ("bifiltration 2\n" + "".join(f"0 {v} ; 0 0\n" for v in range(10_000))
+                + "2999 " + " ".join(map(str, range(3000))) + " ; 1 1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"missing face \(1, 2, 3,"):
+                parse_bifiltration(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1).map(np.random.default_rng))

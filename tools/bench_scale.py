@@ -8,7 +8,9 @@ Each case is one ``persline`` command line over files that this tool writes
 into a temporary directory from ``perfbench/gen.py`` (imported, never
 changed). The cases are ``matchdist --grid 16x8`` at degrees 0 and 1 on the
 function-Rips pair ``gen.rips_pair(default_rng(0), n, 0.05)`` with n = 25
-and 40 points (2,625 and 10,700 simplices per complex), and, at degree 0 on
+and 40 points (2,625 and 10,700 simplices per complex), and at degree 0 with
+n = 9 (129 simplices, the size of the benchmark's ``rips-matchdist`` pairs,
+whose 1,024 lines leave 12 to the bottleneck's Hall bisection), and, at degree 0 on
 the 9-simplex ``gen.tiny_complex(default_rng(0), 9)`` and its perturbed copy
 (``perturb_grades``, epsilon 0.05, seed 0), ``matchdist --grid 16x8`` and
 ``verify-external --grid 16x8`` with that construction. At degree 1 on the
@@ -66,6 +68,7 @@ REPEAT = 3
 # name: (input pair, command and its flags before --grid, degree); no grid or degree
 # for a barcode pair
 CASES = {f"rips{n}-H{d}": (f"rips{n}", ["matchdist"], d) for n in (25, 40) for d in (0, 1)}
+CASES["rips9-H0"] = ("rips9", ["matchdist"], 0)
 CASES.update({f"bottleneck-{kind}-{n}": (f"{kind}-{n}", ["bottleneck"], None)
               for kind in ("spread", "equal") for n in (200, 1000)})
 CASES["tiny9-H0"] = ("tiny9", ["matchdist"], 0)
