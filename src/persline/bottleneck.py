@@ -37,25 +37,26 @@ most once, lazily, and starts from the matchings the last failed test grew
 (valid at larger delta). Augmenting paths use an explicit stack.
 
 Many lines at once. The line engine hands over M's and N's barcodes along a
-block of lines as two arrays; :func:`_block_distances` alone matches them and
-picks the path per block. Every line has the same a finite and e essential
-pairs on M's side (and b, e' on N's), zero-length pairs included: rank d
-does not depend on the order, so every block of a call takes one path. If
-the table of partial matchings of a with b is small (:func:`_batched`), each
-one's cost is read off one (lines, a*b + a + b + 1) array of pair and
-deletion costs, and the distance is the min over matchings of the max over
-their columns, the larger of that and the sorted essential births' gap; +inf
-when e != e'. Else the lower bound of reduction 2 is certified for the whole
-block (:func:`_certified`), and only the lines it leaves go on, starting from
-their bound: bisected all at once (:func:`_bisected`), or, if one has more than
-_HALL_WIDTH live pairs a side, searched one at a time in split form
-(:func:`_splits`). Past _PASS_ENTRIES, all are searched line by line with no
-bound. The pass drops the zero-length pairs, takes per line the max over both
-sides of min(diag(p), min_q cost(p, q)), and looks for a matching at it on each
-side that covers the roots (diag > the bound) along pairs of cost <= the bound
-(:func:`_covered`, greedy). If both are found, by Mendelsohn-Dulmage
-(reduction 3) the bound is feasible: it is the distance. A line where either
-is not found goes on, so the greedy test need only be sound.
+block of lines as two arrays; :func:`_block_distances` alone matches them.
+Every line has the same a finite and e essential pairs on M's side (and b, e'
+on N's), zero-length pairs included: rank d does not depend on the order, so
+every block of a call takes one of two paths. If the table of partial
+matchings of a with b is small (:func:`_batched`), each one's cost is read off
+one (lines, a*b + a + b + 1) array of pair and deletion costs, and the
+distance is the min over matchings of the max over their columns, the larger
+of that and the sorted essential births' gap; +inf when e != e'. Else one pass
+(:func:`_pass_distances`) takes the block a chunk of lines at a time. It drops
+the zero-length pairs (:func:`_live`), computes the chunk's pair costs once,
+takes per line the max over both sides of min(diag(p), min_q cost(p, q)), the
+lower bound, and looks for a matching at it on each side that covers the roots
+(diag > the bound) along pairs of cost <= the bound (:func:`_covered`, greedy).
+If both are found, by Mendelsohn-Dulmage (reduction 3) the bound is feasible:
+it is the distance. The chunk's other lines go on from their bound, so the
+greedy test need only be sound: bisected together on the same costs, cropped
+to their own width (:func:`_bisected`), or, if one of them has more than
+_HALL_WIDTH live pairs a side, searched one at a time (:func:`_sides`). A
+block whose single line has more pair costs than _PASS_ENTRIES is searched
+line by line with no bound.
 
 The bisection's test is exact. By reduction 3 a line is feasible at delta iff
 each side's roots are covered along pairs of cost <= delta, and by Hall's
@@ -103,8 +104,8 @@ from .homology import Barcode
 
 # The largest matching table (partial matchings times columns, see
 # _matching_table) for which a block of lines is matched in one numpy pass
-# rather than by the certified lower bound (_certified). The table pass's time
-# grows with the table, the certified pass's hardly: on rips-matchdist's blocks
+# rather than from the certified lower bound (_pass_distances). The table pass's
+# time grows with the table, the certified pass's hardly: on rips-matchdist's blocks
 # of 128 lines (seed 1, AMD EPYC, numpy 2.4) they met near 2,000 entries (2x11
 # intervals, 1,729 entries: 0.11 ms on both; 2x12, 2,198: 0.13 against 0.10 ms),
 # and 2x17 (5,833) took 0.29 ms against 0.10 to 0.16 ms. 4x4 intervals (209
@@ -114,21 +115,21 @@ from .homology import Barcode
 _BATCH_ENTRIES = 2_000
 # Bounds the numpy passes over a block, lines taken a chunk at a time: the largest
 # temporaries hold at most _PASS_ENTRIES entries of at most 8 bytes each (512 KiB). They
-# are the (lines, a', b') pair costs and adjacency of the pass that certifies a line's
-# lower bound (_certified), the (lines, matchings) worst costs of the table pass
-# (_table_distances), and the (2 * lines, 2**width) subset unions of the bisection
+# are the (lines, a', b') pair costs and adjacency of a chunk of the pass that certifies
+# a line's lower bound (_pass_distances), the (lines, matchings) worst costs of the table
+# pass (_table_distances), and the (2 * lines, 2**width) subset unions of the bisection
 # (_bisected). A block whose single line has more pair costs than _PASS_ENTRIES is
 # searched line by line with no bound.
 _PASS_ENTRIES = 1 << 16
-# The most live pairs a side for which the lines that _certified leaves are bisected
-# (_bisected); wider ones are searched one at a time. A probe tests 2**width sets of
-# roots a side, so its cost doubles with each pair, while the search's grows slowly. On
-# unsettled lines of near barcodes (uniform births and lengths, endpoints moved by
-# N(0, 0.05); 10 lines a call, best of 7, 2-vCPU Xeon, numpy 2.4) the bisection took
-# 0.051, 0.110 and 0.209 ms a line at widths 8, 11 and 12, the search 0.125, 0.162 and
-# 0.178 ms. At 30 lines a call they met at width 12 (0.175 against 0.179 ms). A call
-# also costs about 0.3 ms however few its lines: one line alone is bisected 2.6x slower
-# than it is searched, four break even. rips-matchdist's H0 blocks are 8 pairs wide and
+# The most live pairs a side for which the lines of a chunk that the certified bound leaves
+# are bisected together (_bisected); if one is wider, that chunk's are searched one at a
+# time. A probe tests 2**width sets of roots a side, so its cost doubles with each pair,
+# while the search's grows slowly. On unsettled lines of near barcodes (uniform births
+# and lengths, endpoints moved by N(0, 0.05); 10 lines a call, best of 7, 2-vCPU Xeon,
+# numpy 2.4) the bisection took 0.051, 0.110 and 0.209 ms a line at widths 8, 11 and 12,
+# the search 0.125, 0.162 and 0.178 ms. At 30 lines a call they met at width 12 (0.175
+# against 0.179 ms). A call also costs about 0.3 ms however few its lines: one line alone
+# is bisected 2.6x slower than it is searched, four break even. rips-matchdist's H0 blocks are 8 pairs wide and
 # leave 1 to 38 lines each (median 7); rips25-H0's are 24 wide, rips40-H0's 19 to 39.
 _HALL_WIDTH = 11
 _ESSENTIAL_OVERFLOW = "two matched essential births differ by more than the largest float"
@@ -361,24 +362,6 @@ def _matching_table(a: int, b: int) -> np.ndarray:
     return table
 
 
-def _splits(values: np.ndarray, finite: int) -> Iterator[tuple[list[float], _Side]]:
-    """Each row of a block (see :func:`_block_distances`) as a barcode in split form:
-    sorted essential births, and the finite intervals as a _Side; zero-length ones dropped."""
-    for row in map(np.ndarray.tolist, values):  # a row at a time: a block of floats is large
-        pairs = zip(row[:finite], row[finite : 2 * finite])
-        yield sorted(row[2 * finite :]), sorted([(b, d, (d - b) / 2.0) for b, d in pairs if d > b])
-
-
-def _essential_gaps(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Per row of two blocks of as many essential births, the sorted births' largest
-    gap. A gap that overflows raises ValueError."""
-    with np.errstate(over="ignore"):
-        gap = np.abs(np.sort(A, axis=1) - np.sort(B, axis=1)).max(axis=1, initial=0.0)
-    if not (gap < math.inf).all():
-        raise ValueError(_ESSENTIAL_OVERFLOW)
-    return gap
-
-
 def _table_distances(A: np.ndarray, a: int, B: np.ndarray, b: int) -> np.ndarray:
     """The finite parts' distance per row, the min over the matching table of its worst cost."""
     with np.errstate(over="ignore"):
@@ -439,27 +422,10 @@ def _covered(adjacent: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _certified(A: np.ndarray, a: int, B: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per row, the finite parts' lower bound (reduction 2), and whether a cover of the
-    roots is found at it on both sides, so that it is their distance (see the module docstring).
-    None if one row's pair costs exceed _PASS_ENTRIES."""
-    births_a, deaths_a, diag_a = _live(A, a)
-    births_b, deaths_b, diag_b = _live(B, b)
-    step = _PASS_ENTRIES // max(diag_a.shape[1] * diag_b.shape[1], 1)
-    if not step:
-        return None
-    lower, settled = np.zeros(len(A)), np.zeros(len(A), dtype=bool)
-    for start in range(0, len(A), step):
-        rows = slice(start, start + step)
-        da, db = diag_a[rows], diag_b[rows]
-        cost = _pair_costs(births_a[rows], deaths_a[rows], da, births_b[rows], deaths_b[rows], db)
-        low = np.maximum(np.minimum(da, cost.min(axis=2, initial=math.inf)).max(axis=1, initial=0.0),
-                         np.minimum(db, cost.min(axis=1, initial=math.inf)).max(axis=1, initial=0.0))
-        adjacent = cost <= low[:, None, None]
-        lower[rows] = low
-        settled[rows] = (_covered(adjacent, da > low[:, None])
-                         & _covered(adjacent.transpose(0, 2, 1), db > low[:, None]))
-    return lower, settled
+def _sides(births: np.ndarray, deaths: np.ndarray, diag: np.ndarray) -> Iterator[_Side]:
+    """Each row of :func:`_live`'s arrays as a _Side: its own pairs, sorted."""
+    for row in zip(births.tolist(), deaths.tolist(), diag.tolist()):  # a row at a time: a block is large
+        yield sorted(pair for pair in zip(*row) if pair[2] > -math.inf)
 
 
 def _hall(masks: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -475,26 +441,22 @@ def _hall(masks: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(unions) >= np.bitwise_count(np.arange(1 << width))).all(axis=1)
 
 
-def _bisected(A: np.ndarray, a: int, B: np.ndarray, b: int, lower: np.ndarray) -> np.ndarray | None:
+def _bisected(pair_cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Per row, the finite parts' distance: the least of ``lower`` and the row's candidate
     costs above it at which both sides pass :func:`_hall`, by one bisection of all rows.
-    None if a row has more than _HALL_WIDTH live pairs a side."""
-    births_a, deaths_a, diag_a = _live(A, a)
-    births_b, deaths_b, diag_b = _live(B, b)
+    ``pair_cost`` (rows, p, q) and the diags are :func:`_pair_costs`' and :func:`_live`'s,
+    with at most _HALL_WIDTH pairs a side."""
     p, q = diag_a.shape[1], diag_b.shape[1]
     width = max(p, q)
-    if width > _HALL_WIDTH:
-        return None
-    out, step = np.empty(len(A)), max(_PASS_ENTRIES >> (width + 1), 1)  # 2 * step * 2**width unions a chunk
+    out, step = np.empty(len(lower)), max(_PASS_ENTRIES >> (width + 1), 1)  # 2 * step * 2**width unions a chunk
     bits = np.left_shift(1, np.arange(width, dtype=np.uint64), dtype=np.uint64)
-    for start in range(0, len(A), step):
+    for start in range(0, len(lower), step):
         rows = slice(start, start + step)
-        k, low = len(diag_a[rows]), lower[rows, None]
+        k, low = len(lower[rows]), lower[rows, None]
         diag = np.full((2, k, width), -math.inf)  # each side's, padded to width: never a root
         diag[0, :, :p], diag[1, :, :q] = diag_a[rows], diag_b[rows]
         cost = np.full((k, width, width), math.inf)  # [r, i, j]: A's i with B's j
-        cost[:, :p, :q] = _pair_costs(births_a[rows], deaths_a[rows], diag_a[rows],
-                                      births_b[rows], deaths_b[rows], diag_b[rows])
+        cost[:, :p, :q] = pair_cost[rows]
         # the distance is lower, a deletion cost or a pair cost below an end's (reduction 2)
         useful = cost < np.maximum(diag[0, :, :, None], diag[1, :, None, :])
         every = np.hstack((np.where(useful, cost, math.nan).reshape(k, -1), diag[0], diag[1]))
@@ -513,27 +475,48 @@ def _bisected(A: np.ndarray, a: int, B: np.ndarray, b: int, lower: np.ndarray) -
     return out
 
 
+def _pass_distances(A: np.ndarray, a: int, B: np.ndarray, b: int) -> np.ndarray:
+    """The finite parts' distance per row, past the table bound: a chunk of rows at a time,
+    each row's lower bound certified, and the rows it leaves bisected, or searched from
+    their bound if wider than _HALL_WIDTH (see the module docstring)."""
+    live_a, live_b = _live(A, a), _live(B, b)
+    step = _PASS_ENTRIES // max(live_a[2].shape[1] * live_b[2].shape[1], 1)  # rows a chunk
+    if not step:  # one row's pair costs exceed _PASS_ENTRIES: each row searched with no bound
+        return np.array([_finite_distance(x, y) for x, y in zip(_sides(*live_a), _sides(*live_b))])
+    out = np.empty(len(A))
+    for start in range(0, len(A), step):
+        chunk_a, chunk_b = ([x[start : start + step] for x in live] for live in (live_a, live_b))
+        cost, da, db = _pair_costs(*chunk_a, *chunk_b), chunk_a[2], chunk_b[2]
+        # the lower bound, settled where a greedy cover of the roots is found at it on both sides
+        low = np.maximum(np.minimum(da, cost.min(axis=2, initial=math.inf)).max(axis=1, initial=0.0),
+                         np.minimum(db, cost.min(axis=1, initial=math.inf)).max(axis=1, initial=0.0))
+        adjacent = cost <= low[:, None, None]
+        out[start : start + step] = low
+        rest = np.flatnonzero(~(_covered(adjacent, da > low[:, None])
+                                & _covered(adjacent.transpose(0, 2, 1), db > low[:, None])))
+        rest_a, rest_b = ([x[rest] for x in chunk] for chunk in (chunk_a, chunk_b))
+        p, q = ((x[2] > -math.inf).sum(axis=1).max(initial=0) for x in (rest_a, rest_b))
+        if max(p, q) <= _HALL_WIDTH:  # cropped to the leftover rows' own width
+            out[start + rest] = _bisected(cost[rest, :p, :q], rest_a[2][:, :p], rest_b[2][:, :q], low[rest])
+        else:
+            for r, x, y in zip(rest, _sides(*rest_a), _sides(*rest_b)):
+                out[start + r] = _finite_distance(x, y, float(low[r]))
+    return out
+
+
 def _block_distances(A: np.ndarray, a: int, B: np.ndarray, b: int) -> np.ndarray:
     """Bottleneck distance of each row of A with the same row of B, as a float array.
 
     A row holds a barcode's a finite births, their a deaths in the same order
     and its essential births; so does B's with b. One pass over the matching
-    table, or the certified lower bound with the bisection for the rows it leaves
-    (the per-line search if :func:`_bisected` declines them; all rows, with no bound,
-    if _certified returns None), by the size of that table (see the module
-    docstring). An essential gap that overflows raises ValueError.
+    table (:func:`_table_distances`) or, past its bound, the certified lower
+    bound with the rows it leaves bisected or searched (:func:`_pass_distances`;
+    see the module docstring). An essential gap that overflows raises ValueError.
     """
     if A.shape[1] - 2 * a != B.shape[1] - 2 * b:  # the essential counts differ
         return np.full(len(A), math.inf)
-    gap = _essential_gaps(A[:, 2 * a :], B[:, 2 * b :])  # the essential part first, as in _split_distance
-    if _batched(a, b):
-        return np.maximum(gap, _table_distances(A, a, B, b))
-    lower, settled = _certified(A, a, B, b) or (None, np.zeros(len(A), dtype=bool))
-    out = gap.copy() if lower is None else np.maximum(gap, lower)
-    rest = np.flatnonzero(~settled)
-    bisected = None if lower is None or not len(rest) else _bisected(A[rest], a, B[rest], b, lower[rest])
-    if bisected is not None:
-        out[rest], rest = np.maximum(gap[rest], bisected), rest[:0]
-    for r, (_, fin_a), (_, fin_b) in zip(rest, _splits(A[rest], a), _splits(B[rest], b)):
-        out[r] = max(gap[r], _finite_distance(fin_a, fin_b, None if lower is None else float(lower[r])))
-    return out
+    with np.errstate(over="ignore"):  # the sorted essential births' largest gap first, as in _split_distance
+        gap = np.abs(np.sort(A[:, 2 * a :], axis=1) - np.sort(B[:, 2 * b :], axis=1)).max(axis=1, initial=0.0)
+    if not (gap < math.inf).all():
+        raise ValueError(_ESSENTIAL_OVERFLOW)
+    return np.maximum(gap, (_table_distances if _batched(a, b) else _pass_distances)(A, a, B, b))

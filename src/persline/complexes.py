@@ -103,8 +103,8 @@ def _canonical_form(raw_m: np.ndarray, raw_o: np.ndarray) -> tuple[np.ndarray, n
 
 def _face_error(ids: Sequence[Simplex]) -> str:
     """The message of the first duplicate, else of the first missing face, in table order, for
-    simplices (distinct sorted ids each) that must hold one or the other: fewer than 2**k - 1 of
-    them though one has k vertices. The constructor's rule, one simplex at a time. A simplex
+    simplices (distinct sorted ids each) that hold one or the other: the constructor's rule, one
+    simplex at a time, for when their count or its face keys show one. A simplex
     before the first with a missing face has all its faces, so at most log2(count + 1) vertices:
     the walk costs about count * log2(count + 1)**2 + k**2 id comparisons."""
     table = sorted(map(tuple, ids), key=lambda s: (len(s), s))
@@ -206,14 +206,9 @@ class MultiFilteredComplex:
         order = np.argsort(keys[:, 0], kind="stable")
         keys, prefix = keys[order], [0, *np.cumsum(np.bincount(size, minlength=2)[1:]).tolist()]
         keys[: prefix[1], 1:] = keys[: prefix[1], :1]  # a vertex has no face: itself
-        twice = np.flatnonzero(keys[1:, 0] == keys[:-1, 0])
-        if len(twice):
-            raise ValidationError(f"duplicate simplex {ids[order[twice[0]]]}")
         F = np.searchsorted(keys[:, 0], keys[:, 1:]).clip(max=len(ids) - 1)
-        missing = np.flatnonzero(keys[F, 0] != keys[:, 1:])
-        if len(missing):
-            simplex, j = ids[order[missing[0] // top]], missing[0] % top
-            raise ValidationError(f"simplex {simplex}: missing face {simplex[:j] + simplex[j + 1 :]}")
+        if (keys[1:, 0] == keys[:-1, 0]).any() or (keys[F, 0] != keys[:, 1:]).any():  # duplicate, missing face
+            raise ValidationError(_face_error(ids))
         self.__dict__.update(  # frozen: no setattr
             table=tuple(map(ids.__getitem__, order.tolist())), grade_array=G.reshape(-1, self.dim)[order],
             boundary=tuple(F[a:b, : d + (d > 0)] for d, (a, b) in enumerate(pairwise(prefix))),

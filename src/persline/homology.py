@@ -17,7 +17,7 @@ the classes that never die (f and e depend only on the complex and the
 degree: rank d does not depend on the order), and a block of rows is one
 gather of its values through them. Lines feed it their push values
 (:func:`_line_values`); ``matching`` and ``stability`` hand the blocks to
-``bottleneck._block_distances``, which owns their split form;
+``bottleneck._block_distances``, which matches them as they are;
 :func:`line_barcodes` reads the rows as intervals, and a scalar filtration
 is its one-parameter case (:func:`compute_barcode`). The rank invariant of
 H(K_u) -> H(K_v) is one row: K_u enters at 0, K_v \\ K_u at 1 and the rest

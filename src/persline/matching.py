@@ -17,7 +17,7 @@ arrays, live for the call. Both blocks have one size, the most lines that
 keep each array within ``homology._BLOCK_ENTRIES`` push values (one line at
 least): a small pair runs its whole grid as one block.
 ``bottleneck._block_distances`` matches each pair of blocks and chooses how
-(the ``bottleneck`` docstring has both paths).
+(the ``bottleneck`` docstring has the table and the certified pass).
 """
 from __future__ import annotations
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from persline import Interval, bottleneck_distance
 import persline.bottleneck
 from persline.bottleneck import (
-    _BATCH_ENTRIES, _HALL_WIDTH, _batched, _bisected, _block_distances, _certified, _covered,
-    _finite_distance, _finite_feasible, _hall, _matching_table, _nearest_bound, _split,
-    _split_distance, _splits,
+    _BATCH_ENTRIES, _HALL_WIDTH, _batched, _bisected, _block_distances, _covered, _finite_distance,
+    _finite_feasible, _hall, _live, _matching_table, _nearest_bound, _pair_costs, _pass_distances,
+    _split, _split_distance,
 )
 from generators import random_barcode
 from oracles import brute_force_bottleneck, coverable, delete_cost, pair_cost, strict_json
@@ -359,6 +359,40 @@ def _rows(values, finite):
             + [Interval(b, INF, 0) for b in row[2 * finite :]] for row in values.tolist()]
 
 
+def _search(A, a, B, b):
+    """Each row's distance by the per-line threshold search on the oracle's rows."""
+    return [bottleneck_distance(p, q) for p, q in zip(_rows(A, a), _rows(B, b))]
+
+
+def _finite_parts(A, a, B, b):
+    """Each row's finite parts in split form, A's and B's, as the per-line search reads them."""
+    return [(_split(p, q) or [([], [], [], [])])[0][1::2] for p, q in zip(_rows(A, a), _rows(B, b))]
+
+
+def _pass_bounds(A, a, B, b):
+    """The pass's lower bound per row, and whether it settles the row there: every row it
+    leaves goes to a stand-in for _bisected that records the rows' bounds."""
+    left = []
+
+    def record(cost, diag_a, diag_b, lower):
+        left.extend(lower.tolist())
+        return np.full(len(lower), math.nan)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(persline.bottleneck, "_bisected", record)
+        patch.setattr(persline.bottleneck, "_HALL_WIDTH", 64)  # no row searched
+        lower = _pass_distances(A, a, B, b)
+    settled = ~np.isnan(lower)
+    lower[~settled] = left
+    return lower.tolist(), settled.tolist()
+
+
+def _bisection_input(A, a, B, b):
+    """A block's pair costs and diags as the pass hands them to _bisected, uncropped."""
+    live_a, live_b = _live(A, a), _live(B, b)
+    return _pair_costs(*live_a, *live_b), live_a[2], live_b[2]
+
+
 def _rootless(adjacent, roots):
     """A ``_covered`` that covers only rows without roots: every other line is searched."""
     return ~roots.any(axis=1)
@@ -405,7 +439,7 @@ class TestBlockDistances:
 
     @staticmethod
     def _check(A, a, B, b):
-        want = [_split_distance(*p, *q) for p, q in zip(_splits(A, a), _splits(B, b))]
+        want = _search(A, a, B, b)
         assert [x.hex() for x in _block_distances(A, a, B, b).tolist()] == [x.hex() for x in want]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(persline.bottleneck, "_BATCH_ENTRIES", 10**9)  # every block in one pass
@@ -470,7 +504,7 @@ class TestBlockDistances:
     def test_essential_gap_overflow_raises_as_per_line(self):
         A, B = np.array([[0.0, 1.0, -1e308]]), np.array([[1e308]])
         with pytest.raises(ValueError, match="largest float") as per_line:
-            _split_distance(*next(_splits(A, 1)), *next(_splits(B, 0)))
+            _search(A, 1, B, 0)
         with pytest.raises(ValueError, match="largest float") as batched:
             _block_distances(A, 1, B, 0)
         assert str(batched.value) == str(per_line.value)
@@ -480,14 +514,14 @@ class TestBlockDistances:
         """The pass's verdict per row, after checking it and the values against the search;
         with each verdict, whether the search accepts the bound."""
         assert not _batched(a, b)
-        want = [_split_distance(*p, *q).hex() for p, q in zip(_splits(A, a), _splits(B, b))]
+        want = [x.hex() for x in _search(A, a, B, b)]
         search = []
-        for (_, fin_a), (_, fin_b) in zip(_splits(A, a), _splits(B, b)):
+        for fin_a, fin_b in _finite_parts(A, a, B, b):
             lower = _nearest_bound(fin_b, fin_a, _nearest_bound(fin_a, fin_b, 0.0))
             search.append((lower.hex(), _finite_feasible(fin_a, fin_b, lower, [-1] * len(fin_b),
                                                          [-1] * len(fin_a))))
-        lower, settled = _certified(A, a, B, b)
-        assert [x.hex() for x in lower.tolist()] == [h for h, _ in search]
+        lower, settled = _pass_bounds(A, a, B, b)
+        assert [x.hex() for x in lower] == [h for h, _ in search]
         assert all(feasible_at for ok, (_, feasible_at) in zip(settled, search) if ok)
         for name, value in (("_PASS_ENTRIES", 1 << 16), ("_PASS_ENTRIES", 1 << 10),
                             ("_covered", _rootless), ("_HALL_WIDTH", 0), ("_PASS_ENTRIES", 0)):
@@ -495,8 +529,8 @@ class TestBlockDistances:
                 patch.setattr(persline.bottleneck, name, value)
                 assert [x.hex() for x in _block_distances(A, a, B, b).tolist()] == want
                 if name == "_PASS_ENTRIES" and value:  # chunks change no verdict
-                    assert _certified(A, a, B, b)[1].tolist() == settled.tolist()
-        return settled.tolist(), [feasible_at for _, feasible_at in search]
+                    assert _pass_bounds(A, a, B, b)[1] == settled
+        return settled, [feasible_at for _, feasible_at in search]
 
     @pytest.mark.parametrize("a, b", [(6, 6), (8, 8), (10, 7), (4, 10)])
     def test_settles_exactly_the_rows_the_search_accepts_at_the_bound(self, a, b):
@@ -547,12 +581,12 @@ class TestBlockDistances:
         rng = np.random.default_rng(8)
         A, B = _block(rng, 5, 6, 1), _block(rng, 5, 6, 2)
         assert strict_json(_block_distances(A, 6, B, 6).tolist()) == "[null, null, null, null, null]"
-        assert [_split_distance(*p, *q) for p, q in zip(_splits(A, 6), _splits(B, 6))] == [INF] * 5
+        assert _search(A, 6, B, 6) == [INF] * 5
 
     def test_essential_gap_overflow_raises_as_per_line_past_the_table_bound(self):
         A, B = np.hstack((np.zeros((1, 12)), [[-1e308]])), np.hstack((np.ones((1, 12)), [[1e308]]))
         with pytest.raises(ValueError, match="largest float") as per_line:
-            _split_distance(*next(_splits(A, 6)), *next(_splits(B, 6)))
+            _search(A, 6, B, 6)
         for entries in (1 << 16, 0):  # the certified pass, and every row searched with no bound
             with pytest.MonkeyPatch.context() as patch, pytest.raises(ValueError, match="largest float") as block:
                 patch.setattr(persline.bottleneck, "_PASS_ENTRIES", entries)
@@ -606,27 +640,26 @@ def _hall_blocks(draw):
 class TestBisected:
     """Every row that the bisection settles equals the per-line search from the same lower
     bound bit for bit, sign included, in any chunk size; through _block_distances with every
-    row left to it, each equals the search's distance. Rows past its width go line by line."""
+    row left to it, each equals the search's distance. The pass sends the rows it leaves in a
+    chunk to the search instead when they are wider than _HALL_WIDTH."""
 
     @staticmethod
-    def _search(A, a, B, b, lower):
-        return [_finite_distance(fin_a, fin_b, float(low))
-                for (_, fin_a), (_, fin_b), low in zip(_splits(A, a), _splits(B, b), lower)]
-
-    def _check(self, A, a, B, b):
-        lower, _ = _certified(A, a, B, b)
-        want = self._search(A, a, B, b, lower)
-        got = _bisected(A, a, B, b, lower).tolist()
+    def _check(A, a, B, b):
+        lower, _ = _pass_bounds(A, a, B, b)
+        parts = _finite_parts(A, a, B, b)
+        want = [_finite_distance(fin_a, fin_b, low) for (fin_a, fin_b), low in zip(parts, lower)]
+        got = _bisected(*_bisection_input(A, a, B, b), np.array(lower)).tolist()
         assert got == want and [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(persline.bottleneck, "_PASS_ENTRIES", 1 << 8)  # a row or two a chunk
-            assert [x.hex() for x in _bisected(A, a, B, b, lower).tolist()] == [x.hex() for x in want]
+            got_small = _bisected(*_bisection_input(A, a, B, b), np.array(lower)).tolist()
+            assert [x.hex() for x in got_small] == [x.hex() for x in want]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(persline.bottleneck, "_BATCH_ENTRIES", 0)  # past the table bound
             patch.setattr(persline.bottleneck, "_covered", _rootless)  # no row settled at its bound
-            split = [_split_distance(*x, *y).hex() for x, y in zip(_splits(A, a), _splits(B, b))]
+            split = [x.hex() for x in _search(A, a, B, b)]
             assert [x.hex() for x in _block_distances(A, a, B, b).tolist()] == split
-        return lower.tolist(), got
+        return lower, got
 
     @_property
     @given(_hall_blocks())
@@ -636,8 +669,7 @@ class TestBisected:
     def test_a_row_the_greedy_cover_misses_is_settled_at_its_bound(self):
         A, a = _pairs([(0.75, 2.25), (0.5, 2.5), (0.25, 1.5)])
         B, b = _pairs([(0.0, 2.0), (0.5, 1.75), (1.0, 2.75)])
-        lower, settled = _certified(A, a, B, b)
-        assert settled.tolist() == [False]  # the greedy order misses the cover that exists
+        assert _pass_bounds(A, a, B, b)[1] == [False]  # the greedy order misses the cover that exists
         assert self._check(A, a, B, b) == ([0.5], [0.5])
 
     def test_seeded_rows_above_their_bound(self):
@@ -649,12 +681,54 @@ class TestBisected:
             above += sum(g > low for g, low in zip(got, lower))
         assert 10 < above < 96  # rows above their bound, and rows at it
 
+    @staticmethod
+    def _paths(A, a, B, b, entries):
+        """The arguments of each _bisected call and the bounds that rows were searched from,
+        with no row settled at its bound and ``entries`` as _PASS_ENTRIES, once the distances
+        are checked against the search."""
+        bisected, searched = [], []
+
+        def bisect(*args):
+            bisected.append(args)
+            return _bisected(*args)
+
+        def search(fin_a, fin_b, lower=None):
+            searched.append(lower)
+            return _finite_distance(fin_a, fin_b, lower)
+
+        want = [x.hex() for x in _search(A, a, B, b)]
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in (("_bisected", bisect), ("_finite_distance", search), ("_covered", _rootless),
+                                ("_PASS_ENTRIES", entries), ("_BATCH_ENTRIES", 0)):
+                patch.setattr(persline.bottleneck, name, value)
+            assert [x.hex() for x in _block_distances(A, a, B, b).tolist()] == want
+        return bisected, searched
+
+    @staticmethod
+    def _live_rows(rng, *widths):
+        """One row per width, of that many live pairs on the quarter grid, 5/4 to 2 long,
+        padded by _pairs."""
+        rows = []
+        for width in widths:
+            births = rng.integers(0, 9, width) / 4
+            rows.append(list(zip(births.tolist(), (births + rng.integers(5, 9, width) / 4).tolist())))
+        return _pairs(*rows)
+
     def test_rows_past_the_width_go_line_by_line(self):
         rng = np.random.default_rng(59)
+        for width in (_HALL_WIDTH, _HALL_WIDTH + 1):  # 4 rows, one chunk
+            (A, a), (B, b) = self._live_rows(rng, *[width] * 4), self._live_rows(rng, *[width] * 4)
+            bisected, searched = self._paths(A, a, B, b, 1 << 16)
+            if width > _HALL_WIDTH:
+                assert not bisected and len(searched) == 4
+            else:
+                assert [len(args[-1]) for args in bisected] == [4] and not searched
 
-        def live(width):  # 4 rows of ``width`` pairs, none zero-length
-            births = rng.integers(0, 9, (4, width)) / 4
-            return np.hstack((births, births + rng.integers(1, 9, (4, width)) / 4)), width
-
-        assert _bisected(*live(_HALL_WIDTH + 1), *live(_HALL_WIDTH + 1), np.zeros(4)) is None
-        assert _bisected(*live(_HALL_WIDTH), *live(_HALL_WIDTH), np.zeros(4)) is not None
+    def test_two_chunks_of_one_block_take_either_path(self):
+        # one row a chunk: row 0's leftover, 4 pairs wide, is bisected, cropped to its own
+        # width; row 1's, one past _HALL_WIDTH, is searched from its bound
+        rng = np.random.default_rng(61)
+        (A, a), (B, b) = self._live_rows(rng, 4, _HALL_WIDTH + 1), self._live_rows(rng, 4, _HALL_WIDTH + 1)
+        bisected, searched = self._paths(A, a, B, b, (_HALL_WIDTH + 1) ** 2)
+        assert [args[0].shape for args in bisected] == [(1, 4, 4)]
+        assert searched == [_pass_bounds(A, a, B, b)[0][1]]

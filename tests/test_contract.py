@@ -5,6 +5,7 @@ a deletion that breaks one of those imports fails here, in the suite,
 rather than in a benchmark run. The sources are only parsed, never imported.
 """
 import ast
+import contextlib
 import importlib
 from pathlib import Path
 
@@ -49,6 +50,11 @@ def test_sources_found():
 def test_every_name_imported_from_persline_resolves(path):
     for module_name, name in _persline_imports(path):
         module = importlib.import_module(module_name)
+        if name is not None and not hasattr(module, name):
+            # ``from package import submodule`` imports the submodule, whether or not an
+            # earlier test has: so must this check, or its verdict hangs on test order
+            with contextlib.suppress(ModuleNotFoundError):
+                importlib.import_module(f"{module_name}.{name}")
         assert name is None or hasattr(module, name), f"{path.name}: {module_name}.{name}"
 
 
