@@ -28,13 +28,31 @@ search small:
    covers those intervals of both sides iff one matching covers those of A
    and another those of B, so each test is two one-sided bipartite matchings.
 
-If the bound fails, a binary search of the deletion costs above it gives a
-bracket (lo, hi]. A kept pair costing c in (lo, hi) has an end with diag > c,
-so >= hi; only such ends list partners, and only costs in the bracket are
-searched: the answer is the first feasible one, or hi. No step lists all kept
-pairs. A test walks each interval's birth window for partners within delta at
-most once, lazily, and starts from the matchings the last failed test grew
-(valid at larger delta). Augmenting paths use an explicit stack.
+The bound is tested first: the cover test walks each interval's birth window
+for partners within delta at most once, lazily, and its augmenting paths use
+an explicit stack. If a side's roots are not all covered there, that side is
+searched apart from the bound (reduction 3: each side's coverage only grows
+with delta, so the distance is the larger of the two sides' least thresholds
+at which their roots are covered). Each root left uncovered grows one
+alternating tree a layer at a time: S holds the root and the matches of T, T
+the partners within delta of S, each matched into S. When the tree cannot
+grow, S is a Hall violator: its roots need |S| partners and have |T| = |S| - 1.
+It stays one at every threshold below its next event, the least deletion cost
+in S or the least pair cost from S to a partner outside T, since only those
+change S's roots or its partners; so no threshold below that event is
+feasible, and delta rises to exactly it, and the same tree goes on. The root
+is done when a path ends at a free partner or at one whose match needs no
+cover at delta (flipped), or a vertex of S is deleted at delta (the path to
+it flipped, unless it is the root); the matching stays valid as delta rises.
+So every raise is forced, and the last delta covers every root: it is the
+side's least threshold, a deletion or pair cost from the same floats the
+test compares. A tree computes pair costs only from its own vertices, one
+numpy row each: the root's to every partner, a later vertex's only to the
+partners outside T whose birth gap is at most the least deletion cost in S
+(delta never passes it in that tree; :func:`_window`). So no step lists the
+pairs of an interval that no tree holds. Endpoints that
+are not all floats (integers from hand-written JSON) keep Python's exact
+arithmetic there, in object arrays.
 
 Many lines at once. The line engine hands over M's and N's barcodes along a
 block of lines as two arrays; :func:`_block_distances` alone matches them.
@@ -75,7 +93,8 @@ for bit:
   compare, so its bound is theirs, and a cover it finds proves their test
   passes at it;
 - the bisection compares those floats too, and its test is exact, so it finds
-  the least feasible candidate from the bound, which is what the search returns;
+  the least feasible candidate from the bound; the search finds each side's
+  least threshold from the bound, and the larger of the two is that candidate;
 - a zero-length pair is never a root (it is deleted at +0.0), and pairing it
   with p costs at least diag(p) (as below): more than the bound if p is a
   root, and never less than p's own min(diag(p), ...);
@@ -93,9 +112,9 @@ for bit:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import combinations, permutations, tee
+from itertools import chain, combinations, permutations, tee
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -117,8 +136,9 @@ _BATCH_ENTRIES = 2_000
 # temporaries hold at most _PASS_ENTRIES entries of at most 8 bytes each (512 KiB). They
 # are the (lines, a', b') pair costs and adjacency of a chunk of the pass that certifies
 # a line's lower bound (_pass_distances), the (lines, matchings) worst costs of the table
-# pass (_table_distances), and the (2 * lines, 2**width) subset unions of the bisection
-# (_bisected). A block whose single line has more pair costs than _PASS_ENTRIES is
+# pass (_table_distances), the (2 * lines, 2**width) subset unions of the bisection
+# (_bisected), and the (tree vertices, partners) pair costs of a layer of the search above
+# the lower bound (_raised). A block whose single line has more pair costs than _PASS_ENTRIES is
 # searched line by line with no bound.
 _PASS_ENTRIES = 1 << 16
 # The most live pairs a side for which the lines of a chunk that the certified bound leaves
@@ -176,24 +196,6 @@ def _nearest_bound(P: _Side, Q: _Side, bound: float) -> float:
                     best = gap if gap >= dy else dy
         bound = max(bound, best)
     return bound
-
-
-def _bracket_costs(P: _Side, Q: _Side, lo: float, hi: float) -> set[float]:
-    """Costs strictly between ``lo`` and ``hi`` of the pairs (p, q) with diag(p) >= hi."""
-    costs = set()
-    for x, y, r in P:
-        if r < hi:
-            continue
-        for run in _outward(Q, x):
-            for j in run:
-                xq, yq, _ = Q[j]
-                gap = abs(x - xq)
-                if gap >= hi:
-                    break
-                cost = max(gap, abs(y - yq))
-                if lo < cost < hi:
-                    costs.add(cost)
-    return costs
 
 
 def _covers(P: _Side, Q: _Side, delta: float, match: list[int]) -> bool:
@@ -268,42 +270,91 @@ def _augment(root: int, partners: Callable[[int], Iterator[int]], match: list[in
     return False
 
 
-def _finite_feasible(A: _Side, B: _Side, delta: float, match_a: list[int],
-                     match_b: list[int]) -> bool:
-    """The two one-sided coverage tests; both run, growing the given matchings in place."""
-    return all([_covers(A, B, delta, match_a), _covers(B, A, delta, match_b)])
-
-
-def _first_feasible(A: _Side, B: _Side, costs: list[float], match_a: list[int],
-                    match_b: list[int]) -> tuple[int, list[int], list[int]]:
-    """Binary search: first feasible index of ``costs`` (or their count), last failed matchings."""
-    lo, hi = 0, len(costs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        trial_a, trial_b = match_a[:], match_b[:]
-        if _finite_feasible(A, B, costs[mid], trial_a, trial_b):
-            hi = mid
-        else:
-            lo = mid + 1
-            match_a, match_b = trial_a, trial_b
-    return lo, match_a, match_b
-
-
 def _finite_distance(A: _Side, B: _Side, lower: float | None = None) -> float:
-    """Least candidate cost at which the finite parts can be matched; ``lower``, if
-    given, is their lower bound (reduction 2)."""
+    """Least threshold at which the finite parts can be matched: the larger of the two
+    sides' least thresholds from the lower bound (reduction 3); ``lower``, if given, is
+    that bound (reduction 2)."""
     if lower is None:
         lower = _nearest_bound(B, A, _nearest_bound(A, B, 0.0))
     match_a, match_b = [-1] * len(B), [-1] * len(A)
-    if _finite_feasible(A, B, lower, match_a, match_b):
+    settled = [_covers(A, B, lower, match_a), _covers(B, A, lower, match_b)]
+    if all(settled):
         return lower
-    # feasible at the largest deletion cost, where no interval needs cover
-    deletions = sorted({r for side in (A, B) for _, _, r in side if r > lower})
-    k, match_a, match_b = _first_feasible(A, B, deletions, match_a, match_b)
-    lo, hi = deletions[k - 1] if k else lower, deletions[k]
-    pairs = sorted(_bracket_costs(A, B, lo, hi) | _bracket_costs(B, A, lo, hi))
-    k, _, _ = _first_feasible(A, B, pairs, match_a, match_b)
-    return pairs[k] if k < len(pairs) else hi
+    # float64 arrays give the floats that Python computes; any other endpoint keeps Python's own
+    exact = all(issubclass(kind, float) for kind in set(map(type, chain.from_iterable(A + B))))
+    columns = [np.array(side, float if exact else object).reshape(-1, 3).T[:2] for side in (A, B)]
+    with np.errstate(over="ignore"):  # a pair cost past the largest float is +inf, as in Python
+        return max(lower if settled[0] else _raised(A, columns[0], columns[1], lower, match_a),
+                   lower if settled[1] else _raised(B, columns[1], columns[0], lower, match_b))
+
+
+def _raised(P: _Side, cols_p: np.ndarray, cols_q: np.ndarray, delta: float, match: list[int]) -> float:
+    """Least threshold from ``delta`` at which one matching along pairs of cost <= it covers
+    every p whose deletion cost exceeds it, by one alternating tree per root that ``match``,
+    the matching :func:`_covers` grew at ``delta``, leaves uncovered (see the module
+    docstring). ``cols_p`` and ``cols_q`` hold each side's births and deaths as two rows."""
+    births_p, deaths_p = cols_p
+    every = cols_q[0].tolist()  # Q's births, sorted
+    step = max(_PASS_ENTRIES // max(len(match), 1), 1)  # (S vertices, partners) <= _PASS_ENTRIES a layer
+    covered = set(match)
+    for root, (x, y, r) in enumerate(P):
+        if r <= delta or root in covered:
+            continue
+        (births, deaths), outside = cols_q, np.arange(len(match))  # the partners outside T
+        slack = np.maximum(np.abs(births - x), np.abs(deaths - y))  # their cheapest pair cost from S
+        via = np.full(len(match), root)  # the vertex of S that has it
+        parent, enter, layer, least, holder, end = {}, {}, [], r, root, None  # holder: S's least diag
+        while end is None:
+            for k in range(0, len(layer), step):
+                chunk = layer[k : k + step]
+                for u in chunk:
+                    if P[u][2] < least:
+                        least, holder = P[u][2], u
+                # delta stays <= least, so only partners that close in birth can join
+                lo, hi = np.searchsorted(outside, _window(every, min(P[u][0] for u in chunk),
+                                                          max(P[u][0] for u in chunk), least)).tolist()
+                new = np.array(chunk)
+                cost = np.maximum(np.abs(births[lo:hi] - births_p[new, None]),
+                                  np.abs(deaths[lo:hi] - deaths_p[new, None]))
+                best = cost.argmin(axis=0)
+                cost = cost[best, np.arange(hi - lo)]
+                better = cost < slack[lo:hi]
+                np.copyto(slack[lo:hi], cost, where=better)
+                np.copyto(via[lo:hi], new[best], where=better)
+            opened, layer = slack <= delta, []
+            if not opened.any():
+                delta = min(least, slack.min(initial=math.inf))
+                if least <= delta:  # holder is deleted at delta
+                    if holder == root:
+                        break
+                    end = enter[holder]
+                continue
+            for q, s in zip(outside[opened].tolist(), via[opened].tolist()):
+                parent[q], u = s, match[q]
+                if u < 0 or P[u][2] <= delta:  # free, or its match needs no cover
+                    end = q
+                    break
+                enter[u] = q
+                layer.append(u)
+            keep = ~opened
+            outside, births, deaths, slack, via = (z[keep] for z in (outside, births, deaths, slack, via))
+        while end is not None:  # flip the path from the root to end
+            s = parent[end]
+            match[end], end = s, enter.get(s)
+    return delta
+
+
+def _window(births: list[float], first: float, last: float, reach: float) -> tuple[int, int]:
+    """The index range of the sorted ``births`` whose gap to some point of [first, last] can
+    be at most ``reach``: the gap to ``first`` (``last``) grows leftward (rightward), rounding
+    included, so each end is found by a bisection and a step past any rounded inside."""
+    lo = bisect_left(births, first - reach)
+    while lo and abs(first - births[lo - 1]) <= reach:
+        lo -= 1
+    hi = bisect_right(births, last + reach)
+    while hi < len(births) and abs(births[hi] - last) <= reach:
+        hi += 1
+    return lo, hi
 
 
 def bottleneck_distance(A: Barcode, B: Barcode) -> float:
@@ -396,12 +447,13 @@ def _live(X: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _pair_costs(births_a: np.ndarray, deaths_a: np.ndarray, diag_a: np.ndarray, births_b: np.ndarray,
                 deaths_b: np.ndarray, diag_b: np.ndarray) -> np.ndarray:
     """Per row, the (a', b') costs of matching the live pairs of :func:`_live`: the larger
-    endpoint gap, +inf where either is past its row's own."""
+    endpoint gap, +inf where either is past its row's own. Those get birth +inf on A's side
+    and -inf on B's, so each birth gap to or between them is +inf, whole rows and columns."""
+    births_a = np.where(diag_a == -math.inf, math.inf, births_a)
+    births_b = np.where(diag_b == -math.inf, -math.inf, births_b)
     with np.errstate(over="ignore"):
-        cost = np.maximum(np.abs(births_a[:, :, None] - births_b[:, None, :]),
+        return np.maximum(np.abs(births_a[:, :, None] - births_b[:, None, :]),
                           np.abs(deaths_a[:, :, None] - deaths_b[:, None, :]))
-    cost[(diag_a == -math.inf)[:, :, None] | (diag_b == -math.inf)[:, None, :]] = math.inf
-    return cost
 
 
 def _covered(adjacent: np.ndarray, roots: np.ndarray) -> np.ndarray:

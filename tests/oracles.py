@@ -4,7 +4,9 @@ Everything here is deliberately naive: dense numpy Gaussian elimination
 mod 2 for homology ranks, a scalar push and a set-column reduction for
 one-parameter barcodes, exhaustive enumeration of partial matchings
 for the bottleneck distance and of injective maps for a matching that
-covers given vertices, the per-line tables as json.dumps of
+covers given vertices, a bisection of every cost tested by Kuhn's
+augmenting paths for the bottleneck distance of larger barcodes, the
+per-line tables as json.dumps of
 their entry dicts, and a line-by-line parser with per-simplex checks for
 the text format. None of it shares code with the package.
 """
@@ -268,6 +270,50 @@ def brute_force_bottleneck(A, B) -> float:
         return best
 
     return search(0, set(), 0.0)
+
+
+def threshold_bottleneck(A, B) -> float:
+    """The bottleneck distance of two one-degree barcodes of (birth, death, ...) rows, as a float:
+    the least of the distinct pair and deletion costs (and 0.0) at which the doubled graph has a
+    perfect matching, by bisection, each threshold tested with Kuhn's augmenting paths.
+
+    The doubled graph's left side holds A and a diagonal copy b' of each b in B, its right side
+    B and a diagonal copy a' of each a. At delta, a meets b and b' meets a' where the pair
+    costs at most delta, and a meets a' (b' meets b) where a's (b's) deletion does. A partial
+    matching within delta gives a perfect one (each pair (a, b) also matches b' to a', the
+    deleted meet their copies), and a perfect one is a partial matching within delta."""
+    A, B = [(row[0], row[1]) for row in A], [(row[0], row[1]) for row in B]
+    n, m = len(A), len(B)
+    pair = [[pair_cost(a, b) for b in B] for a in A]
+    drop_a, drop_b = [delete_cost(a) for a in A], [delete_cost(b) for b in B]
+    costs = sorted({0.0, *drop_a, *drop_b, *(c for row in pair for c in row)})
+
+    def perfect(delta) -> bool:
+        edges = [[j for j in range(m) if pair[i][j] <= delta] + [m + i] * (drop_a[i] <= delta)
+                 for i in range(n)]
+        edges += [[j] * (drop_b[j] <= delta) + [m + i for i in range(n) if pair[i][j] <= delta]
+                  for j in range(m)]
+        owner = [-1] * (n + m)  # right vertex -> its left partner
+
+        def kuhn(v, seen) -> bool:
+            for u in edges[v]:
+                if u not in seen:
+                    seen.add(u)
+                    if owner[u] < 0 or kuhn(owner[u], seen):
+                        owner[u] = v
+                        return True
+            return False
+
+        return all(kuhn(v, set()) for v in range(n + m))
+
+    lo, hi = 0, len(costs) - 1  # every row of the last cost's graph meets its copy: perfect
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if perfect(costs[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(costs[lo])
 
 
 def coverable(adjacent, roots) -> bool:

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from persline import Interval, bottleneck_distance
 import persline.bottleneck
 from persline.bottleneck import (
-    _BATCH_ENTRIES, _HALL_WIDTH, _batched, _bisected, _block_distances, _covered, _finite_distance,
-    _finite_feasible, _hall, _live, _matching_table, _nearest_bound, _pair_costs, _pass_distances,
-    _split, _split_distance,
+    _BATCH_ENTRIES, _HALL_WIDTH, _batched, _bisected, _block_distances, _covered, _covers, _finite_distance,
+    _hall, _live, _matching_table, _nearest_bound, _pair_costs, _pass_distances, _split, _split_distance, _window,
 )
 from generators import random_barcode
-from oracles import brute_force_bottleneck, coverable, delete_cost, pair_cost, strict_json
+from oracles import brute_force_bottleneck, coverable, delete_cost, pair_cost, strict_json, threshold_bottleneck
 
 INF = math.inf
 
@@ -174,17 +173,18 @@ class TestBottleneckDistance:
         assert brute_force_bottleneck(A, B) == 1.25
 
     # Search-phase cases: the lower bound (each interval's cheaper of deletion
-    # and nearest partner) fails, so the deletion costs above it are searched
-    # for a bracket (lo, hi], then the pair costs strictly inside it.
+    # and nearest partner) fails on a side, so that side's alternating tree
+    # raises delta to its next event: a deletion cost in the tree, or the
+    # cheapest pair cost from the tree to a partner outside it.
     @pytest.mark.parametrize("A, B, lower, expected", [
         # a1 and a2 both need b1 at 0.75; at the deletion cost 0.875 a2 is
-        # deleted, so the optimum is hi itself
+        # deleted, so the optimum is that event itself
         ([(2.5, 5.25), (2.75, 4.5)], [(2.75, 4.5)], 0.75, 0.875),
-        # bracket (0.875, 1.375]: the pair a1-b1 costs 1.25, listed from a1
-        # (diag 1.375); b1's diag is 0.625
+        # the pair a1-b1 costs 1.25, an event of A's tree (a1's diag is
+        # 1.375); b1's diag is 0.625
         ([(0.75, 3.5), (1.0, 3.75)], [(1.0, 2.25), (1.5, 3.25)], 0.75, 1.25),
-        # bracket (0.875, 1.125]: the pair a2-b2 costs 1.0, listed only from b2
-        # (diag 1.375), since a2's diag is 0.375
+        # the pair a2-b2 costs 1.0, an event of B's tree only (b2's diag is
+        # 1.375), since a2's diag is 0.375
         ([(1.75, 3.5), (2.5, 3.25)], [(1.25, 3.5), (1.5, 4.25)], 0.75, 1.0),
     ], ids=["deletion-cost", "pair-from-a", "pair-from-b-only"])
     def test_search_above_an_infeasible_lower_bound(self, A, B, lower, expected):
@@ -327,8 +327,8 @@ def test_800_intervals_per_side_no_recursion_limit():
 
 
 # float.hex of the distance, computed by the pair-listing implementation this
-# one replaced. At seed 1 the lower bound is infeasible and the bracket search
-# runs; at seed 2 the lower bound is the answer.
+# one replaced. At seed 1 the lower bound is infeasible and the search above
+# it runs; at seed 2 the lower bound is the answer.
 @pytest.mark.parametrize("seed, expected", [
     (1, "0x1.cf2d4bbef1f10p-1"),
     (2, "0x1.213571172f458p+0"),
@@ -342,6 +342,84 @@ def test_5000_intervals_per_side(seed, expected):
     rng.shuffle(shuffled_a)
     rng.shuffle(shuffled_b)
     assert bottleneck_distance(tuple(shuffled_b), tuple(shuffled_a)).hex() == expected
+
+
+def _wide_pair(rng, kind, n):
+    """Two barcodes of n finite degree-0 (birth, death, degree) rows each, drawn one side
+    after the other: spread (births uniform on [0, 10], lengths on [0, 3]), equal-birth
+    (births 0, deaths uniform on [0, 10]), both rounded to 1e-3; quarter (births and
+    lengths on the quarter grid: ties everywhere); bigint (integers past 2**60, whose
+    differences a float64 array would round); huge (endpoints near +-1e308, so that pair
+    costs across the sign overflow to +inf while every deletion cost stays finite)."""
+    sides = []
+    for _ in range(2):
+        if kind == "spread":
+            births = np.round(rng.uniform(0, 10, n), 3)
+            deaths = np.round(births + rng.uniform(0, 3, n), 3)
+        elif kind == "equal":
+            births, deaths = np.zeros(n), np.round(rng.uniform(0, 10, n), 3)
+        elif kind == "quarter":
+            births = rng.integers(0, 17, n) / 4
+            deaths = births + rng.integers(1, 9, n) / 4
+        elif kind == "bigint":
+            births = [2**60 + int(x) for x in rng.integers(0, 4000, n)]
+            deaths = [x + int(k) for x, k in zip(births, rng.integers(1, 1000, n))]
+        else:
+            births = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n) * 1e308
+            deaths = births + rng.uniform(0.01, 0.5, n) * 1e308
+        births, deaths = (x.tolist() if isinstance(x, np.ndarray) else x for x in (births, deaths))
+        sides.append([(b, d, 0) for b, d in zip(births, deaths)])
+    return sides
+
+
+def _above_bound(A, B):
+    """Whether the distance of two finite one-degree barcodes lies above their lower bound."""
+    (_, fin_a, _, fin_b), = _split(A, B)
+    return bottleneck_distance(A, B) > _nearest_bound(fin_b, fin_a, _nearest_bound(fin_a, fin_b, 0.0))
+
+
+@pytest.mark.parametrize("kind", ["spread", "equal", "quarter", "bigint", "huge"])
+def test_equals_the_threshold_oracle_at_20_to_150_intervals(kind):
+    # past brute force's reach: every value, sign bit included, equals the Kuhn oracle's,
+    # both ways round; some pairs are settled above their lower bound
+    rng, above = np.random.default_rng(["spread", "equal", "quarter", "bigint", "huge"].index(kind) + 90), 0
+    for n in (20, 45, 80, 150):
+        A, B = _wide_pair(rng, kind, n)
+        want = threshold_bottleneck(A, B)
+        for got in (bottleneck_distance(A, B), bottleneck_distance(B, A)):
+            assert type(got) is float and got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        above += _above_bound(A, B)
+        if kind == "bigint":  # the same endpoints as float64 give another distance
+            rounded = [[(float(b), float(d), 0) for b, d, _ in side] for side in (A, B)]
+            assert bottleneck_distance(*rounded) != want
+        if kind == "huge":
+            assert math.isinf(max(pair_cost(a, b) for a in A for b in B))
+    assert above
+
+
+def test_window_keeps_births_whose_rounded_gap_is_within_reach():
+    # 1.0 - (-1e-17) and 1e-17 - (-1.0) round to 1.0: within reach 1.0, though past 1.0 - 1.0
+    # and -1.0 + 1.0, where the bisections stop
+    births = [-1.0, -1e-17, 1e-17, 1.0]
+    assert 1.0 - -1e-17 == 1e-17 - -1.0 == 1.0
+    assert _window(births, 1.0, 1.0, 1.0) == (1, 4)
+    assert _window(births, -1.0, -1.0, 1.0) == (0, 3)
+    assert _window(births, -1.0, 1.0, 0.0) == (0, 4)
+    assert _window(births, 0.5, 0.5, 0.25) == (3, 3)
+
+
+@pytest.mark.parametrize("kind", ["spread", "equal"])
+def test_relations_at_1000_intervals_per_side(kind):
+    # symmetric bit for bit, scaled exactly by 8, and never raised by one common interval
+    A, B = _wide_pair(np.random.default_rng(1), kind, 1000)
+    d = bottleneck_distance(A, B)
+    assert _above_bound(A, B)
+    assert bottleneck_distance(B, A).hex() == d.hex()
+    scaled = [[(8 * b, 8 * e, g) for b, e, g in side] for side in (A, B)]
+    assert bottleneck_distance(*scaled).hex() == (8 * d).hex()
+    common = (0.0, 5.0, 0) if kind == "equal" else (4.0, 5.5, 0)
+    assert bottleneck_distance(A + [common], B + [common]) <= d
 
 
 def _block(rng, lines, finite, essential):
@@ -518,8 +596,8 @@ class TestBlockDistances:
         search = []
         for fin_a, fin_b in _finite_parts(A, a, B, b):
             lower = _nearest_bound(fin_b, fin_a, _nearest_bound(fin_a, fin_b, 0.0))
-            search.append((lower.hex(), _finite_feasible(fin_a, fin_b, lower, [-1] * len(fin_b),
-                                                         [-1] * len(fin_a))))
+            search.append((lower.hex(), all([_covers(fin_a, fin_b, lower, [-1] * len(fin_b)),
+                                             _covers(fin_b, fin_a, lower, [-1] * len(fin_a))])))
         lower, settled = _pass_bounds(A, a, B, b)
         assert [x.hex() for x in lower] == [h for h, _ in search]
         assert all(feasible_at for ok, (_, feasible_at) in zip(settled, search) if ok)

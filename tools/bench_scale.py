@@ -19,10 +19,11 @@ n = 40 complex M, ``verify-external --grid 16x8 --epsilon 0.05`` runs with
 The ``rank`` cases take the rank invariant at degree 1 of that n = 25 or 40
 complex M (one file, no grid) from u = (0.31, 0.31) to v = (0.32, 0.32): parsing,
 validation and the relation cuts are most of such a run.
-The ``bottleneck`` cases match two barcodes of 200 or 1,000 finite degree-0
-intervals per side, drawn one side after the other from ``default_rng(0)``:
-spread (births uniform on [0, 10], lengths uniform on [0, 3]) and equal-birth
-(births 0, deaths uniform on [0, 10]), every endpoint rounded to 1e-3.
+The ``bottleneck`` cases match two barcodes of finite degree-0 intervals,
+drawn one side after the other from ``default_rng(0)``: spread (births uniform
+on [0, 10], lengths uniform on [0, 3]; 200, 1,000 or 5,000 per side) and
+equal-birth (births 0, deaths uniform on [0, 10]; 200, 1,000 or 3,000 per
+side), every endpoint rounded to 1e-3.
 
 Every run of a case is a fresh child process that imports ``persline`` from
 ``--src`` (default: this checkout's ``src``), times one in-process
@@ -70,7 +71,7 @@ REPEAT = 3
 CASES = {f"rips{n}-H{d}": (f"rips{n}", ["matchdist"], d) for n in (25, 40) for d in (0, 1)}
 CASES["rips9-H0"] = ("rips9", ["matchdist"], 0)
 CASES.update({f"bottleneck-{kind}-{n}": (f"{kind}-{n}", ["bottleneck"], None)
-              for kind in ("spread", "equal") for n in (200, 1000)})
+              for kind, sizes in (("spread", (200, 1000, 5000)), ("equal", (200, 1000, 3000))) for n in sizes})
 CASES["tiny9-H0"] = ("tiny9", ["matchdist"], 0)
 CASES["tiny9-verify-H0"] = ("tiny9", ["verify-external", "--construction", "perturb",
                                       "--epsilon", repr(EPSILON), "--seed", "0"], 0)
