@@ -19,8 +19,11 @@ search small:
    So every interval p is deleted or matched along a kept pair, and the max
    over p of min(diag(p), cheapest kept pair) is a lower bound, tested first.
    It equals min(diag(p), distance to p's nearest interval on the other side),
-   as that pair is kept when cheaper than diag(p); a birth-sorted scan outward
-   from p finds it, stopping once the birth gap reaches the best cost so far.
+   as that pair is kept when cheaper than diag(p). :func:`_bound` takes each
+   side's half in numpy, its intervals a chunk at a time in birth order, each
+   chunk against the other side's births within the chunk's largest diag
+   (:func:`_window`): a pair costs at least its birth gap, so one past that
+   window costs more than every diag in the chunk and lowers no min.
 3. One-sided coverage. At delta, a matching is feasible iff it covers every
    interval whose deletion cost exceeds delta along pairs of cost <= delta
    (the rest are deleted); no pruning test is needed, since such an interval
@@ -28,31 +31,35 @@ search small:
    covers those intervals of both sides iff one matching covers those of A
    and another those of B, so each test is two one-sided bipartite matchings.
 
-The bound is tested first: the cover test walks each interval's birth window
-for partners within delta at most once, lazily, and its augmenting paths use
-an explicit stack. If a side's roots are not all covered there, that side is
-searched apart from the bound (reduction 3: each side's coverage only grows
-with delta, so the distance is the larger of the two sides' least thresholds
-at which their roots are covered). Each root left uncovered grows one
-alternating tree a layer at a time: S holds the root and the matches of T, T
-the partners within delta of S, each matched into S. When the tree cannot
-grow, S is a Hall violator: its roots need |S| partners and have |T| = |S| - 1.
-It stays one at every threshold below its next event, the least deletion cost
-in S or the least pair cost from S to a partner outside T, since only those
-change S's roots or its partners; so no threshold below that event is
-feasible, and delta rises to exactly it, and the same tree goes on. The root
-is done when a path ends at a free partner or at one whose match needs no
-cover at delta (flipped), or a vertex of S is deleted at delta (the path to
-it flipped, unless it is the root); the matching stays valid as delta rises.
-So every raise is forced, and the last delta covers every root: it is the
-side's least threshold, a deletion or pair cost from the same floats the
-test compares. A tree computes pair costs only from its own vertices, one
-numpy row each: the root's to every partner, a later vertex's only to the
-partners outside T whose birth gap is at most the least deletion cost in S
-(delta never passes it in that tree; :func:`_window`). So no step lists the
-pairs of an interval that no tree holds. Endpoints that
-are not all floats (integers from hand-written JSON) keep Python's exact
-arithmetic there, in object arrays.
+The bound is tested first (:func:`_covers`). A pair that joins a root at delta
+has a birth gap <= delta < the root's diag, so a window of reach delta around a
+chunk of roots, inside that of their largest diag, holds every such pair, and
+np.nonzero of one boolean matrix lists them. A greedy pass gives each root its
+first free partner; an augmenting path (explicit stack) is searched from each
+root it leaves. Sides with at most _PASS_ENTRIES pairs skip the windows: one
+matrix of every pair cost serves both halves of the bound and both covers. If a
+side's roots are not all covered there, that side is searched apart from the
+bound (reduction 3: each side's coverage only grows with delta, so the distance
+is the larger of the two sides' least thresholds at which their roots are
+covered). Each root left uncovered grows one alternating tree a layer at a
+time: S holds the root and the matches of T, T the partners within delta of S,
+each matched into S. When the tree cannot grow, S is a Hall violator: its roots
+need |S| partners and have |T| = |S| - 1. It stays one at every threshold below
+its next event, the least deletion cost in S or the least pair cost from S to a
+partner outside T, since only those change S's roots or its partners; so no
+threshold below that event is feasible, and delta rises to exactly it, and the
+same tree goes on. The root is done when a path ends at a free partner or at
+one whose match needs no cover at delta (flipped), or a vertex of S is deleted
+at delta (the path to it flipped, unless it is the root); the matching stays
+valid as delta rises. So every raise is forced, and the last delta covers every
+root: it is the side's least threshold, a deletion or pair cost from the same
+floats the test compares. A tree computes pair costs only from its own
+vertices, one numpy row each: the root's to every partner, a later vertex's
+only to the partners outside T whose birth gap is at most the least deletion
+cost in S (delta never passes it in that tree; :func:`_window`). So no step
+lists the pairs of an interval that no tree holds. Endpoints that are not all
+floats (integers from hand-written JSON) keep Python's exact arithmetic in
+object arrays (:func:`_arrays`).
 
 Many lines at once. The line engine hands over M's and N's barcodes along a
 block of lines as two arrays; :func:`_block_distances` alone matches them.
@@ -89,7 +96,7 @@ candidate; the least feasible one is the distance. The width cap is where the
 2**width sets a probe outgrow the search (see _HALL_WIDTH). The paths agree bit
 for bit:
 
-- the pass computes the floats that :func:`_nearest_bound` and :func:`_covers`
+- the pass computes the floats that :func:`_bound` and :func:`_covers`
   compare, so its bound is theirs, and a cover it finds proves their test
   passes at it;
 - the bisection compares those floats too, and its test is exact, so it finds
@@ -114,8 +121,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import chain, combinations, permutations, tee
-from typing import Callable, Iterable, Iterator
+from itertools import chain, combinations, permutations
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -132,14 +139,16 @@ from .homology import Barcode
 # outside. The matchings alone do not bound it: 1 and b intervals have b + 1 of
 # them, of b + 1 columns each.
 _BATCH_ENTRIES = 2_000
-# Bounds the numpy passes over a block, lines taken a chunk at a time: the largest
-# temporaries hold at most _PASS_ENTRIES entries of at most 8 bytes each (512 KiB). They
-# are the (lines, a', b') pair costs and adjacency of a chunk of the pass that certifies
-# a line's lower bound (_pass_distances), the (lines, matchings) worst costs of the table
-# pass (_table_distances), the (2 * lines, 2**width) subset unions of the bisection
-# (_bisected), and the (tree vertices, partners) pair costs of a layer of the search above
-# the lower bound (_raised). A block whose single line has more pair costs than _PASS_ENTRIES is
-# searched line by line with no bound.
+# Bounds the numpy passes over a block, lines taken a chunk at a time: the largest temporaries
+# hold at most _PASS_ENTRIES entries of at most 8 bytes each (512 KiB). They are the (lines, a',
+# b') pair costs and adjacency of a chunk of the pass that certifies a line's lower bound
+# (_pass_distances), the (lines, matchings) worst costs of the table pass (_table_distances),
+# the (2 * lines, 2**width) subset unions of the bisection (_bisected), the (intervals, birth
+# window) pair costs of a chunk of one side's lower bound (_bound) and of its roots at the bound
+# (_covers), or the one matrix of every pair cost that both read if it is no larger
+# (_finite_distance), and the (tree vertices, partners) pair costs of a layer of the search
+# above the lower bound (_raised). A block whose single line has more pair costs than
+# _PASS_ENTRIES is searched line by line with no bound.
 _PASS_ENTRIES = 1 << 16
 # The most live pairs a side for which the lines of a chunk that the certified bound leaves
 # are bisected together (_bisected); if one is wider, that chunk's are searched one at a
@@ -153,10 +162,11 @@ _PASS_ENTRIES = 1 << 16
 # leave 1 to 38 lines each (median 7); rips25-H0's are 24 wide, rips40-H0's 19 to 39.
 _HALL_WIDTH = 11
 _ESSENTIAL_OVERFLOW = "two matched essential births differ by more than the largest float"
-_Side = list[tuple[float, float, float]]  # finite (birth, death, half the length), sorted
+_Pairs = list[tuple[float, float, float]]  # finite (birth, death, half the length), sorted
+_Side = np.ndarray  # (3, n): the births, deaths and half lengths of _Pairs, float64 or object
 
 
-def _split(A: Iterable, B: Iterable) -> list[tuple[list[float], _Side, list[float], _Side]]:
+def _split(A: Iterable, B: Iterable) -> list[tuple[list[float], _Pairs, list[float], _Pairs]]:
     """Per degree of A or B: A's and B's essential births and finite (birth, death,
     diag) triples, each sorted. An Interval is a (birth, death, degree) row."""
     split: dict[int, tuple[list, list, list, list]] = {}
@@ -173,80 +183,73 @@ def _split(A: Iterable, B: Iterable) -> list[tuple[list[float], _Side, list[floa
     return list(split.values())
 
 
-def _outward(Q: _Side, x: float) -> tuple[range, range]:
-    """Indices of Q from ``x``'s place in the sorted births, rightward and
-    leftward: along each the birth gap to ``x`` grows, rounding included."""
-    start = bisect_left(Q, (x,))
-    return range(start, len(Q)), range(start - 1, -1, -1)
+def _arrays(A: _Pairs, B: _Pairs) -> tuple[_Side, _Side]:
+    """A's and B's finite triples as :data:`_Side` arrays: float64 arrays, whose arithmetic is
+    Python's, if every endpoint is a float, else object arrays, which keep Python's own."""
+    exact = all(issubclass(kind, float) for kind in set(map(type, chain.from_iterable(A + B))))
+    return tuple(np.fromiter(chain.from_iterable(side), float if exact else object, 3 * len(side)).reshape(-1, 3).T
+                 for side in (A, B))
 
 
-def _nearest_bound(P: _Side, Q: _Side, bound: float) -> float:
-    """The larger of ``bound`` and each p's min(diag(p), distance to its nearest q)."""
-    for x, y, best in P:
-        if best <= bound:
-            continue
-        for run in _outward(Q, x):
-            for j in run:
-                xq, yq, _ = Q[j]
-                gap = abs(x - xq)
-                if gap >= best or best <= bound:
-                    break
-                dy = abs(y - yq)
-                if dy < best:
-                    best = gap if gap >= dy else dy
-        bound = max(bound, best)
+def _blocks(P: _Side, Q: _Side, rows: np.ndarray, cost: np.ndarray | None,
+            reach: float | None = None) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
+    """Each chunk of P's ``rows`` (in birth order), the start of its window of Q's births within
+    ``reach`` of the chunk's (if None, within its largest diag; :func:`_window`), and their pair
+    costs; one chunk against all of Q if ``cost``, every pair cost of P with Q, is given."""
+    if cost is not None:
+        yield rows, 0, cost[rows]
+        return
+    every = Q[0].tolist()
+    step = max(_PASS_ENTRIES // max(len(every), 1), 1)  # (rows, window) <= _PASS_ENTRIES
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        births, deaths, diag = P[:, chunk]
+        lo, hi = _window(every, births[0], births[-1], diag.max() if reach is None else reach)
+        yield chunk, lo, np.maximum(np.abs(births[:, None] - Q[0, lo:hi]), np.abs(deaths[:, None] - Q[1, lo:hi]))
+
+
+def _bound(P: _Side, Q: _Side, bound: float, cost: np.ndarray | None) -> float:
+    """The larger of ``bound`` and each p's min(diag(p), min_q cost(p, q)), by :func:`_blocks`
+    windowed by their largest diag: a pair past that window costs more than every diag there."""
+    for rows, _, block in _blocks(P, Q, np.flatnonzero(P[2] > bound), cost):  # the rest cannot raise it
+        bound = np.minimum(P[2, rows], block.min(axis=1, initial=math.inf)).max(initial=bound)
     return bound
 
 
-def _covers(P: _Side, Q: _Side, delta: float, match: list[int]) -> bool:
-    """Whether one matching along pairs of cost <= delta covers every p whose
-    deletion cost exceeds delta.
-
-    ``match`` maps each q to its partner in P or -1. On entry it is a matching
-    valid at delta (pairs of cost <= delta); partners that need no cover are
-    released, and it is grown in place by augmenting paths.
-    """
-    roots = [u for u, (_, _, r) in enumerate(P) if r > delta]
+def _covers(P: _Side, Q: _Side, delta: float, cost: np.ndarray | None) -> tuple[bool, list[int]]:
+    """Whether one matching along pairs of cost <= delta covers every p whose deletion cost
+    exceeds delta (the roots), and the matching found, each q's partner in P or -1: a greedy
+    pass over partner lists, then augmenting paths from the roots it leaves."""
+    roots, match = np.flatnonzero(P[2] > delta), [-1] * Q.shape[1]
     if len(roots) > len(match):
-        return False
-    for v, u in enumerate(match):
-        if u >= 0 and P[u][2] <= delta:
-            match[v] = -1
-    covered, below, walks = set(match), -delta, {}
-
-    def walk(u: int) -> Iterator[int]:
-        x, y, _ = P[u]
-        for run in _outward(Q, x):
-            for j in run:
-                xq, yq, _ = Q[j]
-                if not below <= x - xq <= delta:
+        return False, match
+    partners, left = {}, []
+    for chunk, lo, block in _blocks(P, Q, roots, cost, delta):
+        rows, columns = np.nonzero(block <= delta)
+        flat, ends, begin = (columns + lo).tolist(), np.cumsum(np.bincount(rows, minlength=len(chunk))).tolist(), 0
+        for u, end in zip(chunk.tolist(), ends):
+            partners[u], begin = flat[begin:end], end
+            for v in partners[u]:
+                if match[v] < 0:
+                    match[v] = u
                     break
-                if below <= y - yq <= delta:
-                    yield j
-
-    def partners(u: int) -> Iterator[int]:
-        walks[u], fresh = tee(walks.get(u) or walk(u))
-        return fresh
-
-    # Every root is tried, so a failed test leaves the next one a larger start.
+            else:
+                left.append(u)
+    # Every root is tried, so a failed test leaves _raised a larger start.
     # The stamp moves only on success: what a failed search saw stays dead.
     seen, stamp, ok = [-1] * len(match), 0, True
-    for u in roots:
-        if u not in covered:
-            if _augment(u, partners, match, seen, stamp):
-                stamp += 1
-            else:
-                ok = False
-    return ok
+    for u in left:
+        found = _augment(u, partners, match, seen, stamp)
+        stamp, ok = stamp + found, ok and found
+    return ok, match
 
 
-def _augment(root: int, partners: Callable[[int], Iterator[int]], match: list[int],
-             seen: list[int], stamp: int) -> bool:
+def _augment(root: int, partners: dict[int, list[int]], match: list[int], seen: list[int], stamp: int) -> bool:
     """Depth-first search for an augmenting path from ``root``; flips it if found.
 
     ``us[k]`` reached ``us[k + 1]`` through the right vertex ``vs[k]``, which
     ``us[k + 1]`` is matched to. Right vertices marked ``stamp`` are skipped."""
-    us, vs, todo = [root], [], [partners(root)]
+    us, vs, todo = [root], [], [iter(partners[root])]
     while todo:
         for v in todo[-1]:
             if seen[v] == stamp:
@@ -260,7 +263,7 @@ def _augment(root: int, partners: Callable[[int], Iterator[int]], match: list[in
                 return True
             us.append(w)
             vs.append(v)
-            todo.append(partners(w))
+            todo.append(iter(partners[w]))
             break
         else:
             todo.pop()
@@ -274,33 +277,35 @@ def _finite_distance(A: _Side, B: _Side, lower: float | None = None) -> float:
     """Least threshold at which the finite parts can be matched: the larger of the two
     sides' least thresholds from the lower bound (reduction 3); ``lower``, if given, is
     that bound (reduction 2)."""
-    if lower is None:
-        lower = _nearest_bound(B, A, _nearest_bound(A, B, 0.0))
-    match_a, match_b = [-1] * len(B), [-1] * len(A)
-    settled = [_covers(A, B, lower, match_a), _covers(B, A, lower, match_b)]
-    if all(settled):
-        return lower
-    # float64 arrays give the floats that Python computes; any other endpoint keeps Python's own
-    exact = all(issubclass(kind, float) for kind in set(map(type, chain.from_iterable(A + B))))
-    columns = [np.array(side, float if exact else object).reshape(-1, 3).T[:2] for side in (A, B)]
     with np.errstate(over="ignore"):  # a pair cost past the largest float is +inf, as in Python
-        return max(lower if settled[0] else _raised(A, columns[0], columns[1], lower, match_a),
-                   lower if settled[1] else _raised(B, columns[1], columns[0], lower, match_b))
+        costs = (None, None)
+        if A.shape[1] * B.shape[1] <= _PASS_ENTRIES:  # one matrix of every pair cost serves each pass
+            cost = np.maximum(np.abs(A[0, :, None] - B[0]), np.abs(A[1, :, None] - B[1]))
+            costs = (cost, cost.T)
+        if lower is None:
+            lower = _bound(B, A, _bound(A, B, 0.0, costs[0]), costs[1])
+        distance = lower
+        for P, Q, cost in ((A, B, costs[0]), (B, A, costs[1])):
+            covered, match = _covers(P, Q, lower, cost)
+            if not covered:
+                distance = max(distance, _raised(P, Q, lower, match))
+        return distance
 
 
-def _raised(P: _Side, cols_p: np.ndarray, cols_q: np.ndarray, delta: float, match: list[int]) -> float:
+def _raised(P: _Side, Q: _Side, delta: float, match: list[int]) -> float:
     """Least threshold from ``delta`` at which one matching along pairs of cost <= it covers
     every p whose deletion cost exceeds it, by one alternating tree per root that ``match``,
-    the matching :func:`_covers` grew at ``delta``, leaves uncovered (see the module
-    docstring). ``cols_p`` and ``cols_q`` hold each side's births and deaths as two rows."""
-    births_p, deaths_p = cols_p
-    every = cols_q[0].tolist()  # Q's births, sorted
+    the matching :func:`_covers` found at ``delta``, leaves uncovered (see the module
+    docstring)."""
+    births_p, deaths_p, _ = P
+    firsts, _, diag = columns = P.tolist()
+    every = Q[0].tolist()  # Q's births, sorted
     step = max(_PASS_ENTRIES // max(len(match), 1), 1)  # (S vertices, partners) <= _PASS_ENTRIES a layer
     covered = set(match)
-    for root, (x, y, r) in enumerate(P):
+    for root, (x, y, r) in enumerate(zip(*columns)):
         if r <= delta or root in covered:
             continue
-        (births, deaths), outside = cols_q, np.arange(len(match))  # the partners outside T
+        (births, deaths), outside = Q[:2], np.arange(len(match))  # the partners outside T
         slack = np.maximum(np.abs(births - x), np.abs(deaths - y))  # their cheapest pair cost from S
         via = np.full(len(match), root)  # the vertex of S that has it
         parent, enter, layer, least, holder, end = {}, {}, [], r, root, None  # holder: S's least diag
@@ -308,11 +313,11 @@ def _raised(P: _Side, cols_p: np.ndarray, cols_q: np.ndarray, delta: float, matc
             for k in range(0, len(layer), step):
                 chunk = layer[k : k + step]
                 for u in chunk:
-                    if P[u][2] < least:
-                        least, holder = P[u][2], u
+                    if diag[u] < least:
+                        least, holder = diag[u], u
                 # delta stays <= least, so only partners that close in birth can join
-                lo, hi = np.searchsorted(outside, _window(every, min(P[u][0] for u in chunk),
-                                                          max(P[u][0] for u in chunk), least)).tolist()
+                lo, hi = np.searchsorted(outside, _window(every, min(firsts[u] for u in chunk),
+                                                          max(firsts[u] for u in chunk), least)).tolist()
                 new = np.array(chunk)
                 cost = np.maximum(np.abs(births[lo:hi] - births_p[new, None]),
                                   np.abs(deaths[lo:hi] - deaths_p[new, None]))
@@ -331,7 +336,7 @@ def _raised(P: _Side, cols_p: np.ndarray, cols_q: np.ndarray, delta: float, matc
                 continue
             for q, s in zip(outside[opened].tolist(), via[opened].tolist()):
                 parent[q], u = s, match[q]
-                if u < 0 or P[u][2] <= delta:  # free, or its match needs no cover
+                if u < 0 or diag[u] <= delta:  # free, or its match needs no cover
                     end = q
                     break
                 enter[u] = q
@@ -367,7 +372,7 @@ def bottleneck_distance(A: Barcode, B: Barcode) -> float:
     return max((_split_distance(*parts) for parts in _split(A, B)), default=0.0)
 
 
-def _split_distance(ess_a: list[float], fin_a: _Side, ess_b: list[float], fin_b: _Side) -> float:
+def _split_distance(ess_a: list[float], fin_a: _Pairs, ess_b: list[float], fin_b: _Pairs) -> float:
     """One degree's distance from its :func:`_split` parts, essential births matched in sorted order."""
     if len(ess_a) != len(ess_b):
         return math.inf
@@ -379,7 +384,7 @@ def _split_distance(ess_a: list[float], fin_a: _Side, ess_b: list[float], fin_b:
     if not fits:
         raise ValueError(_ESSENTIAL_OVERFLOW)
     # Integer endpoints (from hand-written JSON) still give a float.
-    return float(max(gap, _finite_distance(fin_a, fin_b)))
+    return float(max(gap, _finite_distance(*_arrays(fin_a, fin_b))))
 
 
 def _batched(a: int, b: int) -> bool:
@@ -475,9 +480,10 @@ def _covered(adjacent: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
 
 def _sides(births: np.ndarray, deaths: np.ndarray, diag: np.ndarray) -> Iterator[_Side]:
-    """Each row of :func:`_live`'s arrays as a _Side: its own pairs, sorted."""
-    for row in zip(births.tolist(), deaths.tolist(), diag.tolist()):  # a row at a time: a block is large
-        yield sorted(pair for pair in zip(*row) if pair[2] > -math.inf)
+    """Each row of :func:`_live`'s arrays as a _Side: its own pairs, by birth."""
+    for side in np.stack((births, deaths, diag), axis=1):  # a row at a time: a block is large
+        side = side[:, side[2] > -math.inf]
+        yield side[:, np.argsort(side[0], kind="stable")]
 
 
 def _hall(masks: np.ndarray, roots: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from persline import Interval, bottleneck_distance
 import persline.bottleneck
 from persline.bottleneck import (
-    _BATCH_ENTRIES, _HALL_WIDTH, _batched, _bisected, _block_distances, _covered, _covers, _finite_distance,
-    _hall, _live, _matching_table, _nearest_bound, _pair_costs, _pass_distances, _split, _split_distance, _window,
+    _BATCH_ENTRIES, _HALL_WIDTH, _arrays, _batched, _bisected, _block_distances, _bound, _covered, _covers,
+    _finite_distance, _hall, _live, _matching_table, _pair_costs, _pass_distances, _split, _split_distance, _window,
 )
 from generators import random_barcode
 from oracles import brute_force_bottleneck, coverable, delete_cost, pair_cost, strict_json, threshold_bottleneck
@@ -171,6 +171,15 @@ class TestBottleneckDistance:
         assert brute_force_bottleneck(A, B) > 1.0
         assert bottleneck_distance(A, B) == 1.25
         assert brute_force_bottleneck(A, B) == 1.25
+
+    def test_lower_bound_one_ulp_below_a_root_deletion(self):
+        # (100, 102) alone sets the lower bound 1.0; there a1, whose diag is one ulp above
+        # 1.0, and a2 are roots that both need b1, so the distance is a1's deletion cost
+        up = math.nextafter(1.0, INF)
+        A = (Interval(0.0, 2 * up, 0), Interval(0.0, 2.5, 0), Interval(100.0, 102.0, 0))
+        B = (Interval(0.0, 2.0, 0),)
+        assert brute_force_bottleneck(A, B) == up
+        assert bottleneck_distance(A, B) == bottleneck_distance(B, A) == up
 
     # Search-phase cases: the lower bound (each interval's cheaper of deletion
     # and nearest partner) fails on a side, so that side's alternating tree
@@ -372,10 +381,17 @@ def _wide_pair(rng, kind, n):
     return sides
 
 
+def _lower_bound(fin_a, fin_b):
+    """The lower bound of two finite sides in array form by the windowed passes, under the
+    error state that _finite_distance sets (a pair cost past the largest float is +inf)."""
+    with np.errstate(over="ignore"):
+        return _bound(fin_b, fin_a, _bound(fin_a, fin_b, 0.0, None), None)
+
+
 def _above_bound(A, B):
     """Whether the distance of two finite one-degree barcodes lies above their lower bound."""
     (_, fin_a, _, fin_b), = _split(A, B)
-    return bottleneck_distance(A, B) > _nearest_bound(fin_b, fin_a, _nearest_bound(fin_a, fin_b, 0.0))
+    return bottleneck_distance(A, B) > _lower_bound(*_arrays(fin_a, fin_b))
 
 
 @pytest.mark.parametrize("kind", ["spread", "equal", "quarter", "bigint", "huge"])
@@ -396,6 +412,29 @@ def test_equals_the_threshold_oracle_at_20_to_150_intervals(kind):
         if kind == "huge":
             assert math.isinf(max(pair_cost(a, b) for a in A for b in B))
     assert above
+
+
+@pytest.mark.parametrize("kind", ["spread", "equal", "quarter", "bigint", "huge"])
+def test_chunks_and_windows_change_no_bit(kind):
+    # _PASS_ENTRIES at 64 and 2**10 splits each side into many chunks of the lower bound and
+    # of the cover, each against its own birth window: every value is the default's as float
+    # hex (sign included), both ways round; by default, 200 intervals a side share one matrix
+    rng = np.random.default_rng(["spread", "equal", "quarter", "bigint", "huge"].index(kind) + 110)
+    for n in (200, 1000):
+        A, B = _wide_pair(rng, kind, n)
+        want = [bottleneck_distance(A, B).hex(), bottleneck_distance(B, A).hex()]
+        assert want[0] == want[1]
+        for entries in (64, 1 << 10):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(persline.bottleneck, "_PASS_ENTRIES", entries)
+                assert [bottleneck_distance(A, B).hex(), bottleneck_distance(B, A).hex()] == want
+
+
+def test_symmetric_at_3000_equal_birth_intervals_per_side():
+    # every birth equal, so each window holds the whole other side: the size curve's
+    # bottleneck-equal-3000 pair
+    A, B = _wide_pair(np.random.default_rng(0), "equal", 3000)
+    assert bottleneck_distance(A, B).hex() == bottleneck_distance(B, A).hex()
 
 
 def test_window_keeps_births_whose_rounded_gap_is_within_reach():
@@ -443,8 +482,9 @@ def _search(A, a, B, b):
 
 
 def _finite_parts(A, a, B, b):
-    """Each row's finite parts in split form, A's and B's, as the per-line search reads them."""
-    return [(_split(p, q) or [([], [], [], [])])[0][1::2] for p, q in zip(_rows(A, a), _rows(B, b))]
+    """Each row's finite parts, A's and B's, as the per-line search hands them to
+    _finite_distance: split, then as arrays."""
+    return [_arrays(*(_split(p, q) or [([], [], [], [])])[0][1::2]) for p, q in zip(_rows(A, a), _rows(B, b))]
 
 
 def _pass_bounds(A, a, B, b):
@@ -595,9 +635,10 @@ class TestBlockDistances:
         want = [x.hex() for x in _search(A, a, B, b)]
         search = []
         for fin_a, fin_b in _finite_parts(A, a, B, b):
-            lower = _nearest_bound(fin_b, fin_a, _nearest_bound(fin_a, fin_b, 0.0))
-            search.append((lower.hex(), all([_covers(fin_a, fin_b, lower, [-1] * len(fin_b)),
-                                             _covers(fin_b, fin_a, lower, [-1] * len(fin_a))])))
+            lower = _lower_bound(fin_a, fin_b)
+            with np.errstate(over="ignore"):
+                feasible = _covers(fin_a, fin_b, lower, None)[0] and _covers(fin_b, fin_a, lower, None)[0]
+            search.append((lower.hex(), feasible))
         lower, settled = _pass_bounds(A, a, B, b)
         assert [x.hex() for x in lower] == [h for h, _ in search]
         assert all(feasible_at for ok, (_, feasible_at) in zip(settled, search) if ok)
