@@ -53,11 +53,20 @@ one whose match needs no cover at delta (flipped), or a vertex of S is deleted
 at delta (the path to it flipped, unless it is the root); the matching stays
 valid as delta rises. So every raise is forced, and the last delta covers every
 root: it is the side's least threshold, a deletion or pair cost from the same
-floats the test compares. A tree computes pair costs only from its own
-vertices, one numpy row each: the root's to every partner, a later vertex's
-only to the partners outside T whose birth gap is at most the least deletion
-cost in S (delta never passes it in that tree; :func:`_window`). So no step
-lists the pairs of an interval that no tree holds. Endpoints that are not all
+floats the test compares. Each tree vertex brings one numpy row of pair costs,
+in layer order. On sides of at most _PASS_ENTRIES pairs it is the vertex's
+whole row of the one matrix (on B's side a row of its transposed view), and T
+is a mask over Q. Past that, the root's row is computed to every partner and a
+later vertex's only to the partners outside T whose birth gap is at most the
+least deletion cost in S (:func:`_window`), T's members are cut from every
+array, and no step lists the pairs of an interval that no tree holds. The two
+give the same floats. A pair cost is |x - y| either way round. A partner past a
+vertex's window costs more than S's least diag, and delta stays below that at
+every test of the tree (the tree ends once delta reaches it), so that cost
+neither opens the partner nor sets a raise, which is at most the least diag.
+And a strict < applied in layer order keeps, as the vertex a partner is
+reached from, the first one of least cost, as each chunk's argmin of the
+windowed rows does. Endpoints that are not all
 floats (integers from hand-written JSON) keep Python's exact arithmetic in
 object arrays (:func:`_arrays`).
 
@@ -145,10 +154,10 @@ _BATCH_ENTRIES = 2_000
 # (_pass_distances), the (lines, matchings) worst costs of the table pass (_table_distances),
 # the (2 * lines, 2**width) subset unions of the bisection (_bisected), the (intervals, birth
 # window) pair costs of a chunk of one side's lower bound (_bound) and of its roots at the bound
-# (_covers), or the one matrix of every pair cost that both read if it is no larger
-# (_finite_distance), and the (tree vertices, partners) pair costs of a layer of the search
-# above the lower bound (_raised). A block whose single line has more pair costs than
-# _PASS_ENTRIES is searched line by line with no bound.
+# (_covers) and the (tree vertices, partners) pair costs of a layer of the search above the
+# lower bound (_raised), or, if it is no larger, the one matrix of every pair cost that the
+# bound, both covers and the rows of that search's trees all read (_finite_distance). A block
+# whose single line has more pair costs than _PASS_ENTRIES is searched line by line with no bound.
 _PASS_ENTRIES = 1 << 16
 # The most live pairs a side for which the lines of a chunk that the certified bound leaves
 # are bisected together (_bisected); if one is wider, that chunk's are searched one at a
@@ -185,10 +194,13 @@ def _split(A: Iterable, B: Iterable) -> list[tuple[list[float], _Pairs, list[flo
 
 def _arrays(A: _Pairs, B: _Pairs) -> tuple[_Side, _Side]:
     """A's and B's finite triples as :data:`_Side` arrays: float64 arrays, whose arithmetic is
-    Python's, if every endpoint is a float, else object arrays, which keep Python's own."""
-    exact = all(issubclass(kind, float) for kind in set(map(type, chain.from_iterable(A + B))))
-    return tuple(np.fromiter(chain.from_iterable(side), float if exact else object, 3 * len(side)).reshape(-1, 3).T
-                 for side in (A, B))
+    Python's, if every endpoint is a float (each diag, (death - birth) / 2.0, then is one too),
+    else object arrays, which keep Python's own."""
+    columns = [list(zip(*side)) or [(), (), ()] for side in (A, B)]
+    exact = all(issubclass(kind, float) for births, deaths, _ in columns
+                for kind in {*map(type, births), *map(type, deaths)})
+    return tuple(np.fromiter(chain.from_iterable(side), float if exact else object, 3 * len(pairs)).reshape(3, -1)
+                 for side, pairs in zip(columns, (A, B)))
 
 
 def _blocks(P: _Side, Q: _Side, rows: np.ndarray, cost: np.ndarray | None,
@@ -288,15 +300,16 @@ def _finite_distance(A: _Side, B: _Side, lower: float | None = None) -> float:
         for P, Q, cost in ((A, B, costs[0]), (B, A, costs[1])):
             covered, match = _covers(P, Q, lower, cost)
             if not covered:
-                distance = max(distance, _raised(P, Q, lower, match))
+                distance = max(distance, _raised(P, Q, lower, match, cost))
         return distance
 
 
-def _raised(P: _Side, Q: _Side, delta: float, match: list[int]) -> float:
+def _raised(P: _Side, Q: _Side, delta: float, match: list[int], cost: np.ndarray | None) -> float:
     """Least threshold from ``delta`` at which one matching along pairs of cost <= it covers
     every p whose deletion cost exceeds it, by one alternating tree per root that ``match``,
     the matching :func:`_covers` found at ``delta``, leaves uncovered (see the module
-    docstring)."""
+    docstring). Each tree vertex reads its row of ``cost``, every pair cost of P with Q, if
+    given, else computes it (past the root's, over a window of Q's births)."""
     births_p, deaths_p, _ = P
     firsts, _, diag = columns = P.tolist()
     every = Q[0].tolist()  # Q's births, sorted
@@ -305,44 +318,61 @@ def _raised(P: _Side, Q: _Side, delta: float, match: list[int]) -> float:
     for root, (x, y, r) in enumerate(zip(*columns)):
         if r <= delta or root in covered:
             continue
-        (births, deaths), outside = Q[:2], np.arange(len(match))  # the partners outside T
-        slack = np.maximum(np.abs(births - x), np.abs(deaths - y))  # their cheapest pair cost from S
+        # Q's partner of each slack entry, and which of them are outside T: on the windowed rows
+        # T's members are cut from every array, on the matrix's rows they stay and are masked
+        partners, outside = np.arange(len(match)), True
+        if cost is None:
+            births, deaths = Q[:2]
+            slack = np.maximum(np.abs(births - x), np.abs(deaths - y))  # the cheapest pair cost from S
+        else:
+            outside, slack = np.ones(len(match), bool), cost[root].copy()
         via = np.full(len(match), root)  # the vertex of S that has it
         parent, enter, layer, least, holder, end = {}, {}, [], r, root, None  # holder: S's least diag
         while end is None:
-            for k in range(0, len(layer), step):
-                chunk = layer[k : k + step]
-                for u in chunk:
-                    if diag[u] < least:
-                        least, holder = diag[u], u
-                # delta stays <= least, so only partners that close in birth can join
-                lo, hi = np.searchsorted(outside, _window(every, min(firsts[u] for u in chunk),
-                                                          max(firsts[u] for u in chunk), least)).tolist()
-                new = np.array(chunk)
-                cost = np.maximum(np.abs(births[lo:hi] - births_p[new, None]),
-                                  np.abs(deaths[lo:hi] - deaths_p[new, None]))
-                best = cost.argmin(axis=0)
-                cost = cost[best, np.arange(hi - lo)]
-                better = cost < slack[lo:hi]
-                np.copyto(slack[lo:hi], cost, where=better)
-                np.copyto(via[lo:hi], new[best], where=better)
-            opened, layer = slack <= delta, []
-            if not opened.any():
-                delta = min(least, slack.min(initial=math.inf))
+            for u in layer:
+                if diag[u] < least:
+                    least, holder = diag[u], u
+            if cost is not None:  # each new vertex's whole row, in layer order: a tie keeps the first
+                for u in layer:
+                    row = cost[u]
+                    better = row < slack  # a member of T may change too: it is never read again
+                    np.copyto(slack, row, where=better)
+                    np.copyto(via, u, where=better)
+            else:
+                for k in range(0, len(layer), step):
+                    chunk = layer[k : k + step]
+                    # delta stays below least, so only partners that close in birth can join
+                    lo, hi = np.searchsorted(partners, _window(every, min(firsts[u] for u in chunk),
+                                                               max(firsts[u] for u in chunk), least)).tolist()
+                    new = np.array(chunk)
+                    near = np.maximum(np.abs(births[lo:hi] - births_p[new, None]),
+                                      np.abs(deaths[lo:hi] - deaths_p[new, None]))
+                    best = near.argmin(axis=0)
+                    near = near[best, np.arange(hi - lo)]
+                    better = near < slack[lo:hi]
+                    np.copyto(slack[lo:hi], near, where=better)
+                    np.copyto(via[lo:hi], new[best], where=better)
+            opened, layer = (slack <= delta) & outside, []
+            ids = opened.nonzero()[0]
+            if not len(ids):
+                delta = min(least, slack.min(initial=math.inf, where=outside))
                 if least <= delta:  # holder is deleted at delta
                     if holder == root:
                         break
                     end = enter[holder]
                 continue
-            for q, s in zip(outside[opened].tolist(), via[opened].tolist()):
+            for q, s in zip(partners[ids].tolist(), via[ids].tolist()):
                 parent[q], u = s, match[q]
                 if u < 0 or diag[u] <= delta:  # free, or its match needs no cover
                     end = q
                     break
                 enter[u] = q
                 layer.append(u)
-            keep = ~opened
-            outside, births, deaths, slack, via = (z[keep] for z in (outside, births, deaths, slack, via))
+            if cost is None:
+                keep = ~opened
+                partners, births, deaths, slack, via = (z[keep] for z in (partners, births, deaths, slack, via))
+            else:
+                outside[ids] = False
         while end is not None:  # flip the path from the root to end
             s = parent[end]
             match[end], end = s, enter.get(s)

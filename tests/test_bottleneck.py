@@ -359,10 +359,23 @@ def _wide_pair(rng, kind, n):
     (births 0, deaths uniform on [0, 10]), both rounded to 1e-3; quarter (births and
     lengths on the quarter grid: ties everywhere); bigint (integers past 2**60, whose
     differences a float64 array would round); huge (endpoints near +-1e308, so that pair
-    costs across the sign overflow to +inf while every deletion cost stays finite)."""
+    costs across the sign overflow to +inf while every deletion cost stays finite); near
+    (bottleneck-large's shape: A's births uniform on [0, 10] and lengths exponential with
+    mean 1, rounded to 1e-3; B moves A's endpoints by N(0, 0.1) and draws a tenth afresh)."""
+    def drawn(k):  # births uniform on [0, 10], lengths exponential with mean 1
+        births = np.round(rng.uniform(0, 10, k), 3)
+        return births, np.round(births + rng.exponential(1.0, k) + 1e-3, 3)
+
     sides = []
     for _ in range(2):
-        if kind == "spread":
+        if kind == "near" and sides:
+            births, deaths = np.round(near + rng.normal(0.0, 0.1, (2, n)), 3)
+            deaths = np.maximum(deaths, births + 1e-3)
+            fresh = rng.choice(n, n // 10, replace=False)
+            births[fresh], deaths[fresh] = drawn(len(fresh))
+        elif kind == "near":
+            births, deaths = near = np.array(drawn(n))
+        elif kind == "spread":
             births = np.round(rng.uniform(0, 10, n), 3)
             deaths = np.round(births + rng.uniform(0, 3, n), 3)
         elif kind == "equal":
@@ -414,20 +427,53 @@ def test_equals_the_threshold_oracle_at_20_to_150_intervals(kind):
     assert above
 
 
+def _distances_and_trees(A, B, entries=None):
+    """The distance of A and B as float hex, both ways round, and per _raised call whether
+    its tree read the one matrix of every pair cost; with _PASS_ENTRIES at ``entries`` if given."""
+    trees, raised = [], persline.bottleneck._raised
+
+    def spy(P, Q, delta, match, cost):
+        trees.append(cost is not None)
+        return raised(P, Q, delta, match, cost)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(persline.bottleneck, "_raised", spy)
+        if entries is not None:
+            patch.setattr(persline.bottleneck, "_PASS_ENTRIES", entries)
+        return [bottleneck_distance(A, B).hex(), bottleneck_distance(B, A).hex()], trees
+
+
 @pytest.mark.parametrize("kind", ["spread", "equal", "quarter", "bigint", "huge"])
 def test_chunks_and_windows_change_no_bit(kind):
     # _PASS_ENTRIES at 64 and 2**10 splits each side into many chunks of the lower bound and
-    # of the cover, each against its own birth window: every value is the default's as float
-    # hex (sign included), both ways round; by default, 200 intervals a side share one matrix
+    # of the cover, each against its own birth window, and the tree search above the bound
+    # computes its rows over windows: every value is the default's as float hex (sign
+    # included), both ways round; by default, 200 intervals a side share one matrix, whose
+    # rows the trees read, and every pair here is searched above its bound
     rng = np.random.default_rng(["spread", "equal", "quarter", "bigint", "huge"].index(kind) + 110)
     for n in (200, 1000):
         A, B = _wide_pair(rng, kind, n)
-        want = [bottleneck_distance(A, B).hex(), bottleneck_distance(B, A).hex()]
+        want, trees = _distances_and_trees(A, B)
         assert want[0] == want[1]
+        assert trees and set(trees) == {n == 200}
         for entries in (64, 1 << 10):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(persline.bottleneck, "_PASS_ENTRIES", entries)
-                assert [bottleneck_distance(A, B).hex(), bottleneck_distance(B, A).hex()] == want
+            got, trees = _distances_and_trees(A, B, entries)
+            assert got == want and trees and not any(trees)
+
+
+def test_tree_rows_from_the_matrix_or_windows_change_no_bit():
+    # bottleneck-large's pairs: by default each tree above the bound reads its vertices' rows
+    # of the one matrix of every pair cost, and with _PASS_ENTRIES below A*B it computes them
+    # over birth windows; the same trees run and give the same float hex, both ways round
+    rng, searched = np.random.default_rng(130), 0
+    for _ in range(30):
+        A, B = _wide_pair(rng, "near", 100)
+        want, trees = _distances_and_trees(A, B)
+        got, windowed = _distances_and_trees(A, B, len(A) * len(B) - 1)
+        assert got == want and want[0] == want[1]
+        assert trees == [True] * len(windowed) and not any(windowed)
+        searched += bool(trees)
+    assert searched >= 10, searched
 
 
 def test_symmetric_at_3000_equal_birth_intervals_per_side():
